@@ -6,9 +6,8 @@ from .feature_graph import (
     AffinityMatrix,
     FeatureGraph,
     attach_perf,
-    build_method_graph,
+    build_class_graph,
     fuse,
-    lift_to_classes,
     to_affinity,
 )
 from .metrics import QualityReport, cut_value, mq, mqw, score
@@ -58,8 +57,8 @@ __all__ = [
     "api_estimate",
     "attach_perf",
     "brute_force_best",
+    "build_class_graph",
     "build_laplacian",
-    "build_method_graph",
     "cut_value",
     "edge_cost",
     "embed",
@@ -67,7 +66,6 @@ __all__ = [
     "fuse",
     "generate_system",
     "kmeans",
-    "lift_to_classes",
     "mq",
     "mqw",
     "parse_call_log",

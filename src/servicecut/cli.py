@@ -25,7 +25,6 @@ from .pipeline import (
     sweep,
     write_sweep_outputs,
 )
-from .records import LogParseError
 from .spectral import NumericError
 from .synth import SynthSpec, synth_generate
 
@@ -46,8 +45,15 @@ def _parse_size_model(pairs: tuple[str, ...]) -> SizeModel:
             raise click.UsageError(
                 f"unknown size-model field {key!r}; choose from {sorted(_SIZE_MODEL_FIELDS)}"
             )
-        overrides[key] = int(value)
-    return SizeModel(**overrides)
+        try:
+            overrides[key] = int(value)
+        except ValueError:
+            raise click.UsageError(
+                f"--size-model {key} expects an integer, got {value!r}") from None
+    try:
+        return SizeModel(**overrides)
+    except ValueError as exc:
+        raise click.UsageError(f"--size-model: {exc}") from exc
 
 
 def _common_options(fn):
@@ -89,8 +95,8 @@ def ingest_check(calls_path, perf_path, catalog_path, size_model, raw_attrs):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def build_graph(calls_path, perf_path, catalog_path, size_model, raw_attrs, mode, out_dir):
     """Build the class-level feature graph and export it."""
-    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
     model = _parse_size_model(size_model)
+    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
     _, weighted = build_mode_graph(
         inputs.calls, inputs.perf, inputs.catalog, mode, model, not raw_attrs
     )
@@ -98,14 +104,26 @@ def build_graph(calls_path, perf_path, catalog_path, size_model, raw_attrs, mode
     out.mkdir(parents=True, exist_ok=True)
     fg.write_edge_list(weighted, out / "graph_edges.csv")
     fg.write_graph_json(weighted, out / "graph.json")
-    core = weighted.without_vertices(weighted.isolated_vertices())
-    if core.vertices:
-        fg.write_affinity_csv(fg.to_affinity(core), out / "affinity.csv")
+    _, W, _ = fg.split_core(weighted)
+    if W.n:
+        fg.write_affinity_csv(W, out / "affinity.csv")
     click.echo(f"wrote graph exports to {out}")
 
 
-def _run_and_write(inputs, mode, k, seed, model, normalize, out_dir, fmt):
-    partition, report = run_pipeline(inputs, mode, k, seed, model, normalize)
+@cli.command("evaluate")
+@_common_options
+@click.option("--mode", type=click.Choice(MODES), default="fusion", show_default=True)
+@click.option("--k", type=click.IntRange(min=2), required=True)
+@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
+@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
+              show_default=True)
+def evaluate(calls_path, perf_path, catalog_path, size_model, raw_attrs,
+             mode, k, seed, out_dir, fmt):
+    """Cluster and score: writes partition plus a quality report."""
+    model = _parse_size_model(size_model)
+    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
+    partition, report = run_pipeline(inputs, mode, k, seed, model, not raw_attrs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "partition.json").write_text(
@@ -118,42 +136,6 @@ def _run_and_write(inputs, mode, k, seed, model, normalize, out_dir, fmt):
         )
     else:
         (out / "report.json").write_text(report_to_json_str(report), encoding="utf-8")
-    return partition, report
-
-
-@cli.command("cluster")
-@_common_options
-@click.option("--mode", type=click.Choice(MODES), default="fusion", show_default=True)
-@click.option("--k", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def cluster(calls_path, perf_path, catalog_path, size_model, raw_attrs, mode, k, seed, out_dir):
-    """Extract k microservice candidates and write the partition."""
-    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
-    partition, _ = _run_and_write(
-        inputs, mode, k, seed, _parse_size_model(size_model), not raw_attrs, out_dir, "json"
-    )
-    for i, members in enumerate(partition.candidates()):
-        click.echo(f"candidate {i}: {', '.join(members)}")
-    if partition.unassigned:
-        click.echo(f"unassigned: {', '.join(sorted(partition.unassigned))}")
-
-
-@cli.command("evaluate")
-@_common_options
-@click.option("--mode", type=click.Choice(MODES), default="fusion", show_default=True)
-@click.option("--k", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
-              show_default=True)
-def evaluate(calls_path, perf_path, catalog_path, size_model, raw_attrs,
-             mode, k, seed, out_dir, fmt):
-    """Cluster and score: writes partition plus a quality report."""
-    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
-    _, report = _run_and_write(
-        inputs, mode, k, seed, _parse_size_model(size_model), not raw_attrs, out_dir, fmt
-    )
     click.echo(f"MQ={report.mq:.4f} MQw={report.mqw:.4f} cut={report.cut:.2f}")
 
 
@@ -161,9 +143,9 @@ def evaluate(calls_path, perf_path, catalog_path, size_model, raw_attrs,
 @_common_options
 @click.option("--modes", default=",".join(DEFAULT_MODES), show_default=True,
               help="Comma-separated subset of static,fusion,dynamic.")
-@click.option("--k-min", type=int, default=2, show_default=True)
-@click.option("--k-max", type=int, default=10, show_default=True)
-@click.option("--epochs", type=int, default=100, show_default=True)
+@click.option("--k-min", type=click.IntRange(min=2), default=2, show_default=True)
+@click.option("--k-max", type=click.IntRange(min=2), default=10, show_default=True)
+@click.option("--epochs", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--seed", "base_seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
@@ -173,9 +155,11 @@ def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
     for m in mode_list:
         if m not in MODES:
             raise click.UsageError(f"unknown mode {m!r}")
+    if k_min > k_max:
+        raise click.UsageError(f"--k-min {k_min} exceeds --k-max {k_max}")
+    model = _parse_size_model(size_model)
     inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
-    result = sweep(inputs, mode_list, k_min, k_max, epochs, base_seed,
-                   _parse_size_model(size_model), not raw_attrs)
+    result = sweep(inputs, mode_list, k_min, k_max, epochs, base_seed, model, not raw_attrs)
     write_sweep_outputs(result, out_dir)
     for mode, k in sorted(result.best_k.items()):
         click.echo(f"{mode}: best k = {k} (median MQw {result.medians[(mode, k)]:.4f})")
@@ -208,16 +192,16 @@ def synth(n_classes, n_blocks, intra_call_prob, inter_call_prob,
 @cli.command("oracle")
 @_common_options
 @click.option("--mode", type=click.Choice(MODES), default="static", show_default=True)
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=click.IntRange(min=1), required=True)
 @click.option("--objective", type=click.Choice(["mqw", "cut"]), default="mqw",
               show_default=True)
 def oracle_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
                mode, k, objective):
     """Exhaustive best partition of a small system (<= 10 classes)."""
+    model = _parse_size_model(size_model)
     inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
     _, weighted = build_mode_graph(
-        inputs.calls, inputs.perf, inputs.catalog, mode,
-        _parse_size_model(size_model), not raw_attrs,
+        inputs.calls, inputs.perf, inputs.catalog, mode, model, not raw_attrs
     )
     partition, value = brute_force_best(weighted, k, objective)
     click.echo(json.dumps({"objective": objective, "value": value,
@@ -227,18 +211,12 @@ def oracle_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
 def main(argv: list[str] | None = None) -> int:
     try:
         cli.main(args=argv, prog_name="servicecut", standalone_mode=False)
-    except click.UsageError as exc:
+    except click.ClickException as exc:
         exc.show()
         return EXIT_USAGE
     except click.Abort:
         return EXIT_USAGE
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_USAGE
-    except (LogParseError, OSError) as exc:
-        click.echo(f"data error: {exc}", err=True)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         click.echo(f"data error: {exc}", err=True)
         return EXIT_DATA
     except NumericError as exc:

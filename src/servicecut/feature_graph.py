@@ -1,5 +1,5 @@
-"""Weighted program feature graphs: method-level construction, class-level
-lifting, performance-attribute attachment, fusion, and the symmetric affinity
+"""Weighted program feature graphs: class-level construction from call
+records, performance-attribute attachment, fusion, and the symmetric affinity
 matrix fed to the clusterer."""
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +17,10 @@ from .records import CallRecord, PerfRecord, TypeCatalog
 
 log = logging.getLogger(__name__)
 
-METHOD = "method"
-CLASS = "class"
-
 
 @dataclass
 class FeatureGraph:
-    """Directed weighted graph over methods or classes.
+    """Directed weighted graph over classes.
 
     Vertices are kept sorted so downstream matrices are reproducible. Absent
     edge pairs mean weight zero; self-loops are never stored.
@@ -31,7 +28,6 @@ class FeatureGraph:
 
     vertices: list[str]
     edges: dict[tuple[str, str], float]
-    granularity: str
     vertex_attrs: dict[str, tuple[float, float]] | None = None
     self_calls_dropped: int = 0
 
@@ -43,14 +39,8 @@ class FeatureGraph:
             if w <= 0:
                 raise ValueError(f"non-positive weight on ({i!r}, {j!r})")
 
-    def weight(self, i: str, j: str) -> float:
-        return self.edges.get((i, j), 0.0)
-
     def total_weight(self) -> float:
         return sum(self.edges.values())
-
-    def out_class(self, vertex: str) -> str:
-        return vertex.split("::", 1)[0]
 
     def isolated_vertices(self) -> set[str]:
         touched = {v for e in self.edges for v in e}
@@ -62,7 +52,7 @@ class FeatureGraph:
         attrs = None
         if self.vertex_attrs is not None:
             attrs = {v: a for v, a in self.vertex_attrs.items() if v not in drop}
-        return FeatureGraph(keep, edges, self.granularity, attrs, self.self_calls_dropped)
+        return FeatureGraph(keep, edges, attrs, self.self_calls_dropped)
 
 
 @dataclass
@@ -92,40 +82,29 @@ class AffinityMatrix:
         return len(self.vertex_ids)
 
 
-def build_method_graph(records: list[CallRecord], catalog: TypeCatalog,
-                       model: SizeModel | None = None) -> FeatureGraph:
-    """Build the method-level digraph. Repeated (caller, callee) pairs
-    accumulate by weight summation; self-calls are dropped with a warning."""
+def build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
+                      model: SizeModel | None = None) -> FeatureGraph:
+    """Build the class-level digraph keyed on the records' class fields.
+    Repeated (caller_class, callee_class) pairs accumulate by weight
+    summation; intra-class calls add no edge, so a class seen only in them
+    becomes an isolated vertex. Self-calls are dropped with a warning."""
     model = model or SizeModel()
-    vertices: set[str] = set()
+    classes: set[str] = set()
     edges: dict[tuple[str, str], float] = {}
     dropped = 0
     for r in records:
-        vertices.add(r.caller)
-        vertices.add(r.callee)
+        classes.add(r.caller_class)
+        classes.add(r.callee_class)
         if r.is_self_call:
             dropped += 1
             continue
-        key = (r.caller, r.callee)
+        if r.caller_class == r.callee_class:
+            continue
+        key = (r.caller_class, r.callee_class)
         edges[key] = edges.get(key, 0.0) + edge_cost(r.callee_params, catalog, model)
     if dropped:
         log.warning("dropped %d self-call record(s)", dropped)
-    return FeatureGraph(sorted(vertices), edges, METHOD, self_calls_dropped=dropped)
-
-
-def lift_to_classes(g: FeatureGraph) -> FeatureGraph:
-    """Aggregate method-level weights to class level, discarding intra-class
-    edges. Classes with only intra-class calls become isolated vertices."""
-    if g.granularity != METHOD:
-        raise ValueError("lift_to_classes expects a method-level graph")
-    classes = {g.out_class(v) for v in g.vertices}
-    edges: dict[tuple[str, str], float] = {}
-    for (src, dst), w in g.edges.items():
-        ci, cj = g.out_class(src), g.out_class(dst)
-        if ci == cj:
-            continue
-        edges[(ci, cj)] = edges.get((ci, cj), 0.0) + w
-    return FeatureGraph(sorted(classes), edges, CLASS, self_calls_dropped=g.self_calls_dropped)
+    return FeatureGraph(sorted(classes), edges, self_calls_dropped=dropped)
 
 
 def attach_perf(g: FeatureGraph, perf: list[PerfRecord], normalize: bool = True) -> FeatureGraph:
@@ -135,8 +114,6 @@ def attach_perf(g: FeatureGraph, perf: list[PerfRecord], normalize: bool = True)
     attribute is divided by its maximum over all classes so both lie in
     [0, 1]; an all-zero attribute stays all-zero.
     """
-    if g.granularity != CLASS:
-        raise ValueError("attach_perf expects a class-level graph")
     known = set(g.vertices)
     by_class = {}
     for r in perf:
@@ -176,8 +153,6 @@ def unit_structure(g: FeatureGraph) -> FeatureGraph:
 
 def to_affinity(g: FeatureGraph) -> AffinityMatrix:
     """Symmetrize by directional sum: W[i][j] = w(i->j) + w(j->i)."""
-    if g.granularity != CLASS:
-        raise ValueError("to_affinity expects a class-level graph")
     ids = list(g.vertices)
     index = {v: i for i, v in enumerate(ids)}
     W = np.zeros((len(ids), len(ids)))
@@ -186,6 +161,14 @@ def to_affinity(g: FeatureGraph) -> AffinityMatrix:
         W[i, j] += w
         W[j, i] += w
     return AffinityMatrix(W, ids)
+
+
+def split_core(g: FeatureGraph) -> tuple[FeatureGraph, AffinityMatrix, set[str]]:
+    """Split off the isolated vertices, which no partition assigns. Returns
+    (core, affinity of the core, isolated vertices)."""
+    isolated = g.isolated_vertices()
+    core = g.without_vertices(isolated)
+    return core, to_affinity(core), isolated
 
 
 # --- export helpers ---------------------------------------------------------
@@ -201,7 +184,7 @@ def write_edge_list(g: FeatureGraph, path: str | Path) -> None:
 
 def graph_to_json(g: FeatureGraph) -> dict:
     doc = {
-        "granularity": g.granularity,
+        "granularity": "class",
         "vertices": list(g.vertices),
         "edges": [
             {"src": src, "dst": dst, "weight": g.edges[(src, dst)]}

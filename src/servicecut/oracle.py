@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .feature_graph import FeatureGraph, to_affinity
+from .feature_graph import FeatureGraph, split_core
 from .metrics import cut_value, mqw
 from .spectral import Partition, canonicalize
 
@@ -36,15 +36,13 @@ def brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Partition
     (maximize ``mqw``, minimize ``cut``)."""
     if objective not in ("mqw", "cut"):
         raise ValueError(f"unknown objective {objective!r}")
-    isolated = g.isolated_vertices()
-    core = g.without_vertices(isolated)
-    verts = list(core.vertices)
-    n = len(verts)
+    core, W, isolated = split_core(g)
+    verts = W.vertex_ids
+    n = W.n
     if n > MAX_VERTICES:
         raise ValueError(f"brute force bounded to {MAX_VERTICES} vertices, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    W = to_affinity(core)
     best_p, best_v = None, None
     for labels in restricted_growth_strings(n, k):
         p = canonicalize(dict(zip(verts, labels)), k)

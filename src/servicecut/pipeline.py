@@ -17,10 +17,9 @@ from .cost_model import SizeModel
 from .feature_graph import (
     FeatureGraph,
     attach_perf,
-    build_method_graph,
+    build_class_graph,
     fuse,
-    lift_to_classes,
-    to_affinity,
+    split_core,
     unit_structure,
 )
 from .metrics import QualityReport, mqw, score
@@ -32,15 +31,7 @@ from .records import (
     parse_perf_log,
     parse_type_catalog,
 )
-from .spectral import (
-    Partition,
-    build_laplacian,
-    canonicalize,
-    embedding_from_spectrum,
-    extract_candidates,
-    full_spectrum,
-    kmeans,
-)
+from .spectral import Partition, build_laplacian, canonicalize, embed, extract_candidates, kmeans
 
 MODES = ("static", "fusion", "dynamic")
 DEFAULT_MODES = ("static", "fusion")  # dynamic-only is behind a flag
@@ -66,7 +57,7 @@ def build_mode_graph(
     the weighted metric."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    structure = lift_to_classes(build_method_graph(calls, catalog, model))
+    structure = build_class_graph(calls, catalog, model)
     if mode == "static":
         return structure, structure
     base = unit_structure(structure) if mode == "dynamic" else structure
@@ -99,13 +90,9 @@ def run_pipeline(
     structure, weighted = build_mode_graph(
         inputs.calls, inputs.perf, inputs.catalog, mode, model, normalize
     )
-    isolated = weighted.isolated_vertices()
-    core = weighted.without_vertices(isolated)
-    if k > len(core.vertices):
-        raise ValueError(
-            f"k={k} exceeds the {len(core.vertices)} non-isolated class vertices"
-        )
-    W = to_affinity(core)
+    core, W, isolated = split_core(weighted)
+    if k > W.n:
+        raise ValueError(f"k={k} exceeds the {W.n} non-isolated class vertices")
     partition = extract_candidates(W, k, seed)
     partition.unassigned = set(isolated)
     report = score(partition, structure, weighted, W, mode)
@@ -156,7 +143,6 @@ class SweepResult:
 
 
 def sweep_graph(
-    structure: FeatureGraph,
     weighted: FeatureGraph,
     mode: str,
     k_min: int,
@@ -164,21 +150,19 @@ def sweep_graph(
     epochs: int,
     base_seed: int,
 ) -> dict[tuple[str, int], list[float]]:
-    """Sweep one mode's graph over k. The eigendecomposition happens once;
-    each (k, epoch) only re-runs seeded k-means and the metric."""
-    isolated = weighted.isolated_vertices()
-    core = weighted.without_vertices(isolated)
-    n = len(core.vertices)
-    if k_max > n:
-        raise ValueError(f"k_max={k_max} exceeds the {n} non-isolated class vertices")
-    W = to_affinity(core)
-    eigenvalues, vectors = full_spectrum(build_laplacian(W))
+    """Sweep one mode's graph over k. The k_max-column embedding is computed
+    once; each (k, epoch) only re-runs seeded k-means on its first k columns
+    and the metric."""
+    core, W, _ = split_core(weighted)
+    if k_max > W.n:
+        raise ValueError(f"k_max={k_max} exceeds the {W.n} non-isolated class vertices")
+    emb = embed(build_laplacian(W), k_max)
     out: dict[tuple[str, int], list[float]] = {}
     for k in range(k_min, k_max + 1):
-        emb = embedding_from_spectrum(eigenvalues, vectors, k)
+        U = emb.U[:, :k].copy()
         values = []
         for epoch in range(epochs):
-            raw = kmeans(emb.U, k, epoch_seed(base_seed, mode, k, epoch))
+            raw = kmeans(U, k, epoch_seed(base_seed, mode, k, epoch))
             partition = canonicalize(dict(zip(W.vertex_ids, (int(c) for c in raw))), k)
             values.append(mqw(partition, core)[2])
         out[(mode, k)] = values
@@ -197,11 +181,11 @@ def sweep(
 ) -> SweepResult:
     result = SweepResult(tuple(modes), (k_min, k_max), epochs, base_seed)
     for mode in modes:
-        structure, weighted = build_mode_graph(
+        _, weighted = build_mode_graph(
             inputs.calls, inputs.perf, inputs.catalog, mode, model, normalize
         )
         result.epoch_values.update(
-            sweep_graph(structure, weighted, mode, k_min, k_max, epochs, base_seed)
+            sweep_graph(weighted, mode, k_min, k_max, epochs, base_seed)
         )
     return result
 

@@ -19,7 +19,6 @@ class Laplacian:
     """L = D - W with D the diagonal degree matrix of W."""
 
     matrix: np.ndarray
-    source: AffinityMatrix
 
     @property
     def n(self) -> int:
@@ -69,7 +68,7 @@ def build_laplacian(W: AffinityMatrix) -> Laplacian:
     if W.n == 0:
         raise ValueError("empty graph")
     L = np.diag(W.entries.sum(axis=1)) - W.entries
-    return Laplacian(L, W)
+    return Laplacian(L)
 
 
 def full_spectrum(L: Laplacian) -> tuple[np.ndarray, np.ndarray]:

@@ -10,24 +10,17 @@ import pytest
 
 from naive_oracles import hand_object_size, naive_cut, naive_mq, naive_mqw
 from servicecut.cost_model import SizeModel, api_estimate
-from servicecut.feature_graph import AffinityMatrix, FeatureGraph, to_affinity
+from servicecut.feature_graph import AffinityMatrix, FeatureGraph, split_core, to_affinity
 from servicecut.metrics import cut_value, mq, mqw
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import (
+    SweepResult,
     build_mode_graph,
-    epoch_seed,
     partition_accuracy,
+    sweep_graph,
 )
 from servicecut.records import ObjectLayout, PRIMITIVE_SIZES, TypeCatalog, TypeRef
-from servicecut.spectral import (
-    build_laplacian,
-    canonicalize,
-    embed,
-    embedding_from_spectrum,
-    extract_candidates,
-    full_spectrum,
-    kmeans,
-)
+from servicecut.spectral import build_laplacian, embed, extract_candidates
 from servicecut.synth import SynthSpec, generate_system
 from test_metrics import random_instance
 
@@ -105,7 +98,7 @@ def test_criterion_2_metric_oracle_equivalence(capsys):
             assert cut_value(p, W) == pytest.approx(
                 naive_cut(p.labels, aff, p.k), abs=1e-12
             )
-            unit = FeatureGraph(list(g.vertices), {e: 1.0 for e in g.edges}, "class")
+            unit = FeatureGraph(list(g.vertices), {e: 1.0 for e in g.edges})
             assert mqw(p, unit)[2] == pytest.approx(mq(p, unit)[2], abs=1e-12)
         assert time.perf_counter() - start < 30.0
 
@@ -187,28 +180,12 @@ def test_criterion_4_planted_partition_recovery(capsys):
                 )
                 calls, perf, truth = generate_system(spec)
                 _, g = build_mode_graph(calls, perf, cat, "static")
-                core = g.without_vertices(g.isolated_vertices())
-                W = to_affinity(core)
+                _, W, _ = split_core(g)
                 p = extract_candidates(W, blocks, seed=1000 + seed)
                 accuracies.append(partition_accuracy(p.labels, truth))
-                eigenvalues, vectors = full_spectrum(build_laplacian(W))
-                medians = {}
-                for k in range(2, 11):
-                    emb = embedding_from_spectrum(eigenvalues, vectors, k)
-                    values = [
-                        mqw(
-                            canonicalize(
-                                dict(zip(W.vertex_ids, map(int, kmeans(
-                                    emb.U, k, epoch_seed(seed, "static", k, e))))),
-                                k,
-                            ),
-                            core,
-                        )[2]
-                        for e in range(10)
-                    ]
-                    medians[k] = statistics.median(values)
-                best = max(medians, key=lambda k: (medians[k], -k))
-                argmax_hits += best == blocks
+                result = SweepResult(("static",), (2, 10), 10, seed,
+                                     sweep_graph(g, "static", 2, 10, 10, seed))
+                argmax_hits += result.best_k["static"] == blocks
             mean_acc = statistics.mean(accuracies)
             assert mean_acc >= 0.95, (n, blocks, mean_acc)
             assert argmax_hits >= 16, (n, blocks, argmax_hits)
@@ -227,26 +204,11 @@ def test_criterion_5_fusion_dominates_static(capsys):
                 block_correlated_perf=True, seed=seed,
             )
             calls, perf, _ = generate_system(spec)
-            medians = {}
-            for mode in ("static", "fusion"):
+            result = SweepResult(("static", "fusion"), (2, 10), 100, 100 + seed)
+            for mode in result.modes:
                 _, g = build_mode_graph(calls, perf, cat, mode)
-                core = g.without_vertices(g.isolated_vertices())
-                W = to_affinity(core)
-                eigenvalues, vectors = full_spectrum(build_laplacian(W))
-                for k in range(2, 11):
-                    emb = embedding_from_spectrum(eigenvalues, vectors, k)
-                    values = [
-                        mqw(
-                            canonicalize(
-                                dict(zip(W.vertex_ids, map(int, kmeans(
-                                    emb.U, k, epoch_seed(100 + seed, mode, k, e))))),
-                                k,
-                            ),
-                            core,
-                        )[2]
-                        for e in range(100)
-                    ]
-                    medians[(mode, k)] = statistics.median(values)
+                result.epoch_values.update(sweep_graph(g, mode, 2, 10, 100, 100 + seed))
+            medians = result.medians
             dominated = all(
                 medians[("fusion", k)] >= medians[("static", k)] - 1e-12
                 for k in range(2, 11)
@@ -292,10 +254,9 @@ def test_criterion_7_oracle_dominance(capsys):
                 for b in verts:
                     if a != b and rng.random() < 0.25:
                         edges[(a, b)] = float(np.round(rng.random() * 9 + 1, 3))
-            g = FeatureGraph(verts, edges, "class")
-            core = g.without_vertices(g.isolated_vertices())
+            g = FeatureGraph(verts, edges)
+            core, W, _ = split_core(g)
             k = int(rng.integers(2, min(5, len(core.vertices)) + 1))
-            W = to_affinity(core)
             p = extract_candidates(W, k, seed=checked)
             pipeline_value = mqw(p, core)[2]
             _, best_value = brute_force_best(g, k, "mqw")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from servicecut.cli import main
 
 
@@ -116,3 +118,41 @@ def test_k_too_large_is_data_error(tmp_path):
     sysdir = synth_system(tmp_path)
     assert run("evaluate", "--calls", str(sysdir / "calls.csv"),
                "--k", "50", "--out", str(tmp_path / "o")) == 2
+
+
+def test_class_names_containing_separator(tmp_path, capsys):
+    calls = tmp_path / "calls.csv"
+    calls.write_text("f,g,ns::A,ns::B,int,int\ng,f,ns::B,ns::A,,\n")
+    assert run("ingest-check", "--calls", str(calls)) == 0
+    assert "classes:      2" in capsys.readouterr().out
+    out = tmp_path / "graph"
+    assert run("build-graph", "--calls", str(calls), "--mode", "static",
+               "--out", str(out)) == 0
+    doc = json.loads((out / "graph.json").read_text())
+    assert doc["vertices"] == ["ns::A", "ns::B"]
+    assert doc["edges"] == [
+        {"src": "ns::A", "dst": "ns::B", "weight": 5.0},
+        {"src": "ns::B", "dst": "ns::A", "weight": 1.0},
+    ]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["evaluate", "--k", "1"], "--k"),
+    (["sweep", "--k-min", "1"], "--k-min"),
+    (["sweep", "--k-min", "3", "--k-max", "2"], "--k-min"),
+    (["sweep", "--epochs", "0"], "--epochs"),
+    (["evaluate", "--k", "2", "--size-model", "ref_slot=abc"], "--size-model"),
+    (["evaluate", "--k", "2", "--size-model", "alignment=3"], "--size-model"),
+], ids=["k-1", "k-min-1", "k-min-above-k-max", "epochs-0", "size-model-not-int",
+        "size-model-rejected"])
+def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, args, flag):
+    sysdir = synth_system(tmp_path)
+    capsys.readouterr()  # discard synth output
+    assert run(*args, "--calls", str(sysdir / "calls.csv"),
+               "--out", str(tmp_path / "o")) == 1
+    assert flag in capsys.readouterr().err
+
+
+def test_oracle_k1_is_valid(tmp_path):
+    sysdir = synth_system(tmp_path, **{"--n-classes": "8"})
+    assert run("oracle", "--calls", str(sysdir / "calls.csv"), "--k", "1") == 0

@@ -6,15 +6,16 @@ import pytest
 from servicecut.feature_graph import (
     FeatureGraph,
     attach_perf,
-    build_method_graph,
+    build_class_graph,
     fuse,
-    lift_to_classes,
+    split_core,
     to_affinity,
     unit_structure,
     write_affinity_csv,
     write_edge_list,
     write_graph_json,
 )
+from servicecut.cost_model import edge_cost
 from servicecut.records import CallRecord, PerfRecord, TypeCatalog, TypeRef
 
 CAT = TypeCatalog.default()
@@ -25,55 +26,48 @@ def call(cm, km, cc, kc, params=()):
 
 
 def test_single_record_edge_weight():
-    g = build_method_graph([call("f", "g", "A", "B", ["int"])], CAT)
-    assert g.edges == {("A::f", "B::g"): 5.0}  # cost 4 + 1
+    g = build_class_graph([call("f", "g", "A", "B", ["int"])], CAT)
+    assert g.edges == {("A", "B"): 5.0}  # cost 4 + 1
 
 
 def test_duplicate_records_accumulate():
     records = [call("f", "g", "A", "B", ["int"])] * 2
-    g = build_method_graph(records, CAT)
-    assert g.edges[("A::f", "B::g")] == 10.0
+    g = build_class_graph(records, CAT)
+    assert g.edges[("A", "B")] == 10.0
 
 
 def test_self_call_dropped_and_counted():
-    g = build_method_graph([call("f", "f", "A", "A")], CAT)
+    g = build_class_graph([call("f", "f", "A", "A")], CAT)
     assert g.edges == {}
     assert g.self_calls_dropped == 1
-    assert g.vertices == ["A::f"]
+    assert g.vertices == ["A"]
 
 
 def test_same_method_name_in_two_classes_is_not_a_self_call():
-    g = build_method_graph([call("f", "f", "A", "B")], CAT)
-    assert ("A::f", "B::f") in g.edges
+    g = build_class_graph([call("f", "f", "A", "B")], CAT)
+    assert g.self_calls_dropped == 0
+    assert ("A", "B") in g.edges
 
 
 def test_lift_sums_method_edges():
-    g = FeatureGraph(
-        ["A::f", "A::h", "B::g"],
-        {("A::f", "B::g"): 5.0, ("A::h", "B::g"): 3.0},
-        "method",
-    )
-    cg = lift_to_classes(g)
-    assert cg.edges == {("A", "B"): 8.0}
-    assert cg.vertices == ["A", "B"]
+    records = [call("f", "g", "A", "B", ["int"]), call("h", "g", "A", "B", ["short"])]
+    g = build_class_graph(records, CAT)
+    assert g.edges == {("A", "B"): 8.0}  # (4 + 1) + (2 + 1)
+    assert g.vertices == ["A", "B"]
 
 
 def test_lift_discards_intra_class_edges():
-    g = FeatureGraph(["A::f", "A::g"], {("A::f", "A::g"): 4.0}, "method")
-    cg = lift_to_classes(g)
-    assert cg.edges == {}
-    assert cg.vertices == ["A"]
-    assert cg.isolated_vertices() == {"A"}
+    g = build_class_graph([call("f", "g", "A", "A", ["int"])], CAT)
+    assert g.edges == {}
+    assert g.self_calls_dropped == 0
+    assert g.vertices == ["A"]
+    assert g.isolated_vertices() == {"A"}
 
 
 def test_lift_preserves_direction():
-    g = FeatureGraph(
-        ["A::f", "B::g"],
-        {("A::f", "B::g"): 8.0, ("B::g", "A::f"): 2.0},
-        "method",
-    )
-    cg = lift_to_classes(g)
-    assert cg.edges == {("A", "B"): 8.0, ("B", "A"): 2.0}
+    records = [call("f", "g", "A", "B", ["long"]), call("g", "f", "B", "A", ["byte"])]
+    g = build_class_graph(records, CAT)
+    assert g.edges == {("A", "B"): 9.0, ("B", "A"): 2.0}
 
 
 def test_lift_conserves_inter_class_weight():
@@ -82,20 +76,26 @@ def test_lift_conserves_inter_class_weight():
     for _ in range(60):
         ci, cj = rng.choice(["A", "B", "C"], 2)
         mi, mj = f"m{rng.integers(4)}", f"m{rng.integers(4)}"
-        if f"{ci}::{mi}" == f"{cj}::{mj}":
+        if (ci, mi) == (cj, mj):
             continue
         records.append(call(mi, mj, ci, cj, ["int"]))
-    g = build_method_graph(records, CAT)
-    cg = lift_to_classes(g)
+    g = build_class_graph(records, CAT)
     inter = sum(
-        w for (s, d), w in g.edges.items()
-        if s.split("::")[0] != d.split("::")[0]
+        edge_cost(r.callee_params, CAT) for r in records if r.caller_class != r.callee_class
     )
-    assert cg.total_weight() == pytest.approx(inter)
+    assert g.total_weight() == pytest.approx(inter)
+
+
+def test_class_names_containing_separator():
+    records = [call("f", "g", "ns::A", "ns::B", ["int"]), call("g", "f", "ns::B", "ns::A")]
+    g = build_class_graph(records, CAT)
+    assert g.vertices == ["ns::A", "ns::B"]
+    assert g.edges == {("ns::A", "ns::B"): 5.0, ("ns::B", "ns::A"): 1.0}
+    assert g.self_calls_dropped == 0
 
 
 def _class_graph():
-    return FeatureGraph(["A", "B", "C"], {("A", "B"): 8.0, ("B", "A"): 2.0}, "class")
+    return FeatureGraph(["A", "B", "C"], {("A", "B"): 8.0, ("B", "A"): 2.0})
 
 
 def test_attach_perf_normalizes_to_unit_interval():
@@ -132,7 +132,7 @@ def test_fuse_identity_with_zero_attrs():
 
 def test_fuse_same_factor_for_all_in_edges():
     g = FeatureGraph(
-        ["A", "B", "C"], {("A", "C"): 2.0, ("B", "C"): 6.0}, "class",
+        ["A", "B", "C"], {("A", "C"): 2.0, ("B", "C"): 6.0},
         vertex_attrs={"A": (0, 0), "B": (0, 0), "C": (0.5, 0.5)},
     )
     fused = fuse(g)
@@ -157,12 +157,12 @@ def test_affinity_sums_both_directions():
 
 
 def test_affinity_empty_graph_is_zero_matrix():
-    W = to_affinity(FeatureGraph(["A", "B"], {}, "class"))
+    W = to_affinity(FeatureGraph(["A", "B"], {}))
     assert not W.entries.any()
 
 
 def test_affinity_single_directed_edge():
-    W = to_affinity(FeatureGraph(["A", "B"], {("A", "B"): 5.0}, "class"))
+    W = to_affinity(FeatureGraph(["A", "B"], {("A", "B"): 5.0}))
     assert W.entries[0, 1] == W.entries[1, 0] == 5.0
 
 
@@ -174,9 +174,9 @@ def test_affinity_total_is_twice_directed_weight():
 
 def test_graph_rejects_self_loop_and_nonpositive_weight():
     with pytest.raises(ValueError):
-        FeatureGraph(["A"], {("A", "A"): 1.0}, "class")
+        FeatureGraph(["A"], {("A", "A"): 1.0})
     with pytest.raises(ValueError):
-        FeatureGraph(["A", "B"], {("A", "B"): 0.0}, "class")
+        FeatureGraph(["A", "B"], {("A", "B"): 0.0})
 
 
 def test_without_vertices():
@@ -198,3 +198,10 @@ def test_exports(tmp_path):
     assert doc["vertex_attrs"]["A"] == {"cpu_time": 1.0, "retained": 1.0}
     rows = (tmp_path / "aff.csv").read_text().splitlines()
     assert rows[0] == ",A,B,C"
+
+
+def test_split_core_drops_isolated_vertices():
+    core, W, isolated = split_core(_class_graph())
+    assert isolated == {"C"}
+    assert core.vertices == W.vertex_ids == ["A", "B"]
+    assert W.entries[0, 1] == W.entries[1, 0] == 10.0

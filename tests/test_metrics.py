@@ -9,7 +9,7 @@ from servicecut.spectral import Partition
 
 
 def graph(vertices, edges):
-    return FeatureGraph(list(vertices), dict(edges), "class")
+    return FeatureGraph(list(vertices), dict(edges))
 
 
 def test_mq_two_cohesive_pairs():
@@ -147,5 +147,5 @@ def test_bounds_and_unit_weight_equivalence(seed):
         assert 0.0 <= x <= 1.0
     assert -1.0 <= value <= 1.0
     assert -1.0 <= value_w <= 1.0
-    unit = FeatureGraph(list(g.vertices), {e: 1.0 for e in g.edges}, "class")
+    unit = FeatureGraph(list(g.vertices), {e: 1.0 for e in g.edges})
     assert mqw(p, unit)[2] == pytest.approx(mq(p, unit)[2], abs=1e-15)

@@ -10,7 +10,7 @@ def triangle_pair():
     for a, b in [("a0", "a1"), ("a1", "a2"), ("a0", "a2"),
                  ("b0", "b1"), ("b1", "b2"), ("b0", "b2")]:
         edges[(a, b)] = 1.0
-    return FeatureGraph(["a0", "a1", "a2", "b0", "b1", "b2"], edges, "class")
+    return FeatureGraph(["a0", "a1", "a2", "b0", "b1", "b2"], edges)
 
 
 def test_rgs_counts_match_stirling_numbers():
@@ -38,7 +38,7 @@ def test_two_triangles_min_cut_is_components():
 
 def test_four_cycle_min_cut_two():
     edges = {("v0", "v1"): 1.0, ("v1", "v2"): 1.0, ("v2", "v3"): 1.0, ("v3", "v0"): 1.0}
-    g = FeatureGraph(["v0", "v1", "v2", "v3"], edges, "class")
+    g = FeatureGraph(["v0", "v1", "v2", "v3"], edges)
     _, value = brute_force_best(g, 2, "cut")
     assert value == 2.0
 
@@ -57,7 +57,7 @@ def test_mqw_objective_prefers_components():
 
 def test_isolated_vertices_reported_unassigned():
     g = triangle_pair()
-    g = FeatureGraph(g.vertices + ["loner"], g.edges, "class")
+    g = FeatureGraph(g.vertices + ["loner"], g.edges)
     p, _ = brute_force_best(g, 2, "cut")
     assert p.unassigned == {"loner"}
 
@@ -65,7 +65,7 @@ def test_isolated_vertices_reported_unassigned():
 def test_vertex_bound_enforced():
     verts = [f"v{i}" for i in range(11)]
     edges = {(verts[i], verts[i + 1]): 1.0 for i in range(10)}
-    g = FeatureGraph(verts, edges, "class")
+    g = FeatureGraph(verts, edges)
     with pytest.raises(ValueError, match="bounded"):
         brute_force_best(g, 2, "cut")
 

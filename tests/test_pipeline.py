@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from servicecut.feature_graph import to_affinity
+from servicecut.feature_graph import split_core
 from servicecut.metrics import mqw
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import (
@@ -66,8 +66,7 @@ def test_ground_truth_recovery_zero_inter_every_seed():
     for seed in range(8):
         calls, perf, truth = generate_system(two_block_spec(seed=seed))
         _, g = build_mode_graph(calls, perf, CAT, "static")
-        core = g.without_vertices(g.isolated_vertices())
-        p = extract_candidates(to_affinity(core), 2, seed=seed)
+        p = extract_candidates(split_core(g)[1], 2, seed=seed)
         assert partition_accuracy(p.labels, truth) == 1.0
 
 
@@ -100,7 +99,7 @@ def test_pipeline_recovers_two_blocks_static(tmp_path):
     assert partition_accuracy(partition.labels, truth) == 1.0
     # reported MQw equals the metric module applied to the same partition
     _, weighted = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, "static")
-    core = weighted.without_vertices(weighted.isolated_vertices())
+    core, _, _ = split_core(weighted)
     assert report.mqw == pytest.approx(mqw(partition, core)[2])
     assert report.cut == 0.0
 
