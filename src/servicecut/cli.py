@@ -97,14 +97,12 @@ def build_graph(calls_path, perf_path, catalog_path, size_model, raw_attrs, mode
     """Build the class-level feature graph and export it."""
     model = _parse_size_model(size_model)
     inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
-    _, weighted = build_mode_graph(
-        inputs.calls, inputs.perf, inputs.catalog, mode, model, not raw_attrs
-    )
+    g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, mode, model, not raw_attrs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fg.write_edge_list(weighted, out / "graph_edges.csv")
-    fg.write_graph_json(weighted, out / "graph.json")
-    _, W, _ = fg.split_core(weighted)
+    fg.write_edge_list(g, out / "graph_edges.csv")
+    fg.write_graph_json(g, out / "graph.json")
+    _, W, _ = fg.split_core(g)
     if W.n:
         fg.write_affinity_csv(W, out / "affinity.csv")
     click.echo(f"wrote graph exports to {out}")
@@ -152,9 +150,13 @@ def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
               modes, k_min, k_max, epochs, base_seed, out_dir):
     """Run the k-sweep / epoch / median protocol and write sweep tables."""
     mode_list = tuple(m.strip() for m in modes.split(",") if m.strip())
+    if not mode_list:
+        raise click.UsageError(f"--modes names no mode; choose from {','.join(MODES)}")
     for m in mode_list:
         if m not in MODES:
-            raise click.UsageError(f"unknown mode {m!r}")
+            raise click.UsageError(f"--modes: unknown mode {m!r}")
+    if len(set(mode_list)) < len(mode_list):
+        raise click.UsageError(f"--modes names a mode twice: {modes!r}")
     if k_min > k_max:
         raise click.UsageError(f"--k-min {k_min} exceeds --k-max {k_max}")
     model = _parse_size_model(size_model)
@@ -200,10 +202,8 @@ def oracle_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
     """Exhaustive best partition of a small system (<= 10 classes)."""
     model = _parse_size_model(size_model)
     inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
-    _, weighted = build_mode_graph(
-        inputs.calls, inputs.perf, inputs.catalog, mode, model, not raw_attrs
-    )
-    partition, value = brute_force_best(weighted, k, objective)
+    g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, mode, model, not raw_attrs)
+    partition, value = brute_force_best(g, k, objective)
     click.echo(json.dumps({"objective": objective, "value": value,
                            **partition.to_json()}, sort_keys=True))
 

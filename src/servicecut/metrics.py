@@ -1,6 +1,11 @@
 """Partition quality: cohesion/coupling, modularity quality for unweighted
 (MQ) and weighted (MQw) graphs, and the raw multiway cut value.
 
+All three scores come from the edges of the graph the partition was
+clustered on: MQ from edge counts, MQw from counts and weights, and the cut
+as the summed weight of the directed edges between candidates, which equals
+half the affinity crossing candidate boundaries.
+
 Conventions: edges are directed and self-loop free; sigma for a cluster pair
 aggregates both directions, matching the 2 * N_i * N_j denominator; with a
 single cluster the coupling term is vacuous and MQ equals mean cohesion.
@@ -13,7 +18,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .feature_graph import AffinityMatrix, FeatureGraph
+from .feature_graph import FeatureGraph
 from .spectral import Partition
 
 
@@ -92,65 +97,58 @@ def _cluster_stats(p: Partition, g: FeatureGraph):
     return sizes, u, uw, sigma, sigmaw
 
 
-def mq(p: Partition, g: FeatureGraph) -> tuple[list[float], dict[tuple[int, int], float], float]:
-    """Unweighted modularity quality: mean cohesion minus mean pairwise
-    coupling. coh_i = u_i / N_i^2, cop_ij = sigma_ij / (2 N_i N_j)."""
-    sizes, u, _, sigma, _ = _cluster_stats(p, g)
-    coh = [u[i] / sizes[i] ** 2 for i in range(p.k)]
-    cop = {
-        (i, j): sigma.get((i, j), 0) / (2 * sizes[i] * sizes[j])
-        for i, j in combinations(range(p.k), 2)
-    }
-    value = sum(coh) / p.k
-    if p.k > 1:
-        value -= sum(cop.values()) / (p.k * (p.k - 1) / 2)
-    return coh, cop, value
+def _quality(k, sizes, u, uw, sigma, sigmaw):
+    """Cohesion, pairwise coupling and their difference:
 
+    coh_i = u'_i / (N_i^2 + u'_i - u_i)
+    cop_ij = sigma'_ij / (2 N_i N_j + sigma'_ij - sigma_ij)
 
-def mqw(p: Partition, g: FeatureGraph) -> tuple[list[float], dict[tuple[int, int], float], float]:
-    """Weighted modularity quality; collapses exactly to MQ on unit weights.
-
-    coh'_i = u'_i / (N_i^2 + u'_i - u_i)
-    cop'_ij = sigma'_ij / (2 N_i N_j + sigma'_ij - sigma_ij)
-    """
-    sizes, u, uw, sigma, sigmaw = _cluster_stats(p, g)
+    With the counts standing in for the weights (u' = u, sigma' = sigma)
+    these are MQ's u_i / N_i^2 and sigma_ij / (2 N_i N_j)."""
     coh = []
-    for i in range(p.k):
+    for i in range(k):
         denom = sizes[i] ** 2 + uw[i] - u[i]
         # ratios are within [0, 1] by construction; clamp float roundoff
         coh.append(min(1.0, uw[i] / denom) if denom > 0 else 0.0)
     cop = {}
-    for i, j in combinations(range(p.k), 2):
+    for i, j in combinations(range(k), 2):
         s, sw = sigma.get((i, j), 0), sigmaw.get((i, j), 0.0)
         denom = 2 * sizes[i] * sizes[j] + sw - s
         cop[(i, j)] = min(1.0, sw / denom) if denom > 0 else 0.0
-    value = sum(coh) / p.k
-    if p.k > 1:
-        value -= sum(cop.values()) / (p.k * (p.k - 1) / 2)
+    value = sum(coh) / k
+    if k > 1:
+        value -= sum(cop.values()) / (k * (k - 1) / 2)
     return coh, cop, value
 
 
-def cut_value(p: Partition, W: AffinityMatrix) -> float:
-    """Half the total affinity crossing cluster boundaries."""
-    total = 0.0
-    idx = {v: i for i, v in enumerate(W.vertex_ids)}
-    items = [(v, c) for v, c in p.labels.items() if v in idx]
-    for (vi, ci), (vj, cj) in combinations(items, 2):
-        if ci != cj:
-            total += W.entries[idx[vi], idx[vj]]
-    return total
+def mq(p: Partition, g: FeatureGraph) -> tuple[list[float], dict[tuple[int, int], float], float]:
+    """Unweighted modularity quality: mean cohesion minus mean pairwise
+    coupling. coh_i = u_i / N_i^2, cop_ij = sigma_ij / (2 N_i N_j)."""
+    sizes, u, _, sigma, _ = _cluster_stats(p, g)
+    return _quality(p.k, sizes, u, u, sigma, sigma)
 
 
-def score(p: Partition, structure: FeatureGraph, weighted: FeatureGraph,
-          W: AffinityMatrix, mode: str) -> QualityReport:
-    """Assemble a full QualityReport: counts from the structural graph,
-    weighted terms from the mode's weighted graph, cut from the affinity."""
-    coh, cop, mq_value = mq(p, structure)
-    coh_w, cop_w, mqw_value = mqw(p, weighted)
+def mqw(p: Partition, g: FeatureGraph) -> tuple[list[float], dict[tuple[int, int], float], float]:
+    """Weighted modularity quality; collapses exactly to MQ on unit weights."""
+    return _quality(p.k, *_cluster_stats(p, g))
+
+
+def cut_value(p: Partition, g: FeatureGraph) -> float:
+    """Summed weight of the directed edges between candidates."""
+    return sum(_cluster_stats(p, g)[4].values(), 0.0)
+
+
+def score(p: Partition, g: FeatureGraph, mode: str) -> QualityReport:
+    """Assemble a full QualityReport from one pass over the mode graph's
+    edges: MQ from the edge counts, MQw from counts and weights, and the cut
+    from the weights between candidates."""
+    sizes, u, uw, sigma, sigmaw = _cluster_stats(p, g)
+    coh, cop, mq_value = _quality(p.k, sizes, u, u, sigma, sigma)
+    coh_w, cop_w, mqw_value = _quality(p.k, sizes, u, uw, sigma, sigmaw)
     return QualityReport(
         coh=coh, cop=cop, mq=mq_value,
         coh_w=coh_w, cop_w=cop_w, mqw=mqw_value,
-        cut=cut_value(p, W), k=p.k, mode=mode,
+        cut=sum(sigmaw.values(), 0.0), k=p.k, mode=mode,
     )
 
 

@@ -36,9 +36,9 @@ def brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Partition
     (maximize ``mqw``, minimize ``cut``)."""
     if objective not in ("mqw", "cut"):
         raise ValueError(f"unknown objective {objective!r}")
-    core, W, isolated = split_core(g)
-    verts = W.vertex_ids
-    n = W.n
+    core, _, isolated = split_core(g)
+    verts = core.vertices
+    n = len(verts)
     if n > MAX_VERTICES:
         raise ValueError(f"brute force bounded to {MAX_VERTICES} vertices, got {n}")
     if not 1 <= k <= n:
@@ -50,7 +50,7 @@ def brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Partition
             value = mqw(p, core)[2]
             better = best_v is None or value > best_v
         else:
-            value = cut_value(p, W)
+            value = cut_value(p, core)
             better = best_v is None or value < best_v
         if better:
             best_p, best_v = p, value

@@ -51,17 +51,16 @@ def build_mode_graph(
     mode: str,
     model: SizeModel | None = None,
     normalize: bool = True,
-) -> tuple[FeatureGraph, FeatureGraph]:
-    """Returns (structure, weighted): the plain class-level graph used for
-    edge counting, and the mode's weighted graph used for clustering and
-    the weighted metric."""
+) -> FeatureGraph:
+    """The mode's weighted class graph, used for clustering and scoring.
+    Every mode keeps the vertex and edge sets of the static class graph."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    structure = build_class_graph(calls, catalog, model)
+    g = build_class_graph(calls, catalog, model)
     if mode == "static":
-        return structure, structure
-    base = unit_structure(structure) if mode == "dynamic" else structure
-    return structure, fuse(attach_perf(base, perf, normalize))
+        return g
+    base = unit_structure(g) if mode == "dynamic" else g
+    return fuse(attach_perf(base, perf, normalize))
 
 
 @dataclass
@@ -87,15 +86,13 @@ def run_pipeline(
     model: SizeModel | None = None,
     normalize: bool = True,
 ) -> tuple[Partition, QualityReport]:
-    structure, weighted = build_mode_graph(
-        inputs.calls, inputs.perf, inputs.catalog, mode, model, normalize
-    )
-    core, W, isolated = split_core(weighted)
+    g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, mode, model, normalize)
+    _, W, isolated = split_core(g)
     if k > W.n:
         raise ValueError(f"k={k} exceeds the {W.n} non-isolated class vertices")
     partition = extract_candidates(W, k, seed)
     partition.unassigned = set(isolated)
-    report = score(partition, structure, weighted, W, mode)
+    report = score(partition, g, mode)
     return partition, report
 
 
@@ -143,7 +140,7 @@ class SweepResult:
 
 
 def sweep_graph(
-    weighted: FeatureGraph,
+    g: FeatureGraph,
     mode: str,
     k_min: int,
     k_max: int,
@@ -153,7 +150,7 @@ def sweep_graph(
     """Sweep one mode's graph over k. The k_max-column embedding is computed
     once; each (k, epoch) only re-runs seeded k-means on its first k columns
     and the metric."""
-    core, W, _ = split_core(weighted)
+    core, W, _ = split_core(g)
     if k_max > W.n:
         raise ValueError(f"k_max={k_max} exceeds the {W.n} non-isolated class vertices")
     emb = embed(build_laplacian(W), k_max)
@@ -181,12 +178,8 @@ def sweep(
 ) -> SweepResult:
     result = SweepResult(tuple(modes), (k_min, k_max), epochs, base_seed)
     for mode in modes:
-        _, weighted = build_mode_graph(
-            inputs.calls, inputs.perf, inputs.catalog, mode, model, normalize
-        )
-        result.epoch_values.update(
-            sweep_graph(weighted, mode, k_min, k_max, epochs, base_seed)
-        )
+        g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, mode, model, normalize)
+        result.epoch_values.update(sweep_graph(g, mode, k_min, k_max, epochs, base_seed))
     return result
 
 

@@ -6,7 +6,7 @@ where a params field is a ``;``-separated list of type names, each with an
 optional ``[]`` suffix per array rank. Empty field means no params. Lines
 starting with ``#`` are comments.
 
-Perf log: CSV with columns ``class_id,cpu_time_ms,retained_bytes``.
+Perf log: CSV with columns ``class,cpu_time,retained_memory``.
 
 Type catalog: an indented tree format, see :func:`parse_type_catalog`.
 """

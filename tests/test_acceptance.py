@@ -95,7 +95,7 @@ def test_criterion_2_metric_oracle_equivalence(capsys):
                 for i in range(W.n)
                 for j in range(W.n)
             }
-            assert cut_value(p, W) == pytest.approx(
+            assert cut_value(p, g) == pytest.approx(
                 naive_cut(p.labels, aff, p.k), abs=1e-12
             )
             unit = FeatureGraph(list(g.vertices), {e: 1.0 for e in g.edges})
@@ -179,7 +179,7 @@ def test_criterion_4_planted_partition_recovery(capsys):
                     param_pool=SMALL_PARAMS, max_params=1, seed=seed,
                 )
                 calls, perf, truth = generate_system(spec)
-                _, g = build_mode_graph(calls, perf, cat, "static")
+                g = build_mode_graph(calls, perf, cat, "static")
                 _, W, _ = split_core(g)
                 p = extract_candidates(W, blocks, seed=1000 + seed)
                 accuracies.append(partition_accuracy(p.labels, truth))
@@ -206,7 +206,7 @@ def test_criterion_5_fusion_dominates_static(capsys):
             calls, perf, _ = generate_system(spec)
             result = SweepResult(("static", "fusion"), (2, 10), 100, 100 + seed)
             for mode in result.modes:
-                _, g = build_mode_graph(calls, perf, cat, mode)
+                g = build_mode_graph(calls, perf, cat, mode)
                 result.epoch_values.update(sweep_graph(g, mode, 2, 10, 100, 100 + seed))
             medians = result.medians
             dominated = all(

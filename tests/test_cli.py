@@ -143,8 +143,10 @@ def test_class_names_containing_separator(tmp_path, capsys):
     (["sweep", "--epochs", "0"], "--epochs"),
     (["evaluate", "--k", "2", "--size-model", "ref_slot=abc"], "--size-model"),
     (["evaluate", "--k", "2", "--size-model", "alignment=3"], "--size-model"),
+    (["sweep", "--modes", ","], "--modes"),
+    (["sweep", "--modes", "static,static"], "--modes"),
 ], ids=["k-1", "k-min-1", "k-min-above-k-max", "epochs-0", "size-model-not-int",
-        "size-model-rejected"])
+        "size-model-rejected", "modes-empty", "modes-repeated"])
 def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, args, flag):
     sysdir = synth_system(tmp_path)
     capsys.readouterr()  # discard synth output

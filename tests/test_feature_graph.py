@@ -16,7 +16,11 @@ from servicecut.feature_graph import (
     write_graph_json,
 )
 from servicecut.cost_model import edge_cost
+from servicecut.metrics import mq, score
+from servicecut.pipeline import MODES, build_mode_graph
 from servicecut.records import CallRecord, PerfRecord, TypeCatalog, TypeRef
+from servicecut.spectral import extract_candidates
+from servicecut.synth import SynthSpec, generate_system
 
 CAT = TypeCatalog.default()
 
@@ -148,6 +152,20 @@ def test_unit_structure():
     g = unit_structure(_class_graph())
     assert set(g.edges.values()) == {1.0}
     assert set(g.edges) == set(_class_graph().edges)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_mode_graph_keeps_class_graph_vertices_and_edges(mode):
+    # scoring reads MQ's edge counts off the mode graph, so every mode must
+    # keep the static class graph's vertex list and edge-key set
+    calls, perf, _ = generate_system(SynthSpec(n_classes=24, n_blocks=3,
+                                               inter_call_prob=0.1, seed=2))
+    base = build_class_graph(calls, CAT)
+    g = build_mode_graph(calls, perf, CAT, mode)
+    assert g.vertices == base.vertices
+    assert set(g.edges) == set(base.edges)
+    p = extract_candidates(split_core(g)[1], 3, seed=0)
+    assert score(p, g, mode).mq == mq(p, base)[2]
 
 
 def test_affinity_sums_both_directions():

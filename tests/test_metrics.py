@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naive_oracles import naive_cut, naive_mq, naive_mqw
-from servicecut.feature_graph import AffinityMatrix, FeatureGraph, to_affinity
+from servicecut.feature_graph import FeatureGraph, to_affinity
 from servicecut.metrics import cut_value, mq, mqw
 from servicecut.spectral import Partition
 
@@ -63,22 +63,20 @@ def test_mqw_cohesion_saturates_toward_one():
 
 def test_cut_zero_for_components_and_single_cluster():
     g = graph("abcd", {("a", "b"): 3.0, ("c", "d"): 2.0})
-    W = to_affinity(g)
-    assert cut_value(Partition({"a": 0, "b": 0, "c": 1, "d": 1}, 2), W) == 0.0
-    assert cut_value(Partition({"a": 0, "b": 0, "c": 0, "d": 0}, 1), W) == 0.0
+    assert cut_value(Partition({"a": 0, "b": 0, "c": 1, "d": 1}, 2), g) == 0.0
+    assert cut_value(Partition({"a": 0, "b": 0, "c": 0, "d": 0}, 1), g) == 0.0
 
 
 def test_cut_two_singletons():
-    W = AffinityMatrix(np.array([[0.0, 10.0], [10.0, 0.0]]), ["a", "b"])
-    assert cut_value(Partition({"a": 0, "b": 1}, 2), W) == 10.0
+    g = graph("ab", {("a", "b"): 4.0, ("b", "a"): 6.0})
+    assert cut_value(Partition({"a": 0, "b": 1}, 2), g) == 10.0
 
 
 def test_cut_invariant_under_relabeling():
     g = graph("abcde", {("a", "b"): 1, ("b", "c"): 2, ("c", "d"): 3, ("d", "e"): 4})
-    W = to_affinity(g)
     p1 = Partition({"a": 0, "b": 0, "c": 1, "d": 2, "e": 2}, 3)
     p2 = Partition({"a": 2, "b": 2, "c": 0, "d": 1, "e": 1}, 3)
-    assert cut_value(p1, W) == cut_value(p2, W)
+    assert cut_value(p1, g) == cut_value(p2, g)
 
 
 def test_partition_vertex_missing_from_graph():
@@ -131,7 +129,7 @@ def test_metrics_match_naive_oracle_on_random_graphs():
             for i in range(W.n)
             for j in range(W.n)
         }
-        assert cut_value(p, W) == pytest.approx(naive_cut(p.labels, aff, p.k), abs=1e-12)
+        assert cut_value(p, g) == pytest.approx(naive_cut(p.labels, aff, p.k), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

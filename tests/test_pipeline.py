@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -6,6 +7,7 @@ from servicecut.feature_graph import split_core
 from servicecut.metrics import mqw
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import (
+    MODES,
     PipelineInputs,
     build_mode_graph,
     epoch_seed,
@@ -65,7 +67,7 @@ def test_synth_files_parse(tmp_path):
 def test_ground_truth_recovery_zero_inter_every_seed():
     for seed in range(8):
         calls, perf, truth = generate_system(two_block_spec(seed=seed))
-        _, g = build_mode_graph(calls, perf, CAT, "static")
+        g = build_mode_graph(calls, perf, CAT, "static")
         p = extract_candidates(split_core(g)[1], 2, seed=seed)
         assert partition_accuracy(p.labels, truth) == 1.0
 
@@ -98,8 +100,8 @@ def test_pipeline_recovers_two_blocks_static(tmp_path):
     calls, _, truth = generate_system(two_block_spec())
     assert partition_accuracy(partition.labels, truth) == 1.0
     # reported MQw equals the metric module applied to the same partition
-    _, weighted = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, "static")
-    core, _, _ = split_core(weighted)
+    g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, "static")
+    core, _, _ = split_core(g)
     assert report.mqw == pytest.approx(mqw(partition, core)[2])
     assert report.cut == 0.0
 
@@ -132,6 +134,46 @@ def test_dynamic_mode_runs(tmp_path):
     partition, report = run_pipeline(inputs, "dynamic", k=2, seed=0)
     assert partition.k == 2
     assert report.mode == "dynamic"
+
+
+# --- metamorphic relations --------------------------------------------------
+
+METAMORPHIC_SEEDS = (0, 1)
+
+
+def metamorphic_inputs(seed):
+    calls, perf, _ = generate_system(SynthSpec(n_classes=30, n_blocks=3,
+                                               inter_call_prob=0.05, seed=seed))
+    return PipelineInputs(calls, perf, CAT)
+
+
+@pytest.mark.parametrize("seed", METAMORPHIC_SEEDS)
+@pytest.mark.parametrize("mode", MODES)
+def test_duplicated_call_rows_leave_candidates_unchanged(seed, mode):
+    inputs = metamorphic_inputs(seed)
+    doubled = PipelineInputs([r for r in inputs.calls for _ in range(2)],
+                             inputs.perf, inputs.catalog)
+    for k in (2, 4, 6):
+        p, _ = run_pipeline(inputs, mode, k, seed)
+        p2, _ = run_pipeline(doubled, mode, k, seed)
+        assert p2.to_json() == p.to_json()
+
+
+@pytest.mark.parametrize("seed", METAMORPHIC_SEEDS)
+@pytest.mark.parametrize("mode", MODES)
+def test_prefixed_class_names_leave_candidates_unchanged(seed, mode):
+    inputs = metamorphic_inputs(seed)
+    renamed = PipelineInputs(
+        [replace(r, caller_class="x." + r.caller_class, callee_class="x." + r.callee_class)
+         for r in inputs.calls],
+        [replace(r, class_id="x." + r.class_id) for r in inputs.perf],
+        inputs.catalog,
+    )
+    for k in (2, 4, 6):
+        p, _ = run_pipeline(inputs, mode, k, seed)
+        p2, _ = run_pipeline(renamed, mode, k, seed)
+        assert p2.labels == {"x." + v: c for v, c in p.labels.items()}
+        assert p2.unassigned == {"x." + v for v in p.unassigned}
 
 
 # --- sweep ------------------------------------------------------------------
@@ -172,8 +214,8 @@ def test_sweep_two_block_best_k_is_two(tmp_path):
     result = sweep(inputs, ("static",), k_min=2, k_max=5, epochs=5, base_seed=0)
     assert result.best_k["static"] == 2
     # cross-check against exhaustive search on this small instance
-    _, weighted = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, "static")
-    best_p, best_value = brute_force_best(weighted, 2, "mqw")
+    g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, "static")
+    best_p, best_value = brute_force_best(g, 2, "mqw")
     assert best_value >= result.medians[("static", 2)] - 1e-12
 
 
