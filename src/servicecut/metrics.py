@@ -18,6 +18,8 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .feature_graph import FeatureGraph
 from .spectral import Partition
 
@@ -66,35 +68,50 @@ class QualityReport:
         return "mode,k,coh_w,cop_w,MQw,MQ,cut"
 
 
-def _cluster_stats(p: Partition, g: FeatureGraph):
+def edge_arrays(g: FeatureGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, weight) of ``g.edges`` in their order, as indices into
+    ``g.vertices`` and float weights."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    src = np.array([index[s] for s, _ in g.edges], dtype=np.intp)
+    dst = np.array([index[d] for _, d in g.edges], dtype=np.intp)
+    return src, dst, np.array(list(g.edges.values()), dtype=float)
+
+
+def label_stats(labels: np.ndarray, k: int, edges: tuple[np.ndarray, np.ndarray, np.ndarray]):
     """Per-cluster sizes, intra edge counts/weights, and pairwise inter
-    counts/weights (both directions aggregated)."""
-    vertex_set = set(g.vertices)
-    members: dict[str, int] = {}
+    counts/weights (both directions aggregated) of the vertices' cluster
+    ``labels`` (-1: not scored) over ``edge_arrays``. ``np.bincount`` adds
+    the weights in edge order, so the sums are those of a loop over the
+    edges; the pairs are listed in the order they first occur."""
+    src, dst, w = edges
+    ci, cj = labels[src], labels[dst]
+    scored = (ci >= 0) & (cj >= 0)
+    ci, cj, w = ci[scored], cj[scored], w[scored]
+    intra = ci == cj
+    sizes = np.bincount(labels[labels >= 0], minlength=k)
+    u = np.bincount(ci[intra], minlength=k)
+    uw = np.bincount(ci[intra], weights=w[intra], minlength=k)
+    pair = np.minimum(ci, cj)[~intra] * k + np.maximum(ci, cj)[~intra]
+    sigma_all = np.bincount(pair, minlength=k * k)
+    sigmaw_all = np.bincount(pair, weights=w[~intra], minlength=k * k)
+    present, first = np.unique(pair, return_index=True)
+    sigma, sigmaw = {}, {}
+    for pr in present[np.argsort(first)].tolist():
+        sigma[divmod(pr, k)] = int(sigma_all[pr])
+        sigmaw[divmod(pr, k)] = float(sigmaw_all[pr])
+    return sizes.tolist(), u.tolist(), uw.tolist(), sigma, sigmaw
+
+
+def _cluster_stats(p: Partition, g: FeatureGraph):
+    """``label_stats`` of a partition over the graph's edges; vertices the
+    partition leaves unassigned are not scored."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    labels = np.full(len(index), -1)
     for v, c in p.labels.items():
-        if v not in vertex_set:
+        if v not in index:
             raise ValueError(f"partition references vertex {v!r} absent from graph")
-        members[v] = c
-    scored = set(members)
-    sizes = [0] * p.k
-    for v, c in members.items():
-        sizes[c] += 1
-    u = [0] * p.k
-    uw = [0.0] * p.k
-    sigma: dict[tuple[int, int], int] = {}
-    sigmaw: dict[tuple[int, int], float] = {}
-    for (src, dst), w in g.edges.items():
-        if src not in scored or dst not in scored:
-            continue
-        ci, cj = members[src], members[dst]
-        if ci == cj:
-            u[ci] += 1
-            uw[ci] += w
-        else:
-            pair = (min(ci, cj), max(ci, cj))
-            sigma[pair] = sigma.get(pair, 0) + 1
-            sigmaw[pair] = sigmaw.get(pair, 0.0) + w
-    return sizes, u, uw, sigma, sigmaw
+        labels[index[v]] = c
+    return label_stats(labels, p.k, edge_arrays(g))
 
 
 def _quality(k, sizes, u, uw, sigma, sigmaw):

@@ -22,7 +22,7 @@ from .feature_graph import (
     split_core,
     unit_structure,
 )
-from .metrics import QualityReport, mqw, score
+from .metrics import QualityReport, _quality, edge_arrays, label_stats, score
 from .records import (
     CallRecord,
     PerfRecord,
@@ -31,7 +31,7 @@ from .records import (
     parse_perf_log,
     parse_type_catalog,
 )
-from .spectral import Partition, build_laplacian, canonicalize, embed, extract_candidates, kmeans
+from .spectral import Partition, build_laplacian, embed, extract_candidates, kmeans
 
 MODES = ("static", "fusion", "dynamic")
 DEFAULT_MODES = ("static", "fusion")  # dynamic-only is behind a flag
@@ -147,21 +147,26 @@ def sweep_graph(
     epochs: int,
     base_seed: int,
 ) -> dict[tuple[str, int], list[float]]:
-    """Sweep one mode's graph over k. The k_max-column embedding is computed
-    once; each (k, epoch) only re-runs seeded k-means on its first k columns
-    and the metric."""
+    """Sweep one mode's graph over k. The k_max-column embedding and the
+    core's edge arrays are computed once; each (k, epoch) only re-runs seeded
+    k-means on the first k columns and scores MQw. Clusters are renumbered
+    by first occurrence, which is ``canonicalize``'s smallest-vertex-id order
+    because the rows follow the sorted vertex ids."""
     core, W, _ = split_core(g)
     if k_max > W.n:
         raise ValueError(f"k_max={k_max} exceeds the {W.n} non-isolated class vertices")
     emb = embed(build_laplacian(W), k_max)
+    edges = edge_arrays(core)
     out: dict[tuple[str, int], list[float]] = {}
     for k in range(k_min, k_max + 1):
         U = emb.U[:, :k].copy()
         values = []
         for epoch in range(epochs):
             raw = kmeans(U, k, epoch_seed(base_seed, mode, k, epoch))
-            partition = canonicalize(dict(zip(W.vertex_ids, (int(c) for c in raw))), k)
-            values.append(mqw(partition, core)[2])
+            _, first = np.unique(raw, return_index=True)
+            rank = np.empty(k, dtype=np.intp)
+            rank[np.argsort(first)] = np.arange(k)
+            values.append(_quality(k, *label_stats(rank[raw], k, edges))[2])
         out[(mode, k)] = values
     return out
 
@@ -176,6 +181,10 @@ def sweep(
     model: SizeModel | None = None,
     normalize: bool = True,
 ) -> SweepResult:
+    if not modes:
+        raise ValueError("modes names no mode")
+    if len(set(modes)) < len(modes):
+        raise ValueError(f"modes names a mode twice: {modes!r}")
     result = SweepResult(tuple(modes), (k_min, k_max), epochs, base_seed)
     for mode in modes:
         g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, mode, model, normalize)

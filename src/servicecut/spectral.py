@@ -111,31 +111,47 @@ def _check_residuals(L: Laplacian, emb: Embedding, tol: float = 1e-6) -> None:
             raise NumericError(f"eigenpair {i} residual {residual:.3e} exceeds tolerance")
 
 
+# Restarts per Lloyd batch are capped so the (R, n, k, d) distance temporary
+# holds at most this many float64 values (16 MiB).
+_BATCH_VALUES = 2 ** 21
+
+
 def kmeans(points: np.ndarray, k: int, seed: int, n_restarts: int = 10,
            max_iter: int = 300) -> np.ndarray:
     """Lloyd's algorithm with distance-weighted seeding, deterministic given
-    the seed. Keeps the best of ``n_restarts`` runs by inertia; runs that
-    collapse to an empty cluster are retried (bounded)."""
+    the seed. Keeps the best of ``n_restarts`` runs by inertia (the first
+    strictly lowest, in attempt order); runs that collapse to an empty
+    cluster are retried, up to ``4 * n_restarts`` attempts in all.
+
+    The Lloyd iterations of up to ``_BATCH_VALUES // (n * k * d)`` restarts
+    (at least 1, at most ``n_restarts``) run as one array operation, each
+    restart stopping on its own. Lloyd draws nothing from the RNG, and every
+    restart's k-means++ centers are drawn in attempt order before its batch
+    runs, so the RNG order, and with it the labels, are those of running
+    the restarts one after another."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    n = pts.shape[0]
+    n, d = pts.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if np.unique(pts, axis=0).shape[0] < k:
-        raise ValueError("k exceeds distinct embedded points")
+        raise NumericError("k exceeds distinct embedded points")
     rng = np.random.default_rng(seed)
+    batch = max(1, min(n_restarts, _BATCH_VALUES // max(1, n * k * d)))
     best_labels, best_inertia = None, np.inf
     attempts = 0
     runs = 0
     while runs < n_restarts and attempts < 4 * n_restarts:
-        attempts += 1
-        labels, inertia = _lloyd_once(pts, k, rng, max_iter)
-        if labels is None:
-            continue  # empty-cluster collapse; retry with fresh init
-        runs += 1
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
+        size = min(batch, n_restarts - runs, 4 * n_restarts - attempts)
+        centers = np.stack([_kmeanspp_init(pts, k, rng) for _ in range(size)])
+        attempts += size
+        for labels, inertia in _lloyd(pts, centers, max_iter):
+            if labels is None:
+                continue  # empty-cluster collapse; retried with a fresh init
+            runs += 1
+            if inertia < best_inertia:
+                best_labels, best_inertia = labels, inertia
     if best_labels is None:
         raise NumericError("k-means failed to produce k non-empty clusters")
     return best_labels
@@ -149,7 +165,10 @@ def _kmeanspp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
-            idx = rng.choice(n, p=d2 / total)
+            # the draw of rng.choice(n, p=d2 / total), without its checks
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = cdf.searchsorted(rng.random(), side="right")
         else:
             # all remaining points coincide with chosen centers; pick any
             # point distinct from them (guaranteed by the distinct-count check)
@@ -160,21 +179,53 @@ def _kmeanspp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return centers
 
 
-def _lloyd_once(pts, k, rng, max_iter):
-    centers = _kmeanspp_init(pts, k, rng)
-    labels = None
+def _lloyd(pts: np.ndarray, centers: np.ndarray,
+           max_iter: int) -> list[tuple[np.ndarray | None, float]]:
+    """Lloyd iterations of R restarts at once from (R, k, d) ``centers``,
+    which are updated in place. A restart stops when its labels stop
+    changing, when a cluster goes empty (its labels are then None) or at
+    ``max_iter``. Returns (labels, inertia) per restart."""
+    R, k, _ = centers.shape
+    labels = np.full((R, pts.shape[0]), -1)
+    collapsed = np.zeros(R, dtype=bool)
+    live = np.arange(R)
     for _ in range(max_iter):
-        dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dists.argmin(axis=1)
-        if np.unique(new_labels).size < k:
-            return None, np.inf
-        if labels is not None and np.array_equal(new_labels, labels):
+        if not live.size:
             break
-        labels = new_labels
-        for c in range(k):
-            centers[c] = pts[labels == c].mean(axis=0)
-    inertia = float(((pts - centers[labels]) ** 2).sum())
-    return labels, inertia
+        # the direct form with the coordinate axis last: the expanded
+        # |x|^2 - 2x.c + |c|^2 sums in another order and can move labels
+        new = ((pts[:, None, :] - centers[live, None]) ** 2).sum(axis=-1).argmin(axis=-1)
+        counts = np.bincount((new + k * np.arange(live.size)[:, None]).ravel(),
+                             minlength=live.size * k).reshape(-1, k)
+        empty = (counts == 0).any(axis=1)
+        collapsed[live[empty]] = True
+        moved = ~empty & (new != labels[live]).any(axis=1)
+        live = live[moved]
+        labels[live] = new[moved]
+        centers[live] = _centroids(pts, new[moved], counts[moved])
+    return [
+        (None, np.inf) if collapsed[r]
+        else (labels[r], float(((pts - centers[r][labels[r]]) ** 2).sum()))
+        for r in range(R)
+    ]
+
+
+def _centroids(pts: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(R, k, d) cluster means for (R, n) labels whose clusters are all
+    non-empty, each bit-identical to ``pts[labels[r] == c].mean(axis=0)``.
+    That mean sums rows in row order, as ``np.bincount`` does; a one-column
+    mean instead sums its contiguous column pairwise, as ``ndarray.sum``."""
+    R, k = counts.shape
+    n, d = pts.shape
+    keys = (labels + k * np.arange(R)[:, None]).ravel()
+    if d == 1:
+        column = np.tile(pts[:, 0], R)[np.argsort(keys, kind="stable")]
+        ends = np.cumsum(counts.ravel())
+        sums = np.array([column[e - c:e].sum() for e, c in zip(ends, counts.ravel())])
+    else:
+        sums = np.bincount((keys[:, None] * d + np.arange(d)).ravel(),
+                           weights=np.tile(pts.ravel(), R), minlength=R * k * d)
+    return sums.reshape(R, k, d) / counts[:, :, None]
 
 
 def extract_candidates(W: AffinityMatrix, k: int, seed: int) -> Partition:

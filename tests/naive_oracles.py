@@ -1,13 +1,17 @@
 """Independent brute-force implementations used as oracles.
 
 These deliberately avoid the library's aggregation code paths: quality
-metrics are computed by enumerating every ordered vertex pair, and object
-sizes by a flat hand-layout table.
+metrics are computed by enumerating every ordered vertex pair, object sizes
+by a flat hand-layout table, and k-means one restart after another.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+import numpy as np
+
+from servicecut.spectral import NumericError
 
 
 def naive_mq(labels: dict[str, int], edges: dict[tuple[str, str], float], k: int) -> float:
@@ -85,8 +89,102 @@ def naive_cut(labels: dict[str, int], affinity: dict[tuple[str, str], float], k:
     return total / 2.0
 
 
+def naive_cluster_stats(labels: dict[str, int], edges: dict[tuple[str, str], float], k: int):
+    """Cluster sizes, intra counts/weights and inter-pair counts/weights by
+    one loop over the edges in their order; pairs in first-seen order."""
+    sizes = [0] * k
+    for c in labels.values():
+        sizes[c] += 1
+    u = [0] * k
+    uw = [0.0] * k
+    sigma: dict[tuple[int, int], int] = {}
+    sigmaw: dict[tuple[int, int], float] = {}
+    for (src, dst), w in edges.items():
+        if src not in labels or dst not in labels:
+            continue
+        ci, cj = labels[src], labels[dst]
+        if ci == cj:
+            u[ci] += 1
+            uw[ci] += w
+        else:
+            pair = (min(ci, cj), max(ci, cj))
+            sigma[pair] = sigma.get(pair, 0) + 1
+            sigmaw[pair] = sigmaw.get(pair, 0.0) + w
+    return sizes, u, uw, sigma, sigmaw
+
+
 def hand_object_size(field_sizes: list[int], header: int = 12, alignment: int = 8) -> int:
     """Flat manual layout: header plus field bytes, padded up."""
     total = header + sum(field_sizes)
     remainder = total % alignment
     return total if remainder == 0 else total + alignment - remainder
+
+
+# k-means with one Lloyd run per restart, each restart's k-means++ centers
+# drawn with rng.choice: the labels the batched library kmeans must match.
+
+
+def naive_kmeans(points: np.ndarray, k: int, seed: int, n_restarts: int = 10,
+                 max_iter: int = 300) -> np.ndarray:
+    """Lloyd's algorithm with distance-weighted seeding, deterministic given
+    the seed. Keeps the best of ``n_restarts`` runs by inertia; runs that
+    collapse to an empty cluster are retried (bounded)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n = pts.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if np.unique(pts, axis=0).shape[0] < k:
+        raise ValueError("k exceeds distinct embedded points")
+    rng = np.random.default_rng(seed)
+    best_labels, best_inertia = None, np.inf
+    attempts = 0
+    runs = 0
+    while runs < n_restarts and attempts < 4 * n_restarts:
+        attempts += 1
+        labels, inertia = _naive_lloyd_once(pts, k, rng, max_iter)
+        if labels is None:
+            continue  # empty-cluster collapse; retry with fresh init
+        runs += 1
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    if best_labels is None:
+        raise NumericError("k-means failed to produce k non-empty clusters")
+    return best_labels
+
+
+def _naive_kmeanspp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = pts.shape[0]
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = pts[rng.integers(n)]
+    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            # all remaining points coincide with chosen centers; pick any
+            # point distinct from them (guaranteed by the distinct-count check)
+            taken = {tuple(c) for c in centers[:i]}
+            idx = next(j for j in range(n) if tuple(pts[j]) not in taken)
+        centers[i] = pts[idx]
+        d2 = np.minimum(d2, ((pts - centers[i]) ** 2).sum(axis=1))
+    return centers
+
+
+def _naive_lloyd_once(pts, k, rng, max_iter):
+    centers = _naive_kmeanspp_init(pts, k, rng)
+    labels = None
+    for _ in range(max_iter):
+        dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dists.argmin(axis=1)
+        if np.unique(new_labels).size < k:
+            return None, np.inf
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = pts[labels == c].mean(axis=0)
+    inertia = float(((pts - centers[labels]) ** 2).sum())
+    return labels, inertia

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from naive_oracles import naive_cut, naive_mq, naive_mqw
+from naive_oracles import naive_cluster_stats, naive_cut, naive_mq, naive_mqw
 from servicecut.feature_graph import FeatureGraph, to_affinity
-from servicecut.metrics import cut_value, mq, mqw
+from servicecut.metrics import _cluster_stats, cut_value, mq, mqw
 from servicecut.spectral import Partition
 
 
@@ -147,3 +147,24 @@ def test_bounds_and_unit_weight_equivalence(seed):
     assert -1.0 <= value_w <= 1.0
     unit = FeatureGraph(list(g.vertices), {e: 1.0 for e in g.edges})
     assert mqw(p, unit)[2] == pytest.approx(mq(p, unit)[2], abs=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 2))
+def test_cluster_stats_equal_edge_loop_bit_for_bit(seed, unassigned):
+    # fractional weights, so a changed summation order would show in the bits
+    rng = np.random.default_rng(seed)
+    g, p = random_instance(rng, max_n=12)
+    g = FeatureGraph(list(g.vertices), {e: w / 3.0 for e, w in g.edges.items()})
+    labels = dict(p.labels)
+    for v in g.vertices[:unassigned]:
+        if list(labels.values()).count(labels[v]) > 1:
+            del labels[v]
+    p = Partition(labels, p.k)
+    got = _cluster_stats(p, g)
+    expected = naive_cluster_stats(p.labels, g.edges, p.k)
+    assert got == expected
+    for a, b in zip(got[3:], expected[3:]):
+        assert list(a) == list(b)  # pairs in first-seen order: the cut sums in it
+    assert cut_value(p, g) == sum(expected[4].values(), 0.0)
+

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from naive_oracles import naive_kmeans
 from servicecut.feature_graph import split_core
 from servicecut.metrics import mqw
 from servicecut.oracle import brute_force_best
@@ -14,10 +15,11 @@ from servicecut.pipeline import (
     partition_accuracy,
     run_pipeline,
     sweep,
+    sweep_graph,
     write_sweep_outputs,
 )
 from servicecut.records import TypeCatalog, parse_call_log, parse_perf_log
-from servicecut.spectral import extract_candidates
+from servicecut.spectral import build_laplacian, canonicalize, embed, extract_candidates
 from servicecut.synth import SynthSpec, generate_system, synth_generate
 
 CAT = TypeCatalog.default()
@@ -217,6 +219,31 @@ def test_sweep_two_block_best_k_is_two(tmp_path):
     g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, "static")
     best_p, best_value = brute_force_best(g, 2, "mqw")
     assert best_value >= result.medians[("static", 2)] - 1e-12
+
+
+@pytest.mark.parametrize("modes", [(), ("static", "static")])
+def test_sweep_rejects_no_mode_or_a_repeated_mode(tmp_path, modes):
+    inputs = inputs_from(two_block_spec(), tmp_path)
+    with pytest.raises(ValueError, match="modes names"):
+        sweep(inputs, modes, k_min=2, k_max=3, epochs=1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_graph_epoch_values_equal_reference_loop(mode):
+    # the per-restart k-means, dict relabeling and dict-loop MQw the sweep
+    # replaced, value for value: guards a byte-identical sweep.json
+    calls, perf, _ = generate_system(SynthSpec(n_classes=40, n_blocks=4, seed=1))
+    g = build_mode_graph(calls, perf, CAT, mode)
+    core, W, _ = split_core(g)
+    U = embed(build_laplacian(W), 10).U
+    expected = {}
+    for k in range(2, 11):
+        expected[(mode, k)] = []
+        for epoch in range(3):
+            raw = naive_kmeans(U[:, :k].copy(), k, epoch_seed(11, mode, k, epoch))
+            p = canonicalize(dict(zip(W.vertex_ids, (int(c) for c in raw))), k)
+            expected[(mode, k)].append(mqw(p, core)[2])
+    assert sweep_graph(g, mode, 2, 10, 3, 11) == expected
 
 
 def test_sweep_median_reproducible_from_stored_values(tmp_path):

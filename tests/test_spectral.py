@@ -1,8 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from naive_oracles import _naive_lloyd_once, naive_kmeans
+from servicecut import spectral
 from servicecut.feature_graph import AffinityMatrix, FeatureGraph, to_affinity
 from servicecut.spectral import (
+    NumericError,
     build_laplacian,
     canonicalize,
     embed,
@@ -133,8 +139,86 @@ def test_kmeans_deterministic():
 
 def test_kmeans_too_few_distinct_points():
     pts = np.array([[1.0, 1.0]] * 5)
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(NumericError, match="distinct"):
         kmeans(pts, 2, seed=0)
+
+
+@st.composite
+def _kmeans_case(draw):
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(n, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.standard_normal((n, d))
+    if draw(st.booleans()):
+        pts = pts[rng.integers(0, max(1, n // 3), n)]  # duplicated rows
+    return pts, k, draw(st.integers(0, 2**63 - 1))
+
+
+def _assert_kmeans_matches_naive(pts, k, seed):
+    try:
+        expected = naive_kmeans(pts, k, seed)
+    except (ValueError, NumericError) as exc:
+        with pytest.raises(NumericError, match=re.escape(str(exc))):
+            kmeans(pts, k, seed)
+        return
+    got = kmeans(pts, k, seed)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kmeans_case())
+def test_kmeans_labels_equal_one_restart_at_a_time(case):
+    _assert_kmeans_matches_naive(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 10), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
+    # inertia bits move with any change in how distances or means are
+    # summed, also where the winning labels do not; d >= 8 reaches NumPy's
+    # pairwise summation
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d))
+    if np.unique(pts, axis=0).shape[0] < k:
+        return
+    expected = [_naive_lloyd_once(pts, k, np.random.default_rng(seed + r), 300) for r in range(4)]
+    inits = [spectral._kmeanspp_init(pts, k, np.random.default_rng(seed + r)) for r in range(4)]
+    got = spectral._lloyd(pts, np.stack(inits), 300)
+    for (labels, inertia), (labels_ref, inertia_ref) in zip(got, expected):
+        assert inertia == inertia_ref
+        assert (labels is None) == (labels_ref is None)
+        if labels is not None:
+            assert labels.tobytes() == labels_ref.tobytes()
+
+
+def test_kmeans_retries_collapsed_restarts_like_the_reference(monkeypatch):
+    # with seed 0, two restarts on these points lose a cluster mid-Lloyd
+    pts = np.array([[0.0], [6.0], [22.0], [24.0], [25.0], [39.0]])
+    collapsed = []
+    lloyd = spectral._lloyd
+
+    def counting(*args):
+        results = lloyd(*args)
+        collapsed.extend(labels is None for labels, _ in results)
+        return results
+
+    monkeypatch.setattr(spectral, "_lloyd", counting)
+    _assert_kmeans_matches_naive(pts, 3, 0)
+    assert sum(collapsed) == 2
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("seed", range(3))
+def test_kmeans_underflow_fallback_like_the_reference(k, seed):
+    # the squared distances among 0, 1e-200 and 2e-200 underflow to 0: once
+    # one of them, 1 and 2 are centers, every d2 is 0 and the next center
+    # comes from the fallback without a draw; at k >= 4 every restart then
+    # collapses on the tied distances and both give up
+    pts = np.array([[0.0], [1e-200], [2e-200], [1.0], [2.0]])
+    _assert_kmeans_matches_naive(pts, k, seed)
 
 
 def test_extract_two_components_recovered():
