@@ -43,7 +43,7 @@ def _parse_size_model(pairs: tuple[str, ...]) -> SizeModel:
         key, value = pair.split("=", 1)
         if key not in _SIZE_MODEL_FIELDS:
             raise click.UsageError(
-                f"unknown size-model field {key!r}; choose from {sorted(_SIZE_MODEL_FIELDS)}"
+                f"--size-model: unknown field {key!r}; choose from {sorted(_SIZE_MODEL_FIELDS)}"
             )
         try:
             overrides[key] = int(value)
@@ -80,6 +80,7 @@ def cli():
 @_common_options
 def ingest_check(calls_path, perf_path, catalog_path, size_model, raw_attrs):
     """Parse inputs and report counts; fail loudly on malformed data."""
+    _parse_size_model(size_model)
     inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
     self_calls = sum(1 for r in inputs.calls if r.is_self_call)
     classes = {r.caller_class for r in inputs.calls} | {r.callee_class for r in inputs.calls}
@@ -168,10 +169,12 @@ def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
 
 
 @cli.command("synth")
-@click.option("--n-classes", type=int, required=True)
-@click.option("--n-blocks", type=int, required=True)
-@click.option("--intra", "intra_call_prob", type=float, default=0.3, show_default=True)
-@click.option("--inter", "inter_call_prob", type=float, default=0.02, show_default=True)
+@click.option("--n-classes", type=click.IntRange(min=1), required=True)
+@click.option("--n-blocks", type=click.IntRange(min=1), required=True)
+@click.option("--intra", "intra_call_prob", type=click.FloatRange(0, 1), default=0.3,
+              show_default=True)
+@click.option("--inter", "inter_call_prob", type=click.FloatRange(0, 1), default=0.02,
+              show_default=True)
 @click.option("--block-correlated-perf", is_flag=True,
               help="Make perf attributes correlate with the planted blocks.")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -179,6 +182,8 @@ def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
 def synth(n_classes, n_blocks, intra_call_prob, inter_call_prob,
           block_correlated_perf, seed, out_dir):
     """Generate a synthetic legacy system with a planted block structure."""
+    if n_blocks > n_classes:
+        raise click.UsageError(f"--n-blocks {n_blocks} exceeds --n-classes {n_classes}")
     spec = SynthSpec(
         n_classes=n_classes,
         n_blocks=n_blocks,

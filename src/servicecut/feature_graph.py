@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -36,8 +37,8 @@ class FeatureGraph:
         for (i, j), w in self.edges.items():
             if i == j:
                 raise ValueError(f"self-loop on {i!r}")
-            if w <= 0:
-                raise ValueError(f"non-positive weight on ({i!r}, {j!r})")
+            if not 0 < w < math.inf:
+                raise ValueError(f"non-positive or non-finite weight {w!r} on ({i!r}, {j!r})")
 
     def total_weight(self) -> float:
         return sum(self.edges.values())
@@ -58,7 +59,8 @@ class FeatureGraph:
 @dataclass
 class AffinityMatrix:
     """Dense symmetric non-negative matrix with zero diagonal, rows aligned
-    to ``vertex_ids``."""
+    to ``vertex_ids``. Symmetry is exact: the eigensolver reads one triangle,
+    so any asymmetry would be dropped without notice."""
 
     entries: np.ndarray
     vertex_ids: list[str]
@@ -69,7 +71,7 @@ class AffinityMatrix:
             raise ValueError("affinity matrix must be square")
         if W.shape[0] != len(self.vertex_ids):
             raise ValueError("vertex_ids length must match matrix dimension")
-        if not np.allclose(W, W.T):
+        if not np.array_equal(W, W.T):
             raise ValueError("affinity matrix must be symmetric")
         if np.any(W < 0):
             raise ValueError("affinity matrix must be non-negative")
@@ -151,16 +153,22 @@ def unit_structure(g: FeatureGraph) -> FeatureGraph:
     return replace(g, edges={e: 1.0 for e in g.edges})
 
 
+def edge_arrays(g: FeatureGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, weight) of ``g.edges`` in their order, as indices into
+    ``g.vertices`` and float weights."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    src = np.array([index[s] for s, _ in g.edges], dtype=np.intp)
+    dst = np.array([index[d] for _, d in g.edges], dtype=np.intp)
+    return src, dst, np.array(list(g.edges.values()), dtype=float)
+
+
 def to_affinity(g: FeatureGraph) -> AffinityMatrix:
-    """Symmetrize by directional sum: W[i][j] = w(i->j) + w(j->i)."""
-    ids = list(g.vertices)
-    index = {v: i for i, v in enumerate(ids)}
-    W = np.zeros((len(ids), len(ids)))
-    for (src, dst), w in g.edges.items():
-        i, j = index[src], index[dst]
-        W[i, j] += w
-        W[j, i] += w
-    return AffinityMatrix(W, ids)
+    """Symmetrize by directional sum: W[i][j] = w(i->j) + w(j->i), exact as
+    edge keys are unique and never self-loops."""
+    src, dst, w = edge_arrays(g)
+    A = np.zeros((len(g.vertices), len(g.vertices)))
+    A[src, dst] = w
+    return AffinityMatrix(A + A.T, list(g.vertices))
 
 
 def split_core(g: FeatureGraph) -> tuple[FeatureGraph, AffinityMatrix, set[str]]:

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .feature_graph import FeatureGraph
+from .feature_graph import FeatureGraph, edge_arrays
 from .spectral import Partition
 
 
@@ -68,15 +68,6 @@ class QualityReport:
         return "mode,k,coh_w,cop_w,MQw,MQ,cut"
 
 
-def edge_arrays(g: FeatureGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, weight) of ``g.edges`` in their order, as indices into
-    ``g.vertices`` and float weights."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    src = np.array([index[s] for s, _ in g.edges], dtype=np.intp)
-    dst = np.array([index[d] for _, d in g.edges], dtype=np.intp)
-    return src, dst, np.array(list(g.edges.values()), dtype=float)
-
-
 def label_stats(labels: np.ndarray, k: int, edges: tuple[np.ndarray, np.ndarray, np.ndarray]):
     """Per-cluster sizes, intra edge counts/weights, and pairwise inter
     counts/weights (both directions aggregated) of the vertices' cluster
@@ -105,12 +96,10 @@ def label_stats(labels: np.ndarray, k: int, edges: tuple[np.ndarray, np.ndarray,
 def _cluster_stats(p: Partition, g: FeatureGraph):
     """``label_stats`` of a partition over the graph's edges; vertices the
     partition leaves unassigned are not scored."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    labels = np.full(len(index), -1)
-    for v, c in p.labels.items():
-        if v not in index:
-            raise ValueError(f"partition references vertex {v!r} absent from graph")
-        labels[index[v]] = c
+    absent = p.labels.keys() - set(g.vertices)
+    if absent:
+        raise ValueError(f"partition references vertex {min(absent)!r} absent from graph")
+    labels = np.array([p.labels.get(v, -1) for v in g.vertices], dtype=np.intp)
     return label_stats(labels, p.k, edge_arrays(g))
 
 

@@ -36,11 +36,11 @@ def brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Partition
     (maximize ``mqw``, minimize ``cut``)."""
     if objective not in ("mqw", "cut"):
         raise ValueError(f"unknown objective {objective!r}")
-    core, _, isolated = split_core(g)
-    verts = core.vertices
-    n = len(verts)
+    n = len(g.vertices) - len(g.isolated_vertices())
     if n > MAX_VERTICES:
         raise ValueError(f"brute force bounded to {MAX_VERTICES} vertices, got {n}")
+    core, _, isolated = split_core(g)
+    verts = core.vertices
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     best_p, best_v = None, None

@@ -18,11 +18,12 @@ from .feature_graph import (
     FeatureGraph,
     attach_perf,
     build_class_graph,
+    edge_arrays,
     fuse,
     split_core,
     unit_structure,
 )
-from .metrics import QualityReport, _quality, edge_arrays, label_stats, score
+from .metrics import QualityReport, _quality, label_stats, score
 from .records import (
     CallRecord,
     PerfRecord,

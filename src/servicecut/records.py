@@ -6,7 +6,8 @@ where a params field is a ``;``-separated list of type names, each with an
 optional ``[]`` suffix per array rank. Empty field means no params. Lines
 starting with ``#`` are comments.
 
-Perf log: CSV with columns ``class,cpu_time,retained_memory``.
+Perf log: CSV with columns ``class,cpu_time,retained_memory``. Either log
+may open with these column names as its header row (see :func:`_read_rows`).
 
 Type catalog: an indented tree format, see :func:`parse_type_catalog`.
 """
@@ -14,7 +15,6 @@ Type catalog: an indented tree format, see :func:`parse_type_catalog`.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 import re
@@ -106,7 +106,8 @@ class CallRecord:
 
     @property
     def is_self_call(self) -> bool:
-        return self.caller == self.callee
+        # compare the fields: the joined ids of ns::A/m and ns/A::m coincide
+        return (self.caller_class, self.caller_method) == (self.callee_class, self.callee_method)
 
 
 @dataclass(frozen=True)
@@ -164,12 +165,13 @@ class TypeCatalog:
 
 # --- parsing ----------------------------------------------------------------
 
-_CALL_COLUMNS = 6
-_PERF_COLUMNS = 3
+#: The documented header rows of the call log and the perf log.
+CALL_HEADER = ("caller_method", "callee_method", "caller_class", "callee_class",
+               "caller_params", "callee_params")
+PERF_HEADER = ("class", "cpu_time", "retained_memory")
 
 
 def _parse_params(text: str, path, lineno) -> tuple[TypeRef, ...]:
-    text = text.strip()
     if not text:
         return ()
     refs = []
@@ -181,44 +183,38 @@ def _parse_params(text: str, path, lineno) -> tuple[TypeRef, ...]:
     return tuple(refs)
 
 
-def _iter_csv_lines(path: str | Path):
+def _read_rows(path: str | Path, header: tuple[str, ...]):
+    """Yield (line number, stripped fields) of each data row of a CSV log.
+    Blank and ``#`` lines are skipped, each physical line is parsed on its
+    own, and a first data row equal to ``header`` is skipped."""
+    first = True
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            (row,) = csv.reader(io.StringIO(raw))
-            yield lineno, row
+            (row,) = csv.reader([raw])
+            row = tuple(f.strip() for f in row)
+            if len(row) != len(header):
+                raise LogParseError(
+                    f"expected {len(header)} columns, got {len(row)}", path, lineno
+                )
+            if not first or row != header:
+                yield lineno, row
+            first = False
 
 
 def parse_call_log(path: str | Path) -> list[CallRecord]:
     """Parse a call-relationship log. Duplicate lines are preserved; their
     multiplicity matters when edge weights are aggregated."""
     records = []
-    for lineno, row in _iter_csv_lines(path):
-        if len(row) != _CALL_COLUMNS:
-            raise LogParseError(
-                f"expected {_CALL_COLUMNS} columns, got {len(row)}", path, lineno
-            )
-        m_caller, m_callee, c_caller, c_callee = (f.strip() for f in row[:4])
-        for label, value in (
-            ("caller_method", m_caller),
-            ("callee_method", m_callee),
-            ("caller_class", c_caller),
-            ("callee_class", c_callee),
-        ):
+    for lineno, row in _read_rows(path, CALL_HEADER):
+        for label, value in zip(CALL_HEADER, row[:4]):
             if not value:
                 raise LogParseError(f"empty {label}", path, lineno)
-        records.append(
-            CallRecord(
-                caller_method=m_caller,
-                callee_method=m_callee,
-                caller_class=c_caller,
-                callee_class=c_callee,
-                caller_params=_parse_params(row[4], path, lineno),
-                callee_params=_parse_params(row[5], path, lineno),
-            )
-        )
+        # CallRecord's fields follow CALL_HEADER
+        records.append(CallRecord(*row[:4], _parse_params(row[4], path, lineno),
+                                  _parse_params(row[5], path, lineno)))
     return records
 
 
@@ -227,20 +223,15 @@ def parse_perf_log(path: str | Path) -> list[PerfRecord]:
     having zero CPU time and zero retained memory downstream."""
     records = []
     seen: set[str] = set()
-    for lineno, row in _iter_csv_lines(path):
-        if len(row) != _PERF_COLUMNS:
-            raise LogParseError(
-                f"expected {_PERF_COLUMNS} columns, got {len(row)}", path, lineno
-            )
-        class_id = row[0].strip()
+    for lineno, (class_id, cpu_text, retained_text) in _read_rows(path, PERF_HEADER):
         if not class_id:
             raise LogParseError("empty class_id", path, lineno)
         if class_id in seen:
             raise LogParseError(f"duplicate class_id {class_id!r}", path, lineno)
         seen.add(class_id)
         try:
-            cpu = float(row[1])
-            retained = float(row[2])
+            cpu = float(cpu_text)
+            retained = float(retained_text)
         except ValueError as exc:
             raise LogParseError(f"non-numeric field: {exc}", path, lineno) from exc
         if not math.isfinite(cpu) or not math.isfinite(retained):

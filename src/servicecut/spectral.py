@@ -135,6 +135,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, n_restarts: int = 10,
     n, d = pts.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if not np.isfinite(pts).all():
+        raise NumericError("k-means points contain NaN or inf")
     if np.unique(pts, axis=0).shape[0] < k:
         raise NumericError("k exceeds distinct embedded points")
     rng = np.random.default_rng(seed)

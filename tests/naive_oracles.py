@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's aggregation code paths: quality
 metrics are computed by enumerating every ordered vertex pair, object sizes
-by a flat hand-layout table, and k-means one restart after another.
+by a flat hand-layout table, the affinity one edge at a time, and k-means one
+restart after another.
 """
 
 from __future__ import annotations
@@ -111,6 +112,19 @@ def naive_cluster_stats(labels: dict[str, int], edges: dict[tuple[str, str], flo
             sigma[pair] = sigma.get(pair, 0) + 1
             sigmaw[pair] = sigmaw.get(pair, 0.0) + w
     return sizes, u, uw, sigma, sigmaw
+
+
+def naive_affinity(g) -> np.ndarray:
+    """Directional-sum symmetrization one edge at a time:
+    W[i][j] = w(i->j) + w(j->i), rows in ``g.vertices`` order."""
+    ids = list(g.vertices)
+    index = {v: i for i, v in enumerate(ids)}
+    W = np.zeros((len(ids), len(ids)))
+    for (src, dst), w in g.edges.items():
+        i, j = index[src], index[dst]
+        W[i, j] += w
+        W[j, i] += w
+    return W
 
 
 def hand_object_size(field_sizes: list[int], header: int = 12, alignment: int = 8) -> int:

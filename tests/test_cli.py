@@ -136,6 +136,43 @@ def test_class_names_containing_separator(tmp_path, capsys):
     ]
 
 
+def test_ingest_check_skips_the_header_row(tmp_path, capsys):
+    calls = tmp_path / "calls.csv"
+    calls.write_text("caller_method,callee_method,caller_class,callee_class,"
+                     "caller_params,callee_params\nf,g,A,B,int,int\n")
+    assert run("ingest-check", "--calls", str(calls)) == 0
+    out = capsys.readouterr().out
+    assert "call records: 1 (0 self-call)" in out
+    assert "classes:      2" in out
+
+
+def test_ingest_check_self_calls_compare_fields(tmp_path, capsys):
+    calls = tmp_path / "calls.csv"
+    calls.write_text("m,A::m,ns::A,ns,int,int\n")
+    assert run("ingest-check", "--calls", str(calls)) == 0
+    assert "call records: 1 (0 self-call)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--n-classes", "0", "--n-blocks", "1"], "--n-classes"),
+    (["--n-classes", "4", "--n-blocks", "0"], "--n-blocks"),
+    (["--n-classes", "4", "--n-blocks", "5"], "--n-blocks"),
+    (["--n-classes", "4", "--n-blocks", "2", "--intra", "2"], "--intra"),
+    (["--n-classes", "4", "--n-blocks", "2", "--inter", "-0.1"], "--inter"),
+], ids=["n-classes-0", "n-blocks-0", "n-blocks-above-n-classes", "intra-2", "inter-negative"])
+def test_bad_synth_flag_is_usage_error_naming_the_flag(tmp_path, capsys, args, flag):
+    assert run("synth", *args, "--out", str(tmp_path / "sys")) == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "sys").exists()
+
+
+def test_ingest_check_rejects_bad_size_model(tmp_path, capsys):
+    calls = tmp_path / "calls.csv"
+    calls.write_text("f,g,A,B,int,int\n")
+    assert run("ingest-check", "--calls", str(calls), "--size-model", "bogus=1") == 1
+    assert "--size-model" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args, flag", [
     (["evaluate", "--k", "1"], "--k"),
     (["sweep", "--k-min", "1"], "--k-min"),

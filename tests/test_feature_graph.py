@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from naive_oracles import naive_affinity
 from servicecut.feature_graph import (
+    AffinityMatrix,
     FeatureGraph,
     attach_perf,
     build_class_graph,
@@ -88,6 +91,13 @@ def test_lift_conserves_inter_class_weight():
         edge_cost(r.callee_params, CAT) for r in records if r.caller_class != r.callee_class
     )
     assert g.total_weight() == pytest.approx(inter)
+
+
+def test_self_call_compares_fields_not_joined_ids():
+    # "ns::A" + "::" + "m" and "ns" + "::" + "A::m" are the same string
+    g = build_class_graph([call("m", "A::m", "ns::A", "ns", ["int"])], CAT)
+    assert g.self_calls_dropped == 0
+    assert g.edges == {("ns::A", "ns"): 5.0}
 
 
 def test_class_names_containing_separator():
@@ -195,6 +205,42 @@ def test_graph_rejects_self_loop_and_nonpositive_weight():
         FeatureGraph(["A"], {("A", "A"): 1.0})
     with pytest.raises(ValueError):
         FeatureGraph(["A", "B"], {("A", "B"): 0.0})
+
+
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_graph_rejects_non_finite_weight(w):
+    with pytest.raises(ValueError, match="non-positive or non-finite"):
+        FeatureGraph(["A", "B"], {("A", "B"): w})
+
+
+@st.composite
+def _weighted_graph(draw):
+    """Random graph whose vertex pairs carry no edge, one direction or
+    both, with arbitrary positive float weights."""
+    n = draw(st.integers(1, 9))
+    verts = [f"v{i}" for i in draw(st.permutations(range(n)))]
+    weight = st.floats(0, 1e6, exclude_min=True)
+    edges = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for key in draw(st.sampled_from([(), ((i, j),), ((j, i),), ((i, j), (j, i))])):
+                edges[(verts[key[0]], verts[key[1]])] = draw(weight)
+    order = draw(st.permutations(list(edges)))
+    return FeatureGraph(verts, {e: edges[e] for e in order})
+
+
+@given(_weighted_graph())
+def test_affinity_equals_edge_loop_bit_for_bit(g):
+    W = to_affinity(g)
+    assert W.vertex_ids == g.vertices
+    assert np.array_equal(W.entries.view(np.int64), naive_affinity(g).view(np.int64))
+
+
+def test_affinity_matrix_rejects_one_ulp_asymmetry():
+    W = np.array([[0.0, 0.1, 2.0], [0.1, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    W[0, 1] = np.nextafter(W[0, 1], 1.0)
+    with pytest.raises(ValueError, match="symmetric"):
+        AffinityMatrix(W, ["A", "B", "C"])
 
 
 def test_without_vertices():

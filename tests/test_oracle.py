@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from servicecut import feature_graph
 from servicecut.feature_graph import FeatureGraph
 from servicecut.oracle import brute_force_best, restricted_growth_strings
 
@@ -67,6 +68,17 @@ def test_vertex_bound_enforced():
     edges = {(verts[i], verts[i + 1]): 1.0 for i in range(10)}
     g = FeatureGraph(verts, edges)
     with pytest.raises(ValueError, match="bounded"):
+        brute_force_best(g, 2, "cut")
+
+
+def test_vertex_bound_checked_before_the_affinity_is_built(monkeypatch):
+    def no_affinity(g):
+        raise AssertionError("affinity built for an oversized graph")
+
+    monkeypatch.setattr(feature_graph, "to_affinity", no_affinity)
+    verts = [f"v{i}" for i in range(11)]
+    g = FeatureGraph(verts + ["loner"], {(verts[i], verts[i + 1]): 1.0 for i in range(10)})
+    with pytest.raises(ValueError, match="bounded to 10 vertices, got 11"):
         brute_force_best(g, 2, "cut")
 
 

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from servicecut.records import (
+    CALL_HEADER,
+    PERF_HEADER,
     CallRecord,
     LogParseError,
     PerfRecord,
@@ -128,6 +130,54 @@ def test_parse_perf_non_finite(tmp_path):
     p.write_text("A,nan,1\n")
     with pytest.raises(LogParseError):
         parse_perf_log(p)
+
+
+# --- header rows ------------------------------------------------------------
+
+_CALL_ROWS = "# traced 2024-01-01\nf,g,A,B,,int\ng,h,B,C,long;int[],\n"
+_PERF_ROWS = "A,1.5,2048\nB,0,0\n"
+
+
+@pytest.mark.parametrize("parse, header, rows", [
+    (parse_call_log, CALL_HEADER, _CALL_ROWS),
+    (parse_perf_log, PERF_HEADER, _PERF_ROWS),
+], ids=["call", "perf"])
+@pytest.mark.parametrize("prefix", ["", "# comment\n\n"], ids=["first-line", "after-comment"])
+def test_header_row_parses_like_the_log_without_it(tmp_path, parse, header, rows, prefix):
+    plain, headed = tmp_path / "plain.csv", tmp_path / "headed.csv"
+    plain.write_text(rows)
+    headed.write_text(prefix + ",".join(header) + "\n" + rows)
+    assert parse(headed) == parse(plain) != []
+
+
+def test_documented_headers():
+    assert ",".join(CALL_HEADER) == (
+        "caller_method,callee_method,caller_class,callee_class,caller_params,callee_params")
+    assert ",".join(PERF_HEADER) == "class,cpu_time,retained_memory"
+
+
+def test_call_header_on_a_later_row_is_data(tmp_path):
+    p = tmp_path / "calls.csv"
+    p.write_text("f,g,A,B,,int\n" + ",".join(CALL_HEADER) + "\n")
+    recs = parse_call_log(p)
+    assert len(recs) == 2
+    assert (recs[1].caller_class, recs[1].callee_class) == ("caller_class", "callee_class")
+
+
+def test_perf_header_on_a_later_row_is_a_data_error(tmp_path):
+    p = tmp_path / "perf.csv"
+    p.write_text("A,1,1\n" + ",".join(PERF_HEADER) + "\n")
+    with pytest.raises(LogParseError, match="non-numeric") as exc:
+        parse_perf_log(p)
+    assert exc.value.line == 2
+    assert str(exc.value).startswith(f"{p}:2: ")
+
+
+def test_empty_field_named_by_its_header_column(tmp_path):
+    p = tmp_path / "calls.csv"
+    p.write_text("f,g,A,,,\n")
+    with pytest.raises(LogParseError, match="empty callee_class"):
+        parse_call_log(p)
 
 
 # --- type catalog -----------------------------------------------------------

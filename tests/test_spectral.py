@@ -143,6 +143,14 @@ def test_kmeans_too_few_distinct_points():
         kmeans(pts, 2, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_points(bad, monkeypatch):
+    monkeypatch.setattr(spectral, "_kmeanspp_init", None)  # must not be reached
+    pts = np.array([[0.0], [bad], [1.0]])
+    with pytest.raises(NumericError, match="NaN or inf"):
+        kmeans(pts, 2, seed=0)
+
+
 @st.composite
 def _kmeans_case(draw):
     n = draw(st.integers(1, 60))
