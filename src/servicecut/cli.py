@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,17 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 _SIZE_MODEL_FIELDS = {f.name for f in dataclasses.fields(SizeModel)}
+
+#: Every command's --seed: NumPy seeds its generators from non-negative
+#: integers only.
+_SEED = click.IntRange(min=0)
+
+
+def _not_nan(ctx, param, value: float) -> float:
+    # NaN compares false with both bounds, so FloatRange lets it through
+    if math.isnan(value):
+        raise click.BadParameter(f"{value!r} is not a number", ctx, param)
+    return value
 
 
 def _parse_size_model(pairs: tuple[str, ...]) -> SizeModel:
@@ -113,7 +125,7 @@ def build_graph(calls_path, perf_path, catalog_path, size_model, raw_attrs, mode
 @_common_options
 @click.option("--mode", type=click.Choice(MODES), default="fusion", show_default=True)
 @click.option("--k", type=click.IntRange(min=2), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
@@ -145,7 +157,7 @@ def evaluate(calls_path, perf_path, catalog_path, size_model, raw_attrs,
 @click.option("--k-min", type=click.IntRange(min=2), default=2, show_default=True)
 @click.option("--k-max", type=click.IntRange(min=2), default=10, show_default=True)
 @click.option("--epochs", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--seed", "base_seed", type=int, default=0, show_default=True)
+@click.option("--seed", "base_seed", type=_SEED, default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
               modes, k_min, k_max, epochs, base_seed, out_dir):
@@ -172,12 +184,12 @@ def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
 @click.option("--n-classes", type=click.IntRange(min=1), required=True)
 @click.option("--n-blocks", type=click.IntRange(min=1), required=True)
 @click.option("--intra", "intra_call_prob", type=click.FloatRange(0, 1), default=0.3,
-              show_default=True)
+              show_default=True, callback=_not_nan)
 @click.option("--inter", "inter_call_prob", type=click.FloatRange(0, 1), default=0.02,
-              show_default=True)
+              show_default=True, callback=_not_nan)
 @click.option("--block-correlated-perf", is_flag=True,
               help="Make perf attributes correlate with the planted blocks.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def synth(n_classes, n_blocks, intra_call_prob, inter_call_prob,
           block_correlated_perf, seed, out_dir):

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cost_model import SizeModel, edge_cost
 from .records import CallRecord, PerfRecord, TypeCatalog
@@ -58,24 +59,27 @@ class FeatureGraph:
 
 @dataclass
 class AffinityMatrix:
-    """Dense symmetric non-negative matrix with zero diagonal, rows aligned
-    to ``vertex_ids``. Symmetry is exact: the eigensolver reads one triangle,
-    so any asymmetry would be dropped without notice."""
+    """Sparse (CSR) symmetric non-negative matrix with an empty diagonal,
+    rows aligned to ``vertex_ids``; any 2-D array is converted. Symmetry is
+    exact: the dense eigensolver reads one triangle and Lanczos the whole
+    matrix, so an asymmetric W would give solver-dependent eigenpairs."""
 
-    entries: np.ndarray
+    entries: sp.csr_array
     vertex_ids: list[str]
 
     def __post_init__(self):
-        W = np.asarray(self.entries, dtype=float)
+        W = sp.csr_array(self.entries, dtype=float)
+        W.sum_duplicates()
+        W.eliminate_zeros()
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError("affinity matrix must be square")
         if W.shape[0] != len(self.vertex_ids):
             raise ValueError("vertex_ids length must match matrix dimension")
-        if not np.array_equal(W, W.T):
+        if (W != W.T).nnz:
             raise ValueError("affinity matrix must be symmetric")
-        if np.any(W < 0):
+        if (W.data < 0).any():
             raise ValueError("affinity matrix must be non-negative")
-        if np.any(np.diag(W) != 0):
+        if W.diagonal().any():
             raise ValueError("affinity matrix must have zero diagonal")
         self.entries = W
 
@@ -166,8 +170,8 @@ def to_affinity(g: FeatureGraph) -> AffinityMatrix:
     """Symmetrize by directional sum: W[i][j] = w(i->j) + w(j->i), exact as
     edge keys are unique and never self-loops."""
     src, dst, w = edge_arrays(g)
-    A = np.zeros((len(g.vertices), len(g.vertices)))
-    A[src, dst] = w
+    n = len(g.vertices)
+    A = sp.csr_array((w, (src, dst)), shape=(n, n))
     return AffinityMatrix(A + A.T, list(g.vertices))
 
 
@@ -215,5 +219,6 @@ def write_affinity_csv(W: AffinityMatrix, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + W.vertex_ids)
-        for vid, row in zip(W.vertex_ids, W.entries):
+        # the dense n x n export; W itself stays sparse
+        for vid, row in zip(W.vertex_ids, W.entries.toarray()):
             writer.writerow([vid] + [repr(x) for x in row])

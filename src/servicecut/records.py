@@ -183,25 +183,40 @@ def _parse_params(text: str, path, lineno) -> tuple[TypeRef, ...]:
     return tuple(refs)
 
 
+def _numbered_lines(path: str | Path):
+    """Yield (line number, text) of each line of a UTF-8 text file; a line
+    that is not valid UTF-8 raises LogParseError naming it."""
+    # undecodable bytes are read as lone surrogates, which do not encode
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(raw[exc.start]) - 0xDC00
+                    raise LogParseError(f"not valid UTF-8 (byte 0x{byte:02x})",
+                                        path, lineno) from None
+            yield lineno, raw
+
+
 def _read_rows(path: str | Path, header: tuple[str, ...]):
     """Yield (line number, stripped fields) of each data row of a CSV log.
     Blank and ``#`` lines are skipped, each physical line is parsed on its
     own, and a first data row equal to ``header`` is skipped."""
     first = True
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            (row,) = csv.reader([raw])
-            row = tuple(f.strip() for f in row)
-            if len(row) != len(header):
-                raise LogParseError(
-                    f"expected {len(header)} columns, got {len(row)}", path, lineno
-                )
-            if not first or row != header:
-                yield lineno, row
-            first = False
+    for lineno, raw in _numbered_lines(path):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        (row,) = csv.reader([raw])
+        row = tuple(f.strip() for f in row)
+        if len(row) != len(header):
+            raise LogParseError(
+                f"expected {len(header)} columns, got {len(row)}", path, lineno
+            )
+        if not first or row != header:
+            yield lineno, row
+        first = False
 
 
 def parse_call_log(path: str | Path) -> list[CallRecord]:
@@ -263,9 +278,6 @@ def parse_type_catalog(path: str | Path | None) -> TypeCatalog:
     catalog = TypeCatalog.default()
     if path is None:
         return catalog
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-
     current_fields: list[TypeRef] | None = None
     current_name: str | None = None
 
@@ -275,7 +287,7 @@ def parse_type_catalog(path: str | Path | None) -> TypeCatalog:
             catalog.declare(current_name, ObjectLayout(tuple(current_fields or ())))
         current_name, current_fields = None, None
 
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in _numbered_lines(path):
         stripped = raw.split("#", 1)[0].rstrip()
         if not stripped.strip():
             continue

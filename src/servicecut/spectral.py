@@ -6,6 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .feature_graph import AffinityMatrix
 
@@ -16,9 +19,9 @@ class NumericError(RuntimeError):
 
 @dataclass
 class Laplacian:
-    """L = D - W with D the diagonal degree matrix of W."""
+    """L = D - W with D the diagonal degree matrix of W, as a CSR array."""
 
-    matrix: np.ndarray
+    matrix: sp.csr_array
 
     @property
     def n(self) -> int:
@@ -67,48 +70,87 @@ class Partition:
 def build_laplacian(W: AffinityMatrix) -> Laplacian:
     if W.n == 0:
         raise ValueError("empty graph")
-    L = np.diag(W.entries.sum(axis=1)) - W.entries
-    return Laplacian(L)
+    return Laplacian(sp.csr_array(sp.diags_array(W.entries.sum(axis=1)) - W.entries))
 
 
-def full_spectrum(L: Laplacian) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition, ascending; computed once per graph so k
-    sweeps can slice instead of re-solving."""
-    try:
-        return np.linalg.eigh(L.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
-
-
-def embedding_from_spectrum(eigenvalues: np.ndarray, vectors: np.ndarray, k: int) -> Embedding:
-    U = vectors[:, :k].copy()
-    for col in range(k):
-        v = U[:, col]
-        nonzero = np.flatnonzero(np.abs(v) > 1e-12 * max(1.0, np.abs(v).max()))
-        if nonzero.size and v[nonzero[0]] < 0:
-            U[:, col] = -v
-    return Embedding(U, eigenvalues[:k].copy())
+# Above this many vertices ``embed`` solves for the k smallest eigenpairs by
+# Lanczos. A full dense ``eigh`` is faster below n = 500-600 (2-core host);
+# the margin keeps graphs up to this size on the exact dense solve.
+_DENSE_MAX_N = 1000
 
 
 def embed(L: Laplacian, k: int) -> Embedding:
     """Eigenpairs of the k smallest eigenvalues, ascending, with a
-    deterministic sign convention (first nonzero coordinate positive)."""
+    deterministic sign convention (first nonzero coordinate positive).
+
+    Graphs above ``_DENSE_MAX_N`` vertices are solved by Lanczos; if it does
+    not converge, or its eigenpairs fail the residual or kernel check, the
+    dense solve runs instead. Every returned embedding passed the residual
+    check."""
     n = L.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    eigenvalues, vectors = full_spectrum(L)
-    emb = embedding_from_spectrum(eigenvalues, vectors, k)
+    if n > _DENSE_MAX_N and k + 1 < n:
+        try:
+            emb = _signed(*_lanczos(L, k))
+            _check_residuals(L, emb)
+            _check_kernel(L, emb)
+            return emb
+        except (ArpackError, NumericError):
+            pass  # the dense solve below is exact where Lanczos falls short
+    try:
+        eigenvalues, vectors = np.linalg.eigh(L.matrix.toarray())
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    emb = _signed(eigenvalues[:k], vectors[:, :k])
     _check_residuals(L, emb)
     return emb
 
 
+def _lanczos(L: Laplacian, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest eigenpairs of L, ascending, as the k largest of
+    c*I - L with c = 2 * max degree, which bounds L's spectrum (Gershgorin),
+    so the wanted end is the largest and no factorization is needed."""
+    n = L.n
+    c = 2.0 * float(L.matrix.diagonal().max())
+    # a fixed start vector: ARPACK's default one is random on every call, and
+    # the constant vector is an eigenvector of L, so its Krylov space is
+    # one-dimensional
+    v0 = np.random.default_rng(0).standard_normal(n)
+    mu, vectors = eigsh(sp.eye_array(n, format="csr") * c - L.matrix, k=k, which="LA",
+                        tol=1e-12, v0=v0)
+    return (c - mu)[::-1], vectors[:, ::-1]
+
+
+def _signed(eigenvalues: np.ndarray, vectors: np.ndarray) -> Embedding:
+    U = vectors.copy()
+    for col in range(U.shape[1]):
+        v = U[:, col]
+        nonzero = np.flatnonzero(np.abs(v) > 1e-12 * max(1.0, np.abs(v).max()))
+        if nonzero.size and v[nonzero[0]] < 0:
+            U[:, col] = -v
+    return Embedding(U, eigenvalues.copy())
+
+
+def _scale(L: Laplacian) -> float:
+    return float(np.abs(L.matrix.data).max(initial=1.0))
+
+
 def _check_residuals(L: Laplacian, emb: Embedding, tol: float = 1e-6) -> None:
-    scale = max(1.0, float(np.abs(L.matrix).max()))
-    for i in range(emb.U.shape[1]):
-        u = emb.U[:, i]
-        residual = np.linalg.norm(L.matrix @ u - emb.eigenvalues[i] * u)
-        if residual > tol * scale:
-            raise NumericError(f"eigenpair {i} residual {residual:.3e} exceeds tolerance")
+    residuals = np.linalg.norm(L.matrix @ emb.U - emb.U * emb.eigenvalues, axis=0)
+    worst = int(residuals.argmax())
+    if residuals[worst] > tol * _scale(L):
+        raise NumericError(f"eigenpair {worst} residual {residuals[worst]:.3e} exceeds tolerance")
+
+
+def _check_kernel(L: Laplacian, emb: Embedding, tol: float = 1e-6) -> None:
+    """Lanczos can miss copies of a repeated eigenvalue and still return
+    exact eigenpairs. Eigenvalue 0 has one copy per connected component, so
+    the embedding must hold min(k, components) of them."""
+    components = connected_components(L.matrix, directed=False, return_labels=False)
+    zeros = int(np.count_nonzero(np.abs(emb.eigenvalues) <= tol * _scale(L)))
+    if zeros < min(emb.U.shape[1], components):
+        raise NumericError(f"{zeros} zero eigenvalues found for {components} components")
 
 
 # Restarts per Lloyd batch are capped so the (R, n, k, d) distance temporary
@@ -137,6 +179,11 @@ def kmeans(points: np.ndarray, k: int, seed: int, n_restarts: int = 10,
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if not np.isfinite(pts).all():
         raise NumericError("k-means points contain NaN or inf")
+    with np.errstate(over="ignore"):
+        # bounds every squared distance, and the sum of n of them
+        bound = n * float(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum())
+    if not np.isfinite(bound):
+        raise NumericError("k-means squared distances overflow float64")
     if np.unique(pts, axis=0).shape[0] < k:
         raise NumericError("k exceeds distinct embedded points")
     rng = np.random.default_rng(seed)

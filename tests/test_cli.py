@@ -114,6 +114,13 @@ def test_data_error_exit_code(tmp_path):
     assert run("ingest-check", "--calls", str(tmp_path / "missing.csv")) == 2
 
 
+def test_invalid_utf8_is_data_error_naming_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"f,g,A,B,int,int\n\xff,g,A,B,int,int\n")
+    assert run("ingest-check", "--calls", str(bad)) == 2
+    assert "bad.csv:2: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_k_too_large_is_data_error(tmp_path):
     sysdir = synth_system(tmp_path)
     assert run("evaluate", "--calls", str(sysdir / "calls.csv"),
@@ -159,7 +166,11 @@ def test_ingest_check_self_calls_compare_fields(tmp_path, capsys):
     (["--n-classes", "4", "--n-blocks", "5"], "--n-blocks"),
     (["--n-classes", "4", "--n-blocks", "2", "--intra", "2"], "--intra"),
     (["--n-classes", "4", "--n-blocks", "2", "--inter", "-0.1"], "--inter"),
-], ids=["n-classes-0", "n-blocks-0", "n-blocks-above-n-classes", "intra-2", "inter-negative"])
+    (["--n-classes", "4", "--n-blocks", "2", "--intra", "nan"], "--intra"),
+    (["--n-classes", "4", "--n-blocks", "2", "--inter", "nan"], "--inter"),
+    (["--n-classes", "4", "--n-blocks", "2", "--seed", "-1"], "--seed"),
+], ids=["n-classes-0", "n-blocks-0", "n-blocks-above-n-classes", "intra-2", "inter-negative",
+        "intra-nan", "inter-nan", "seed-negative"])
 def test_bad_synth_flag_is_usage_error_naming_the_flag(tmp_path, capsys, args, flag):
     assert run("synth", *args, "--out", str(tmp_path / "sys")) == 1
     assert flag in capsys.readouterr().err
@@ -182,8 +193,11 @@ def test_ingest_check_rejects_bad_size_model(tmp_path, capsys):
     (["evaluate", "--k", "2", "--size-model", "alignment=3"], "--size-model"),
     (["sweep", "--modes", ","], "--modes"),
     (["sweep", "--modes", "static,static"], "--modes"),
+    (["evaluate", "--k", "2", "--seed", "-1"], "--seed"),
+    (["sweep", "--seed", "-1"], "--seed"),
 ], ids=["k-1", "k-min-1", "k-min-above-k-max", "epochs-0", "size-model-not-int",
-        "size-model-rejected", "modes-empty", "modes-repeated"])
+        "size-model-rejected", "modes-empty", "modes-repeated", "evaluate-seed-negative",
+        "sweep-seed-negative"])
 def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, args, flag):
     sysdir = synth_system(tmp_path)
     capsys.readouterr()  # discard synth output

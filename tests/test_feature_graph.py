@@ -1,7 +1,9 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from naive_oracles import naive_affinity
@@ -186,7 +188,7 @@ def test_affinity_sums_both_directions():
 
 def test_affinity_empty_graph_is_zero_matrix():
     W = to_affinity(FeatureGraph(["A", "B"], {}))
-    assert not W.entries.any()
+    assert not W.entries.toarray().any()
 
 
 def test_affinity_single_directed_edge():
@@ -233,13 +235,38 @@ def _weighted_graph(draw):
 def test_affinity_equals_edge_loop_bit_for_bit(g):
     W = to_affinity(g)
     assert W.vertex_ids == g.vertices
-    assert np.array_equal(W.entries.view(np.int64), naive_affinity(g).view(np.int64))
+    assert np.array_equal(W.entries.toarray().view(np.int64), naive_affinity(g).view(np.int64))
 
 
 def test_affinity_matrix_rejects_one_ulp_asymmetry():
     W = np.array([[0.0, 0.1, 2.0], [0.1, 0.0, 3.0], [2.0, 3.0, 0.0]])
     W[0, 1] = np.nextafter(W[0, 1], 1.0)
     with pytest.raises(ValueError, match="symmetric"):
+        AffinityMatrix(W, ["A", "B", "C"])
+
+
+def _one_ulp_off(W):
+    W.data[0] = np.nextafter(W.data[0], 1.0)
+
+
+def _negative(W):
+    W.data[:] = -W.data
+
+
+def _loaded_diagonal(W):
+    W.setdiag([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (_one_ulp_off, "symmetric"),
+    (_negative, "non-negative"),
+    (_loaded_diagonal, "zero diagonal"),
+], ids=["one-ulp-asymmetry", "negative-entry", "nonzero-diagonal"])
+def test_affinity_matrix_rejects_bad_csr_input(spoil, match):
+    W = sp.csr_array(np.array([[0.0, 0.1, 2.0], [0.1, 0.0, 3.0], [2.0, 3.0, 0.0]]))
+    AffinityMatrix(W.copy(), ["A", "B", "C"])
+    spoil(W)
+    with pytest.raises(ValueError, match=match):
         AffinityMatrix(W, ["A", "B", "C"])
 
 
@@ -262,6 +289,16 @@ def test_exports(tmp_path):
     assert doc["vertex_attrs"]["A"] == {"cpu_time": 1.0, "retained": 1.0}
     rows = (tmp_path / "aff.csv").read_text().splitlines()
     assert rows[0] == ",A,B,C"
+
+
+def test_affinity_csv_is_the_dense_matrix(tmp_path):
+    # W is sparse; the export still writes all n x n values
+    write_affinity_csv(to_affinity(_class_graph()), tmp_path / "aff.csv")
+    with open(tmp_path / "aff.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows] == ["", "A", "B", "C"]
+    assert all(len(row) == 4 for row in rows)
+    assert [("10.0" in field) for field in rows[1][1:]] == [False, True, False]
 
 
 def test_split_core_drops_isolated_vertices():

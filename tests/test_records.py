@@ -180,6 +180,18 @@ def test_empty_field_named_by_its_header_column(tmp_path):
         parse_call_log(p)
 
 
+@pytest.mark.parametrize("parse, first_line", [
+    (parse_call_log, b"f,g,A,B,int,int\n"),
+    (parse_perf_log, b"A,1.0,2.0\n"),
+    (parse_type_catalog, b"A: object\n"),
+], ids=["calls", "perf", "catalog"])
+def test_invalid_utf8_names_the_file_and_line(tmp_path, parse, first_line):
+    p = tmp_path / "log"
+    p.write_bytes(first_line + b"\xffB\n")
+    with pytest.raises(LogParseError, match=r"log:2: not valid UTF-8 \(byte 0xff\)"):
+        parse(p)
+
+
 # --- type catalog -----------------------------------------------------------
 
 
@@ -214,6 +226,14 @@ def test_catalog_cyclic_definitions_accepted(tmp_path):
     p.write_text("Node: object\n    Node\n    int\n")
     catalog = parse_type_catalog(p)
     assert catalog.lookup("Node") == ObjectLayout((TypeRef("Node"), TypeRef("int")))
+
+
+def test_catalog_with_crlf_line_ends(tmp_path):
+    text = "# types\nOrder: object # dto\n    int\n    Blob[]\nBlob: opaque 16\n"
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert parse_type_catalog(crlf).layouts == parse_type_catalog(lf).layouts
 
 
 def test_catalog_stray_indent_rejected(tmp_path):

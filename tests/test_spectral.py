@@ -2,7 +2,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from naive_oracles import _naive_lloyd_once, naive_kmeans
 from servicecut import spectral
@@ -34,21 +36,21 @@ def two_triangles():
 
 def test_laplacian_two_vertices():
     L = build_laplacian(affinity([[0, 1], [1, 0]]))
-    assert np.array_equal(L.matrix, [[1, -1], [-1, 1]])
+    assert np.array_equal(L.matrix.toarray(), [[1, -1], [-1, 1]])
 
 
 def test_laplacian_zero_affinity():
     L = build_laplacian(affinity(np.zeros((3, 3))))
-    assert not L.matrix.any()
-    vals, _ = np.linalg.eigh(L.matrix)
+    assert not L.matrix.toarray().any()
+    vals, _ = np.linalg.eigh(L.matrix.toarray())
     assert np.allclose(vals, 0)
 
 
 def test_laplacian_path_graph():
     W = affinity([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     L = build_laplacian(W)
-    assert np.array_equal(np.diag(L.matrix), [1, 2, 1])
-    assert np.array_equal(L.matrix, np.diag([1, 2, 1]) - W.entries)
+    assert np.array_equal(np.diag(L.matrix.toarray()), [1, 2, 1])
+    assert np.array_equal(L.matrix.toarray(), np.diag([1, 2, 1]) - W.entries.toarray())
 
 
 def test_laplacian_empty_graph_error():
@@ -115,6 +117,116 @@ def test_embed_k_bounds():
         embed(L, 3)
 
 
+# --- the sparse solve above the dense threshold ----------------------------
+
+
+def planted_affinity(n, blocks, seed):
+    """Sparse weighted graph on n vertices with planted blocks."""
+    rng = np.random.default_rng(seed)
+    block = np.arange(n) * blocks // n
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(i.size) < np.where(block[i] == block[j], 0.05, 0.002)
+    w = rng.random(int(keep.sum())) * 10 + 0.1
+    A = sp.csr_array((w, (i[keep], j[keep])), shape=(n, n))
+    return AffinityMatrix(A + A.T, [f"v{x:04d}" for x in range(n)])
+
+
+def disjoint_cliques(count, size):
+    W = sp.block_diag([np.ones((size, size)) - np.eye(size)] * count, format="csr")
+    return AffinityMatrix(W, [f"v{x:04d}" for x in range(count * size)])
+
+
+@pytest.fixture(scope="module")
+def large_laplacian():
+    L = build_laplacian(planted_affinity(1200, 12, seed=0))
+    assert L.n > spectral._DENSE_MAX_N
+    return L
+
+
+def dense_embed(L, k, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_DENSE_MAX_N", L.n)
+        m.setattr(spectral, "eigsh", None)  # must not be reached
+        return embed(L, k)
+
+
+@pytest.fixture
+def residual_checks(monkeypatch):
+    """Records whether each residual check passed."""
+    outcomes = []
+    check = spectral._check_residuals
+
+    def recording(L, emb):
+        try:
+            check(L, emb)
+        except NumericError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+
+    monkeypatch.setattr(spectral, "_check_residuals", recording)
+    return outcomes
+
+
+def test_lanczos_agrees_with_dense_eigh(large_laplacian, residual_checks, monkeypatch):
+    calls = []
+    solve = spectral.eigsh
+    monkeypatch.setattr(spectral, "eigsh", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    sparse = embed(large_laplacian, 12)
+    assert calls == [1]
+    assert residual_checks == [True]
+    dense = dense_embed(large_laplacian, 12, monkeypatch)
+    assert residual_checks == [True, True]
+    assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() < 1e-9
+    assert np.array_equal(kmeans(sparse.U, 12, 0), kmeans(dense.U, 12, 0))
+
+
+def test_lanczos_without_convergence_falls_back_to_dense(large_laplacian, residual_checks,
+                                                         monkeypatch):
+    def no_convergence(A, k, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((A.shape[0], 0)))
+
+    monkeypatch.setattr(spectral, "eigsh", no_convergence)
+    got = embed(large_laplacian, 5)
+    assert residual_checks == [True]
+    dense = dense_embed(large_laplacian, 5, monkeypatch)
+    assert got.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+    assert got.U.tobytes() == dense.U.tobytes()
+
+
+def test_lanczos_failing_the_residual_check_falls_back_to_dense(large_laplacian,
+                                                                residual_checks, monkeypatch):
+    solve = spectral.eigsh
+
+    def inexact(*args, **kwargs):
+        mu, vectors = solve(*args, **kwargs)
+        return mu, vectors + 1e-3
+
+    monkeypatch.setattr(spectral, "eigsh", inexact)
+    got = embed(large_laplacian, 5)
+    assert residual_checks == [False, True]
+    dense = dense_embed(large_laplacian, 5, monkeypatch)
+    assert got.U.tobytes() == dense.U.tobytes()
+
+
+def test_many_components_above_the_threshold():
+    W = disjoint_cliques(40, 30)
+    emb = embed(build_laplacian(W), 40)
+    assert np.abs(emb.eigenvalues).max() < 1e-8
+    groups = extract_candidates(W, 40, seed=0).candidates()
+    assert sorted(groups) == [W.vertex_ids[30 * c:30 * c + 30] for c in range(40)]
+
+
+def test_zero_eigenvalues_lanczos_misses_come_from_the_dense_solve():
+    # 600 pairs with distinct weights: Lanczos from one start vector returns
+    # exact eigenpairs but only some of the 60 wanted copies of eigenvalue 0;
+    # the kernel check sends the solve to the dense path
+    w = np.random.default_rng(0).random(600) * 10 + 0.1
+    A = sp.csr_array((w, (np.arange(0, 1200, 2), np.arange(1, 1200, 2))), shape=(1200, 1200))
+    emb = embed(build_laplacian(AffinityMatrix(A + A.T, [f"v{x:04d}" for x in range(1200)])), 60)
+    assert np.abs(emb.eigenvalues).max() < 1e-8
+
+
 def test_kmeans_separated_clusters():
     pts = np.array([[0, 0]] * 3 + [[10, 10]] * 3, dtype=float)
     labels = kmeans(pts, 2, seed=1)
@@ -149,6 +261,12 @@ def test_kmeans_rejects_non_finite_points(bad, monkeypatch):
     pts = np.array([[0.0], [bad], [1.0]])
     with pytest.raises(NumericError, match="NaN or inf"):
         kmeans(pts, 2, seed=0)
+
+
+def test_kmeans_rejects_overflowing_distances(monkeypatch):
+    monkeypatch.setattr(spectral, "_kmeanspp_init", None)  # must not be reached
+    with pytest.raises(NumericError, match="overflow"):
+        kmeans(np.array([[0.0], [1e200], [2e200]]), 2, seed=0)
 
 
 @st.composite
