@@ -16,7 +16,7 @@ import click
 from . import feature_graph as fg
 from .cost_model import SizeModel
 from .metrics import report_to_json_str
-from .oracle import brute_force_best
+from .oracle import MAX_VERTICES, brute_force_best
 from .pipeline import (
     DEFAULT_MODES,
     MODES,
@@ -55,8 +55,7 @@ def _parse_size_model(pairs: tuple[str, ...]) -> SizeModel:
         key, value = pair.split("=", 1)
         if key not in _SIZE_MODEL_FIELDS:
             raise click.UsageError(
-                f"--size-model: unknown field {key!r}; choose from {sorted(_SIZE_MODEL_FIELDS)}"
-            )
+                f"--size-model: unknown field {key!r}; choose from {sorted(_SIZE_MODEL_FIELDS)}")
         try:
             overrides[key] = int(value)
         except ValueError:
@@ -66,6 +65,16 @@ def _parse_size_model(pairs: tuple[str, ...]) -> SizeModel:
         return SizeModel(**overrides)
     except ValueError as exc:
         raise click.UsageError(f"--size-model: {exc}") from exc
+
+
+def _check_k(inputs: PipelineInputs, flag: str, k: int) -> int:
+    """The count of classes with a cross-class call, the non-isolated vertices
+    every mode clusters; a data error naming ``flag`` if ``k`` exceeds it."""
+    n = len({c for r in inputs.calls if r.caller_class != r.callee_class
+             for c in (r.caller_class, r.callee_class)})
+    if k > n:
+        raise ValueError(f"{flag} {k} exceeds the {n} non-isolated class vertices")
+    return n
 
 
 def _common_options(fn):
@@ -134,17 +143,15 @@ def evaluate(calls_path, perf_path, catalog_path, size_model, raw_attrs,
     """Cluster and score: writes partition plus a quality report."""
     model = _parse_size_model(size_model)
     inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
+    _check_k(inputs, "--k", k)
     partition, report = run_pipeline(inputs, mode, k, seed, model, not raw_attrs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "partition.json").write_text(
-        json.dumps(partition.to_json(seed=seed), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    (out / "partition.json").write_text(json.dumps(partition.to_json(seed=seed), indent=2,
+                                                   sort_keys=True) + "\n", encoding="utf-8")
     if fmt == "csv":
         (out / "report.csv").write_text(
-            report.csv_header() + "\n" + report.to_csv_row() + "\n", encoding="utf-8"
-        )
+            report.csv_header() + "\n" + report.to_csv_row() + "\n", encoding="utf-8")
     else:
         (out / "report.json").write_text(report_to_json_str(report), encoding="utf-8")
     click.echo(f"MQ={report.mq:.4f} MQw={report.mqw:.4f} cut={report.cut:.2f}")
@@ -174,6 +181,7 @@ def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
         raise click.UsageError(f"--k-min {k_min} exceeds --k-max {k_max}")
     model = _parse_size_model(size_model)
     inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
+    _check_k(inputs, "--k-max", k_max)
     result = sweep(inputs, mode_list, k_min, k_max, epochs, base_seed, model, not raw_attrs)
     write_sweep_outputs(result, out_dir)
     for mode, k in sorted(result.best_k.items()):
@@ -219,6 +227,8 @@ def oracle_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
     """Exhaustive best partition of a small system (<= 10 classes)."""
     model = _parse_size_model(size_model)
     inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
+    if _check_k(inputs, "--k", k) > MAX_VERTICES:
+        raise ValueError(f"--calls: more than {MAX_VERTICES} non-isolated classes for the oracle")
     g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, mode, model, not raw_attrs)
     partition, value = brute_force_best(g, k, objective)
     click.echo(json.dumps({"objective": objective, "value": value,
@@ -233,6 +243,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except click.Abort:
         return EXIT_USAGE
+    except OverflowError as exc:
+        # only raw perf values or catalog sizes make weights this large
+        click.echo(f"data error: {exc}; the weights come from the --type-catalog sizes and, "
+                   "with --raw-attrs, the --perf values", err=True)
+        return EXIT_DATA
     except (OSError, ValueError) as exc:
         click.echo(f"data error: {exc}", err=True)
         return EXIT_DATA

@@ -68,10 +68,8 @@ def _estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel,
     if t.array_rank > 0:
         element = TypeRef(t.name, t.array_rank - 1)
         if element.array_rank == 0 and element.name in PRIMITIVE_SIZES:
-            if element.name == "boolean":
-                elem_size = BOOLEAN_ARRAY_ELEMENT_SIZE
-            else:
-                elem_size = PRIMITIVE_SIZES[element.name]
+            elem_size = (BOOLEAN_ARRAY_ELEMENT_SIZE if element.name == "boolean"
+                         else PRIMITIVE_SIZES[element.name])
         else:
             elem_size = _estimate(element, catalog, model, depth + 1, visiting)
         return model.align(model.header_array + model.assumed_array_len * elem_size)
@@ -87,7 +85,5 @@ def _estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel,
     if depth >= model.max_depth or t.name in visiting:
         return model.ref_slot
     visiting = visiting | {t.name}
-    data = 0
-    for f in layout.fields:
-        data += _estimate(f, catalog, model, depth + 1, visiting)
+    data = sum(_estimate(f, catalog, model, depth + 1, visiting) for f in layout.fields)
     return model.align(model.header_plain + data)

@@ -51,9 +51,8 @@ class FeatureGraph:
     def without_vertices(self, drop: set[str]) -> "FeatureGraph":
         keep = [v for v in self.vertices if v not in drop]
         edges = {e: w for e, w in self.edges.items() if e[0] not in drop and e[1] not in drop}
-        attrs = None
-        if self.vertex_attrs is not None:
-            attrs = {v: a for v, a in self.vertex_attrs.items() if v not in drop}
+        attrs = None if self.vertex_attrs is None else {
+            v: a for v, a in self.vertex_attrs.items() if v not in drop}
         return FeatureGraph(keep, edges, attrs, self.self_calls_dropped)
 
 
@@ -81,6 +80,9 @@ class AffinityMatrix:
             raise ValueError("affinity matrix must be non-negative")
         if W.diagonal().any():
             raise ValueError("affinity matrix must have zero diagonal")
+        with np.errstate(over="ignore"):  # reported just below
+            if not np.isfinite(W.sum(axis=1)).all():
+                raise OverflowError("affinity degrees overflow float64")
         self.entries = W
 
     @property
@@ -148,6 +150,8 @@ def fuse(g: FeatureGraph) -> FeatureGraph:
     for (i, j), w in g.edges.items():
         t, r = g.vertex_attrs[j]
         edges[(i, j)] = w * (t + r + 1.0)
+        if edges[(i, j)] == math.inf:
+            raise OverflowError(f"fused weight of ({i!r}, {j!r}) overflows float64")
     return replace(g, edges=edges)
 
 
@@ -221,4 +225,4 @@ def write_affinity_csv(W: AffinityMatrix, path: str | Path) -> None:
         writer.writerow([""] + W.vertex_ids)
         # the dense n x n export; W itself stays sparse
         for vid, row in zip(W.vertex_ids, W.entries.toarray()):
-            writer.writerow([vid] + [repr(x) for x in row])
+            writer.writerow([vid] + [repr(float(x)) for x in row])

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import attrgetter
 
 import numpy as np
 
@@ -69,93 +71,105 @@ class QualityReport:
 
 
 def label_stats(labels: np.ndarray, k: int, edges: tuple[np.ndarray, np.ndarray, np.ndarray]):
-    """Per-cluster sizes, intra edge counts/weights, and pairwise inter
-    counts/weights (both directions aggregated) of the vertices' cluster
-    ``labels`` (-1: not scored) over ``edge_arrays``. ``np.bincount`` adds
-    the weights in edge order, so the sums are those of a loop over the
-    edges; the pairs are listed in the order they first occur."""
+    """Statistics of each row of the (P, n) cluster ``labels`` (-1: not
+    scored) over ``edge_arrays``: (P, k) sizes and intra edge counts/weights,
+    (P, k, k) inter counts/weights at [i, j], i < j (both directions
+    aggregated), and the (P,) cut, the summed weight of the edges between
+    clusters. Each row's bins are offset by its index, so one ``np.bincount``
+    serves all rows, and it adds the weights in edge order: the sums are
+    those of a loop over the edges."""
     src, dst, w = edges
-    ci, cj = labels[src], labels[dst]
+    P = labels.shape[0]
+    row = np.arange(P)[:, None]
+    ci, cj = labels[:, src], labels[:, dst]
     scored = (ci >= 0) & (cj >= 0)
-    ci, cj, w = ci[scored], cj[scored], w[scored]
-    intra = ci == cj
-    sizes = np.bincount(labels[labels >= 0], minlength=k)
-    u = np.bincount(ci[intra], minlength=k)
-    uw = np.bincount(ci[intra], weights=w[intra], minlength=k)
-    pair = np.minimum(ci, cj)[~intra] * k + np.maximum(ci, cj)[~intra]
-    sigma_all = np.bincount(pair, minlength=k * k)
-    sigmaw_all = np.bincount(pair, weights=w[~intra], minlength=k * k)
-    present, first = np.unique(pair, return_index=True)
-    sigma, sigmaw = {}, {}
-    for pr in present[np.argsort(first)].tolist():
-        sigma[divmod(pr, k)] = int(sigma_all[pr])
-        sigmaw[divmod(pr, k)] = float(sigmaw_all[pr])
-    return sizes.tolist(), u.tolist(), uw.tolist(), sigma, sigmaw
+    intra, inter = scored & (ci == cj), scored & (ci != cj)
+    w = np.broadcast_to(w, ci.shape)
+    sizes = np.bincount((labels + k * row)[labels >= 0], minlength=P * k).reshape(P, k)
+    key = (ci + k * row)[intra]
+    u = np.bincount(key, minlength=P * k).reshape(P, k)
+    uw = np.bincount(key, weights=w[intra], minlength=P * k).reshape(P, k)
+    pair = (np.minimum(ci, cj) * k + np.maximum(ci, cj) + k * k * row)[inter]
+    sigma = np.bincount(pair, minlength=P * k * k).reshape(P, k, k)
+    sigmaw = np.bincount(pair, weights=w[inter], minlength=P * k * k).reshape(P, k, k)
+    cut = np.bincount(np.broadcast_to(row, ci.shape)[inter], weights=w[inter], minlength=P)
+    return sizes, u, uw, sigma, sigmaw, cut
 
 
-def _cluster_stats(p: Partition, g: FeatureGraph):
-    """``label_stats`` of a partition over the graph's edges; vertices the
-    partition leaves unassigned are not scored."""
-    absent = p.labels.keys() - set(g.vertices)
-    if absent:
-        raise ValueError(f"partition references vertex {min(absent)!r} absent from graph")
-    labels = np.array([p.labels.get(v, -1) for v in g.vertices], dtype=np.intp)
-    return label_stats(labels, p.k, edge_arrays(g))
+def _ratio(num, denom):
+    # ratios are within [0, 1] by construction; clamp float roundoff
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0, np.minimum(1.0, num / denom), 0.0)
 
 
 def _quality(k, sizes, u, uw, sigma, sigmaw):
-    """Cohesion, pairwise coupling and their difference:
-
-    coh_i = u'_i / (N_i^2 + u'_i - u_i)
-    cop_ij = sigma'_ij / (2 N_i N_j + sigma'_ij - sigma_ij)
-
-    With the counts standing in for the weights (u' = u, sigma' = sigma)
-    these are MQ's u_i / N_i^2 and sigma_ij / (2 N_i N_j)."""
-    coh = []
-    for i in range(k):
-        denom = sizes[i] ** 2 + uw[i] - u[i]
-        # ratios are within [0, 1] by construction; clamp float roundoff
-        coh.append(min(1.0, uw[i] / denom) if denom > 0 else 0.0)
-    cop = {}
-    for i, j in combinations(range(k), 2):
-        s, sw = sigma.get((i, j), 0), sigmaw.get((i, j), 0.0)
-        denom = 2 * sizes[i] * sizes[j] + sw - s
-        cop[(i, j)] = min(1.0, sw / denom) if denom > 0 else 0.0
-    value = sum(coh) / k
+    """Cohesion coh_i = u'_i / (N_i^2 + u'_i - u_i), pairwise coupling
+    cop_ij = sigma'_ij / (2 N_i N_j + sigma'_ij - sigma_ij) and their
+    difference, for each row of ``label_stats``. With the counts standing in
+    for the weights these are MQ's u_i / N_i^2 and sigma_ij / (2 N_i N_j).
+    Returns (P, k) coh, (P, k(k-1)/2) cop in ``combinations`` order and (P,)
+    values. The means add left to right, as ``sum`` does; ``ndarray.sum``
+    adds pairwise, which moves bits from 8 terms up."""
+    coh = _ratio(uw, sizes ** 2 + uw - u)
+    i, j = np.triu_indices(k, 1)
+    s, sw = sigma[:, i, j], sigmaw[:, i, j]
+    cop = _ratio(sw, 2 * sizes[:, i] * sizes[:, j] + sw - s)
+    value = reduce(np.add, coh.T) / k
     if k > 1:
-        value -= sum(cop.values()) / (k * (k - 1) / 2)
+        value = value - reduce(np.add, cop.T) / (k * (k - 1) / 2)
     return coh, cop, value
 
 
-def mq(p: Partition, g: FeatureGraph) -> tuple[list[float], dict[tuple[int, int], float], float]:
-    """Unweighted modularity quality: mean cohesion minus mean pairwise
-    coupling. coh_i = u_i / N_i^2, cop_ij = sigma_ij / (2 N_i N_j)."""
-    sizes, u, _, sigma, _ = _cluster_stats(p, g)
-    return _quality(p.k, sizes, u, u, sigma, sigma)
+# Each (rows, edges) temporary of a ``batch_scores`` chunk holds at most this many values.
+_CHUNK_VALUES = 2 ** 16
 
 
-def mqw(p: Partition, g: FeatureGraph) -> tuple[list[float], dict[tuple[int, int], float], float]:
-    """Weighted modularity quality; collapses exactly to MQ on unit weights."""
-    return _quality(p.k, *_cluster_stats(p, g))
-
-
-def cut_value(p: Partition, g: FeatureGraph) -> float:
-    """Summed weight of the directed edges between candidates."""
-    return sum(_cluster_stats(p, g)[4].values(), 0.0)
+def batch_scores(labels: np.ndarray, k: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """(P,) MQw and (P,) cut of each row of the (P, n) cluster ``labels``,
+    scored in chunks of rows."""
+    rows = max(1, _CHUNK_VALUES // max(1, edges[0].size))
+    mqw_values, cuts = [], []
+    for start in range(0, labels.shape[0], rows):
+        *stats, cut = label_stats(labels[start:start + rows], k, edges)
+        mqw_values.append(_quality(k, *stats)[2])
+        cuts.append(cut)
+    return np.concatenate(mqw_values), np.concatenate(cuts)
 
 
 def score(p: Partition, g: FeatureGraph, mode: str) -> QualityReport:
     """Assemble a full QualityReport from one pass over the mode graph's
     edges: MQ from the edge counts, MQw from counts and weights, and the cut
-    from the weights between candidates."""
-    sizes, u, uw, sigma, sigmaw = _cluster_stats(p, g)
+    from the weights between candidates. Vertices the partition leaves
+    unassigned are not scored."""
+    absent = p.labels.keys() - set(g.vertices)
+    if absent:
+        raise ValueError(f"partition references vertex {min(absent)!r} absent from graph")
+    labels = np.array([[p.labels.get(v, -1) for v in g.vertices]], dtype=np.intp)
+    sizes, u, uw, sigma, sigmaw, cut = label_stats(labels, p.k, edge_arrays(g))
+    pairs = list(combinations(range(p.k), 2))
     coh, cop, mq_value = _quality(p.k, sizes, u, u, sigma, sigma)
     coh_w, cop_w, mqw_value = _quality(p.k, sizes, u, uw, sigma, sigmaw)
     return QualityReport(
-        coh=coh, cop=cop, mq=mq_value,
-        coh_w=coh_w, cop_w=cop_w, mqw=mqw_value,
-        cut=sum(sigmaw.values(), 0.0), k=p.k, mode=mode,
+        coh=coh[0].tolist(), cop=dict(zip(pairs, cop[0].tolist())), mq=float(mq_value[0]),
+        coh_w=coh_w[0].tolist(), cop_w=dict(zip(pairs, cop_w[0].tolist())),
+        mqw=float(mqw_value[0]), cut=float(cut[0]), k=p.k, mode=mode,
     )
+
+
+def mq(p: Partition, g: FeatureGraph) -> tuple[list[float], dict[tuple[int, int], float], float]:
+    """Unweighted modularity quality: mean cohesion minus mean pairwise
+    coupling. coh_i = u_i / N_i^2, cop_ij = sigma_ij / (2 N_i N_j)."""
+    return attrgetter("coh", "cop", "mq")(score(p, g, ""))
+
+
+def mqw(p: Partition, g: FeatureGraph) -> tuple[list[float], dict[tuple[int, int], float], float]:
+    """Weighted modularity quality; collapses exactly to MQ on unit weights."""
+    return attrgetter("coh_w", "cop_w", "mqw")(score(p, g, ""))
+
+
+def cut_value(p: Partition, g: FeatureGraph) -> float:
+    """Summed weight of the directed edges between candidates, in edge order."""
+    return score(p, g, "").cut
 
 
 def report_to_json_str(report: QualityReport) -> str:

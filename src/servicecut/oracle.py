@@ -3,31 +3,29 @@ check on what the spectral pipeline returns."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import numpy as np
 
-from .feature_graph import FeatureGraph, split_core
-from .metrics import cut_value, mqw
-from .spectral import Partition, canonicalize
+from .feature_graph import FeatureGraph, edge_arrays, split_core
+from .metrics import batch_scores
+from .spectral import Partition
 
 MAX_VERTICES = 10
 
 
-def restricted_growth_strings(n: int, k: int) -> Iterator[list[int]]:
-    """All surjective labelings of n items onto exactly k labels, in
-    canonical first-occurrence order (no label permutations)."""
-    labels = [0] * n
-
-    def rec(i: int, used: int):
-        if i == n:
-            if used == k:
-                yield list(labels)
-            return
-        for c in range(min(used + 1, k)):
-            labels[i] = c
-            yield from rec(i + 1, used + (1 if c == used else 0))
-
-    if 1 <= k <= n:
-        yield from rec(0, 0)
+def restricted_growth_strings(n: int, k: int) -> np.ndarray:
+    """(P, n) rows of all surjective labelings of n items onto exactly k
+    labels, in canonical first-occurrence order (no label permutations),
+    listed lexicographically."""
+    if not 1 <= k <= n:
+        return np.empty((0, n), dtype=np.intp)
+    rows = np.zeros((1, 1), dtype=np.intp)
+    for _ in range(n - 1):
+        # each prefix, in order, extended by every label up to one past its largest
+        choices = np.minimum(rows.max(axis=1) + 2, k)
+        starts = np.repeat(np.cumsum(choices) - choices, choices)
+        rows = np.column_stack([np.repeat(rows, choices, axis=0),
+                                np.arange(choices.sum()) - starts])
+    return rows[rows.max(axis=1) == k - 1]
 
 
 def brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Partition, float]:
@@ -43,16 +41,11 @@ def brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Partition
     verts = core.vertices
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    best_p, best_v = None, None
-    for labels in restricted_growth_strings(n, k):
-        p = canonicalize(dict(zip(verts, labels)), k)
-        if objective == "mqw":
-            value = mqw(p, core)[2]
-            better = best_v is None or value > best_v
-        else:
-            value = cut_value(p, core)
-            better = best_v is None or value < best_v
-        if better:
-            best_p, best_v = p, value
-    best_p.unassigned = set(isolated)
-    return best_p, best_v
+    labels = restricted_growth_strings(n, k)
+    mqw_values, cuts = batch_scores(labels, k, edge_arrays(core))
+    # the first best in enumeration order
+    best = int(mqw_values.argmax() if objective == "mqw" else cuts.argmin())
+    value = mqw_values[best] if objective == "mqw" else cuts[best]
+    # the strings number the parts in first-occurrence order over the sorted
+    # vertices, which is smallest-vertex-id order: the canonical labeling
+    return Partition(dict(zip(verts, labels[best].tolist())), k, set(isolated)), float(value)

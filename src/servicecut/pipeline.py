@@ -23,7 +23,7 @@ from .feature_graph import (
     split_core,
     unit_structure,
 )
-from .metrics import QualityReport, _quality, label_stats, score
+from .metrics import QualityReport, batch_scores, score
 from .records import (
     CallRecord,
     PerfRecord,
@@ -32,7 +32,8 @@ from .records import (
     parse_perf_log,
     parse_type_catalog,
 )
-from .spectral import Partition, build_laplacian, embed, extract_candidates, kmeans
+from .spectral import (Partition, build_laplacian, embed, extract_candidates, first_occurrence,
+                       kmeans)
 
 MODES = ("static", "fusion", "dynamic")
 DEFAULT_MODES = ("static", "fusion")  # dynamic-only is behind a flag
@@ -111,12 +112,8 @@ class SweepResult:
 
     @property
     def best_k(self) -> dict[str, int]:
-        medians = self.medians
-        out = {}
-        for mode in self.modes:
-            ks = range(self.k_range[0], self.k_range[1] + 1)
-            out[mode] = max(ks, key=lambda k: (medians[(mode, k)], -k))
-        return out
+        medians, ks = self.medians, range(self.k_range[0], self.k_range[1] + 1)
+        return {mode: max(ks, key=lambda k: (medians[(mode, k)], -k)) for mode in self.modes}
 
     def to_json(self) -> dict:
         return {
@@ -150,9 +147,9 @@ def sweep_graph(
 ) -> dict[tuple[str, int], list[float]]:
     """Sweep one mode's graph over k. The k_max-column embedding and the
     core's edge arrays are computed once; each (k, epoch) only re-runs seeded
-    k-means on the first k columns and scores MQw. Clusters are renumbered
-    by first occurrence, which is ``canonicalize``'s smallest-vertex-id order
-    because the rows follow the sorted vertex ids."""
+    k-means on the first k columns, and each k scores the MQw of all its
+    epochs at once. Clusters are renumbered by first occurrence, which is
+    smallest-vertex-id order because the rows follow the sorted vertex ids."""
     core, W, _ = split_core(g)
     if k_max > W.n:
         raise ValueError(f"k_max={k_max} exceeds the {W.n} non-isolated class vertices")
@@ -161,14 +158,9 @@ def sweep_graph(
     out: dict[tuple[str, int], list[float]] = {}
     for k in range(k_min, k_max + 1):
         U = emb.U[:, :k].copy()
-        values = []
-        for epoch in range(epochs):
-            raw = kmeans(U, k, epoch_seed(base_seed, mode, k, epoch))
-            _, first = np.unique(raw, return_index=True)
-            rank = np.empty(k, dtype=np.intp)
-            rank[np.argsort(first)] = np.arange(k)
-            values.append(_quality(k, *label_stats(rank[raw], k, edges))[2])
-        out[(mode, k)] = values
+        raw = np.stack([kmeans(U, k, epoch_seed(base_seed, mode, k, epoch))
+                        for epoch in range(epochs)])
+        out[(mode, k)] = batch_scores(first_occurrence(raw, k), k, edges)[0].tolist()
     return out
 
 
@@ -186,6 +178,12 @@ def sweep(
         raise ValueError("modes names no mode")
     if len(set(modes)) < len(modes):
         raise ValueError(f"modes names a mode twice: {modes!r}")
+    if not 2 <= k_min <= k_max:
+        raise ValueError(f"k_min={k_min} must be in [2, k_max={k_max}]")
+    if epochs < 1:
+        raise ValueError(f"epochs={epochs} must be at least 1")
+    if base_seed < 0:
+        raise ValueError(f"base_seed={base_seed} must be non-negative")
     result = SweepResult(tuple(modes), (k_min, k_max), epochs, base_seed)
     for mode in modes:
         g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, mode, model, normalize)
@@ -198,8 +196,7 @@ def write_sweep_outputs(result: SweepResult, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(result.to_csv(), encoding="utf-8")
     (out / "sweep.json").write_text(
-        json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def partition_accuracy(pred: dict[str, int], truth: dict[str, int]) -> float:
@@ -208,12 +205,9 @@ def partition_accuracy(pred: dict[str, int], truth: dict[str, int]) -> float:
     keys = sorted(set(pred) & set(truth))
     if not keys:
         return 0.0
-    p_ids = sorted({pred[v] for v in keys})
-    t_ids = sorted({truth[v] for v in keys})
-    confusion = np.zeros((len(p_ids), len(t_ids)))
-    p_idx = {c: i for i, c in enumerate(p_ids)}
-    t_idx = {c: i for i, c in enumerate(t_ids)}
-    for v in keys:
-        confusion[p_idx[pred[v]], t_idx[truth[v]]] += 1
+    _, p = np.unique([pred[v] for v in keys], return_inverse=True)
+    _, t = np.unique([truth[v] for v in keys], return_inverse=True)
+    confusion = np.zeros((p.max() + 1, t.max() + 1))
+    np.add.at(confusion, (p, t), 1)
     rows, cols = linear_sum_assignment(-confusion)
     return float(confusion[rows, cols].sum()) / len(keys)

@@ -47,13 +47,9 @@ class LogParseError(ValueError):
     def __init__(self, message: str, path: str | Path | None = None, line: int | None = None):
         self.path = str(path) if path is not None else None
         self.line = line
-        prefix = ""
         if self.path is not None:
-            prefix = f"{self.path}:"
-            if line is not None:
-                prefix += f"{line}:"
-            prefix += " "
-        super().__init__(prefix + message)
+            message = f"{self.path}:" + (f"{line}:" if line is not None else "") + " " + message
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -211,9 +207,7 @@ def _read_rows(path: str | Path, header: tuple[str, ...]):
         (row,) = csv.reader([raw])
         row = tuple(f.strip() for f in row)
         if len(row) != len(header):
-            raise LogParseError(
-                f"expected {len(header)} columns, got {len(row)}", path, lineno
-            )
+            raise LogParseError(f"expected {len(header)} columns, got {len(row)}", path, lineno)
         if not first or row != header:
             yield lineno, row
         first = False
@@ -333,22 +327,12 @@ def format_params(params: tuple[TypeRef, ...]) -> str:
 
 def write_call_log(records: list[CallRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for r in records:
-            writer.writerow(
-                [
-                    r.caller_method,
-                    r.callee_method,
-                    r.caller_class,
-                    r.callee_class,
-                    format_params(r.caller_params),
-                    format_params(r.callee_params),
-                ]
-            )
+        csv.writer(fh).writerows(
+            [r.caller_method, r.callee_method, r.caller_class, r.callee_class,
+             format_params(r.caller_params), format_params(r.callee_params)] for r in records)
 
 
 def write_perf_log(records: list[PerfRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for r in records:
-            writer.writerow([r.class_id, repr(r.cpu_time), repr(r.retained_bytes)])
+        csv.writer(fh).writerows(
+            [r.class_id, repr(r.cpu_time), repr(r.retained_bytes)] for r in records)

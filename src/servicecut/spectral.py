@@ -137,9 +137,10 @@ def _scale(L: Laplacian) -> float:
 
 
 def _check_residuals(L: Laplacian, emb: Embedding, tol: float = 1e-6) -> None:
-    residuals = np.linalg.norm(L.matrix @ emb.U - emb.U * emb.eigenvalues, axis=0)
+    # relative to the largest entry, so the norm's squares cannot overflow
+    residuals = np.linalg.norm((L.matrix @ emb.U - emb.U * emb.eigenvalues) / _scale(L), axis=0)
     worst = int(residuals.argmax())
-    if residuals[worst] > tol * _scale(L):
+    if not residuals[worst] <= tol:
         raise NumericError(f"eigenpair {worst} residual {residuals[worst]:.3e} exceeds tolerance")
 
 
@@ -283,18 +284,18 @@ def extract_candidates(W: AffinityMatrix, k: int, seed: int) -> Partition:
     if not 2 <= k <= W.n:
         raise ValueError(f"k must be in [2, {W.n}], got {k}")
     emb = embed(build_laplacian(W), k)
-    raw = kmeans(emb.U, k, seed)
-    labels = dict(zip(W.vertex_ids, (int(c) for c in raw)))
-    return canonicalize(labels, k)
+    labels = first_occurrence(kmeans(emb.U, k, seed)[None], k)[0]
+    return Partition(dict(zip(W.vertex_ids, labels.tolist())), k)
 
 
-def canonicalize(labels: dict[str, int], k: int) -> Partition:
-    """Renumber clusters by their smallest contained vertex id so partitions
-    compare across runs regardless of k-means label permutation."""
-    rep = {}
-    for v, c in labels.items():
-        if c not in rep or v < rep[c]:
-            rep[c] = v
-    order = sorted(rep, key=lambda c: rep[c])
-    remap = {c: i for i, c in enumerate(order)}
-    return Partition({v: remap[c] for v, c in labels.items()}, k)
+def first_occurrence(labels: np.ndarray, k: int) -> np.ndarray:
+    """Renumber the clusters of each row of (P, n) ``labels`` in the order
+    they first occur along the row, so partitions compare across runs
+    regardless of k-means label permutation. Rows that follow the sorted
+    vertex ids are numbered by each cluster's smallest vertex id."""
+    P, n = labels.shape
+    first = np.full(P * k, n)
+    present, at = np.unique(labels + k * np.arange(P)[:, None], return_index=True)
+    first[present] = at % n
+    rank = np.argsort(np.argsort(first.reshape(P, k), axis=1), axis=1)
+    return np.take_along_axis(rank, labels, axis=1)

@@ -128,8 +128,6 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> tuple[Path, Path, Pa
     blocks: list[list[str]] = [[] for _ in range(spec.n_blocks)]
     for c in sorted(truth):
         blocks[truth[c]].append(c)
-    truth_path.write_text(
-        json.dumps({"n_blocks": spec.n_blocks, "blocks": blocks}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    truth_path.write_text(json.dumps({"n_blocks": spec.n_blocks, "blocks": blocks}, indent=2,
+                                     sort_keys=True) + "\n", encoding="utf-8")
     return calls_path, perf_path, truth_path

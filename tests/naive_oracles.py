@@ -12,7 +12,10 @@ from itertools import combinations
 
 import numpy as np
 
-from servicecut.spectral import NumericError
+from servicecut.feature_graph import FeatureGraph, split_core
+from servicecut.metrics import cut_value, mqw
+from servicecut.oracle import MAX_VERTICES, restricted_growth_strings
+from servicecut.spectral import NumericError, Partition
 
 
 def naive_mq(labels: dict[str, int], edges: dict[tuple[str, str], float], k: int) -> float:
@@ -91,8 +94,9 @@ def naive_cut(labels: dict[str, int], affinity: dict[tuple[str, str], float], k:
 
 
 def naive_cluster_stats(labels: dict[str, int], edges: dict[tuple[str, str], float], k: int):
-    """Cluster sizes, intra counts/weights and inter-pair counts/weights by
-    one loop over the edges in their order; pairs in first-seen order."""
+    """Cluster sizes, intra counts/weights, inter-pair counts/weights and
+    the cut total by one loop over the edges in their order; pairs in
+    first-seen order."""
     sizes = [0] * k
     for c in labels.values():
         sizes[c] += 1
@@ -100,6 +104,7 @@ def naive_cluster_stats(labels: dict[str, int], edges: dict[tuple[str, str], flo
     uw = [0.0] * k
     sigma: dict[tuple[int, int], int] = {}
     sigmaw: dict[tuple[int, int], float] = {}
+    cut = 0.0
     for (src, dst), w in edges.items():
         if src not in labels or dst not in labels:
             continue
@@ -111,7 +116,48 @@ def naive_cluster_stats(labels: dict[str, int], edges: dict[tuple[str, str], flo
             pair = (min(ci, cj), max(ci, cj))
             sigma[pair] = sigma.get(pair, 0) + 1
             sigmaw[pair] = sigmaw.get(pair, 0.0) + w
-    return sizes, u, uw, sigma, sigmaw
+            cut += w
+    return sizes, u, uw, sigma, sigmaw, cut
+
+
+def canonicalize(labels: dict[str, int], k: int) -> Partition:
+    """Renumber clusters by their smallest contained vertex id so partitions
+    compare across runs regardless of k-means label permutation."""
+    rep = {}
+    for v, c in labels.items():
+        if c not in rep or v < rep[c]:
+            rep[c] = v
+    order = sorted(rep, key=lambda c: rep[c])
+    remap = {c: i for i, c in enumerate(order)}
+    return Partition({v: remap[c] for v, c in labels.items()}, k)
+
+
+def naive_brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Partition, float]:
+    """Enumerate every partition of the non-isolated vertices into exactly k
+    non-empty parts; return the best partition under the objective
+    (maximize ``mqw``, minimize ``cut``). One partition scored at a time."""
+    if objective not in ("mqw", "cut"):
+        raise ValueError(f"unknown objective {objective!r}")
+    n = len(g.vertices) - len(g.isolated_vertices())
+    if n > MAX_VERTICES:
+        raise ValueError(f"brute force bounded to {MAX_VERTICES} vertices, got {n}")
+    core, _, isolated = split_core(g)
+    verts = core.vertices
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    best_p, best_v = None, None
+    for labels in restricted_growth_strings(n, k):
+        p = canonicalize(dict(zip(verts, labels)), k)
+        if objective == "mqw":
+            value = mqw(p, core)[2]
+            better = best_v is None or value > best_v
+        else:
+            value = cut_value(p, core)
+            better = best_v is None or value < best_v
+        if better:
+            best_p, best_v = p, value
+    best_p.unassigned = set(isolated)
+    return best_p, best_v
 
 
 def naive_affinity(g) -> np.ndarray:

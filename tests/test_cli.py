@@ -1,6 +1,12 @@
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from servicecut.cli import main
 
@@ -206,6 +212,134 @@ def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, args, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["evaluate", "--k", "50", "--out", "{out}"], "--k 50"),
+    (["sweep", "--k-max", "50", "--epochs", "1", "--out", "{out}"], "--k-max 50"),
+    (["oracle", "--k", "2"], "--calls"),
+], ids=["evaluate-k", "sweep-k-max", "oracle-above-its-bound"])
+def test_k_beyond_the_classes_is_data_error_naming_the_flag(tmp_path, capsys, args, flag):
+    sysdir = synth_system(tmp_path)  # 12 classes
+    capsys.readouterr()  # discard synth output
+    argv = [a.format(out=tmp_path / "o") for a in args]
+    assert run(*argv, "--calls", str(sysdir / "calls.csv")) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_overflowing_weights_are_data_errors_naming_their_sources(tmp_path, capsys):
+    calls = tmp_path / "calls.csv"
+    calls.write_text("f,g,A,B,,Blob\ng,f,B,A,,\n")
+    perf = tmp_path / "perf.csv"
+    perf.write_text("A,1e308,1e308\nB,1e308,1\n")
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("Blob: opaque 1" + "0" * 400 + "\n")
+    assert run("evaluate", "--calls", str(calls), "--perf", str(perf), "--raw-attrs",
+               "--k", "2", "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "overflows float64" in err and "--raw-attrs" in err
+    assert run("build-graph", "--calls", str(calls), "--type-catalog", str(catalog),
+               "--out", str(tmp_path / "g")) == 2
+    assert "--type-catalog" in capsys.readouterr().err
+
+
+def test_huge_raw_perf_values_still_cluster(tmp_path):
+    # the fused weights reach 1e301: finite, but their squares overflow
+    calls = tmp_path / "calls.csv"
+    calls.write_text("f,g,A,B,int,int\ng,f,B,C,int,int\nf,g,C,A,long[],int\n")
+    perf = tmp_path / "perf.csv"
+    perf.write_text("A,1e300,1e300\nB,1e300,1\nC,1,1\n")
+    assert run("evaluate", "--calls", str(calls), "--perf", str(perf), "--raw-attrs",
+               "--k", "2", "--out", str(tmp_path / "o")) == 0
+
+
 def test_oracle_k1_is_valid(tmp_path):
     sysdir = synth_system(tmp_path, **{"--n-classes": "8"})
     assert run("oracle", "--calls", str(sysdir / "calls.csv"), "--k", "1") == 0
+
+
+# --- fuzzing the input contract ---------------------------------------------
+
+_CLASSES = ["A", "B", "C", "D", "ns::E"]
+_CALL_HEADER = "caller_method,callee_method,caller_class,callee_class,caller_params,callee_params"
+_PERF_HEADER = "class,cpu_time,retained_memory"
+_FIELD = st.sampled_from(["f", "g", "", "int", "long[]", "int;Foo[]", "A", "x y"])
+_CALL_ROW = st.builds(lambda m, n, a, b, p: f"{m},{n},{a},{b},{p},{p}",
+                      st.sampled_from(["f", "g"]), st.sampled_from(["f", "g"]),
+                      st.sampled_from(_CLASSES), st.sampled_from(_CLASSES),
+                      st.sampled_from(["", "int", "int;long[]", "Foo", "int[][]"]))
+_PERF_VALUE = st.sampled_from(["0", "1", "2.5", "1e300", "1e308", "-1", "nan", "inf", "abc", ""])
+_PERF_ROW = st.builds(lambda c, t, r: f"{c},{t},{r}", st.sampled_from(_CLASSES + ["Z"]),
+                      _PERF_VALUE, _PERF_VALUE)
+# one odd line per log: any column count or empty fields, a header or comment
+# line anywhere, or (None) a byte that is not UTF-8
+_ODD_LINE = st.none() | st.lists(_FIELD, max_size=8).map(",".join) | st.sampled_from(
+    [_CALL_HEADER, _PERF_HEADER, "# comment", ""])
+
+
+def _log(rows, odd):
+    lines = [row.encode() for row in rows]
+    if odd is not None:
+        at, line = odd
+        at %= len(lines) + 1
+        if line is not None:
+            lines.insert(at, line.encode())
+        elif lines:
+            lines[at % len(lines)] += b"\xff"
+    return b"\n".join(lines) + b"\n"
+
+
+def _flags(draw, *pairs):
+    argv = []
+    for flag, values in pairs:
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@st.composite
+def _invocations(draw):
+    mode = ("--mode", ["static", "fusion", "dynamic"])
+    k = ["1", "2", "2", "3", "x"]
+    seed = ("--seed", ["0", "3", "-1"])
+    command = draw(st.sampled_from(["ingest-check", "build-graph", "evaluate", "sweep",
+                                    "oracle"]))
+    argv = [command] + _flags(draw, ("--size-model", ["ref_slot=8", "alignment=3"]))
+    if draw(st.booleans()):
+        argv.append("--raw-attrs")
+    if command == "build-graph":
+        argv += _flags(draw, mode) + ["--out", "{out}"]
+    elif command == "evaluate":
+        argv += ["--k", draw(st.sampled_from(k))] + _flags(draw, mode, seed,
+                                                           ("--format", ["json", "csv"]))
+        argv += ["--out", "{out}"]
+    elif command == "sweep":
+        argv += _flags(draw, ("--modes", ["static", "fusion,dynamic", "static,bogus"]),
+                       ("--k-min", k), ("--k-max", k), seed) + ["--epochs", "2"]
+        argv += ["--out", "{out}"]
+    elif command == "oracle":
+        argv += ["--k", draw(st.sampled_from(k))] + _flags(draw, mode,
+                                                           ("--objective", ["mqw", "cut"]))
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_CALL_ROW, max_size=8), st.none() | st.tuples(st.integers(0, 8), _ODD_LINE),
+       st.none() | st.lists(_PERF_ROW, max_size=5),
+       st.none() | st.tuples(st.integers(0, 5), _ODD_LINE), _invocations())
+def test_fuzzed_logs_and_flags_keep_the_exit_code_contract(calls, odd_call, perf, odd_perf,
+                                                            argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "calls.csv").write_bytes(_log(calls, odd_call))
+        argv = [a.format(out=root / "out") for a in argv] + ["--calls", str(root / "calls.csv")]
+        if perf is not None:
+            (root / "perf.csv").write_bytes(_log(perf, odd_perf))
+            argv += ["--perf", str(root / "perf.csv")]
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(argv)
+    message = err.getvalue()
+    assert code in (0, 1, 2, 3), message
+    assert "Traceback" not in message
+    if code:
+        assert re.search(r"\.csv:\d+|--[a-z]", message), (argv, message)

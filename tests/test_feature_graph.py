@@ -301,6 +301,22 @@ def test_affinity_csv_is_the_dense_matrix(tmp_path):
     assert [("10.0" in field) for field in rows[1][1:]] == [False, True, False]
 
 
+def test_affinity_csv_cells_parse_to_the_matrix_bit_for_bit(tmp_path):
+    calls, perf, _ = generate_system(SynthSpec(n_classes=12, n_blocks=2, seed=1))
+    W = split_core(build_mode_graph(calls, perf, CAT, "fusion"))[1]
+    write_affinity_csv(W, tmp_path / "aff.csv")
+    with open(tmp_path / "aff.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    cells = np.array([[float(cell) for cell in row[1:]] for row in rows[1:]])
+    assert cells.tobytes() == W.entries.toarray().tobytes()
+
+
+def test_affinity_rejects_overflowing_degrees():
+    W = np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]])
+    with pytest.raises(OverflowError, match="degrees"):
+        AffinityMatrix(W, ["a", "b", "c"])
+
+
 def test_split_core_drops_isolated_vertices():
     core, W, isolated = split_core(_class_graph())
     assert isolated == {"C"}

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naive_oracles import naive_cluster_stats, naive_cut, naive_mq, naive_mqw
-from servicecut.feature_graph import FeatureGraph, to_affinity
-from servicecut.metrics import _cluster_stats, cut_value, mq, mqw
+from servicecut.feature_graph import FeatureGraph, edge_arrays, to_affinity
+from servicecut.metrics import cut_value, label_stats, mq, mqw
 from servicecut.spectral import Partition
 
 
@@ -161,10 +161,14 @@ def test_cluster_stats_equal_edge_loop_bit_for_bit(seed, unassigned):
         if list(labels.values()).count(labels[v]) > 1:
             del labels[v]
     p = Partition(labels, p.k)
-    got = _cluster_stats(p, g)
-    expected = naive_cluster_stats(p.labels, g.edges, p.k)
-    assert got == expected
-    for a, b in zip(got[3:], expected[3:]):
-        assert list(a) == list(b)  # pairs in first-seen order: the cut sums in it
-    assert cut_value(p, g) == sum(expected[4].values(), 0.0)
+    rows = np.array([[p.labels.get(v, -1) for v in g.vertices]])
+    sizes, u, uw, sigma, sigmaw, cut = label_stats(rows, p.k, edge_arrays(g))
+    sizes_e, u_e, uw_e, sigma_e, sigmaw_e, cut_e = naive_cluster_stats(p.labels, g.edges, p.k)
+    assert (sizes[0].tolist(), u[0].tolist(), uw[0].tolist()) == (sizes_e, u_e, uw_e)
+    crossing = [tuple(pair) for pair in np.argwhere(sigmaw[0]).tolist()]
+    assert {pair: sigma[0][pair] for pair in crossing} == sigma_e
+    assert {pair: sigmaw[0][pair] for pair in crossing} == sigmaw_e
+    assert not sigma[0][sigmaw[0] == 0].any()
+    assert cut[0] == cut_e  # the crossing weights in edge order
+    assert cut_value(p, g) == cut_e
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from naive_oracles import naive_brute_force_best
 from servicecut import feature_graph
 from servicecut.feature_graph import FeatureGraph
 from servicecut.oracle import brute_force_best, restricted_growth_strings
+from servicecut.spectral import first_occurrence
 
 
 def triangle_pair():
@@ -31,6 +34,34 @@ def test_rgs_labels_are_canonical_and_surjective():
         assert set(labels) == {0, 1, 2}
 
 
+def test_first_occurrence_is_the_identity_on_restricted_growth_strings():
+    # the oracle relies on it: its strings are already canonical labelings
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            labels = np.array(list(restricted_growth_strings(n, k)))
+            assert np.array_equal(first_occurrence(labels, k), labels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["mqw", "cut"]))
+def test_brute_force_best_equals_the_per_partition_loop(seed, objective):
+    # fractional weights, so a changed summation order would show in the bits
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    verts = [f"v{i}" for i in range(n)]
+    edges = {(a, b): rng.random() * 9 + 0.1 for a in verts for b in verts
+             if a != b and rng.random() < 0.4}
+    edges[("v0", "v1")] = 0.1 + rng.random()  # the rest may be isolated
+    g = FeatureGraph(verts, edges)
+    core = len(g.vertices) - len(g.isolated_vertices())
+    k = int(rng.integers(1, min(core, 4) + 1))
+    p, value = brute_force_best(g, k, objective)
+    expected_p, expected_value = naive_brute_force_best(g, k, objective)
+    assert (p.labels, p.k, p.unassigned) == (expected_p.labels, expected_p.k,
+                                             expected_p.unassigned)
+    assert np.float64(value).tobytes() == np.float64(expected_value).tobytes()
+
+
 def test_two_triangles_min_cut_is_components():
     p, value = brute_force_best(triangle_pair(), 2, "cut")
     assert value == 0.0
@@ -42,6 +73,15 @@ def test_four_cycle_min_cut_two():
     g = FeatureGraph(["v0", "v1", "v2", "v3"], edges)
     _, value = brute_force_best(g, 2, "cut")
     assert value == 2.0
+
+
+def test_ties_go_to_the_first_string_in_lexicographic_order():
+    rows = restricted_growth_strings(6, 3).tolist()
+    assert rows == sorted(rows)
+    # every split of the 4-cycle into two arcs cuts 2; 0001 comes first
+    edges = {("v0", "v1"): 1.0, ("v1", "v2"): 1.0, ("v2", "v3"): 1.0, ("v3", "v0"): 1.0}
+    p, _ = brute_force_best(FeatureGraph(["v0", "v1", "v2", "v3"], edges), 2, "cut")
+    assert p.labels == {"v0": 0, "v1": 0, "v2": 0, "v3": 1}
 
 
 def test_k1_single_trivial_partition():

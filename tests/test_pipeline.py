@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from naive_oracles import naive_kmeans
+from naive_oracles import canonicalize, naive_kmeans
 from servicecut.feature_graph import split_core
 from servicecut.metrics import mqw
 from servicecut.oracle import brute_force_best
@@ -19,7 +19,7 @@ from servicecut.pipeline import (
     write_sweep_outputs,
 )
 from servicecut.records import TypeCatalog, parse_call_log, parse_perf_log
-from servicecut.spectral import build_laplacian, canonicalize, embed, extract_candidates
+from servicecut.spectral import build_laplacian, embed, extract_candidates
 from servicecut.synth import SynthSpec, generate_system, synth_generate
 
 CAT = TypeCatalog.default()
@@ -226,6 +226,19 @@ def test_sweep_rejects_no_mode_or_a_repeated_mode(tmp_path, modes):
     inputs = inputs_from(two_block_spec(), tmp_path)
     with pytest.raises(ValueError, match="modes names"):
         sweep(inputs, modes, k_min=2, k_max=3, epochs=1)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(k_min=3, k_max=2), "k_min"),
+    (dict(k_min=1), "k_min"),
+    (dict(epochs=0), "epochs"),
+    (dict(base_seed=-1), "base_seed"),
+], ids=["k-min-above-k-max", "k-min-1", "epochs-0", "base-seed-negative"])
+def test_sweep_rejects_the_arguments_the_cli_rejects(tmp_path, kwargs, name):
+    inputs = inputs_from(two_block_spec(), tmp_path)
+    args = dict(k_min=2, k_max=3, epochs=1, base_seed=0) | kwargs
+    with pytest.raises(ValueError, match=f"^{name}="):
+        sweep(inputs, ("static",), **args)
 
 
 @pytest.mark.parametrize("mode", MODES)

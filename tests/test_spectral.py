@@ -6,15 +6,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from naive_oracles import _naive_lloyd_once, naive_kmeans
+from naive_oracles import _naive_lloyd_once, canonicalize, naive_kmeans
 from servicecut import spectral
 from servicecut.feature_graph import AffinityMatrix, FeatureGraph, to_affinity
 from servicecut.spectral import (
     NumericError,
     build_laplacian,
-    canonicalize,
     embed,
     extract_candidates,
+    first_occurrence,
     kmeans,
 )
 
@@ -390,6 +390,29 @@ def test_extract_k_bounds():
         extract_candidates(two_triangles(), 1, seed=0)
     with pytest.raises(ValueError):
         extract_candidates(two_triangles(), 7, seed=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_first_occurrence_equals_canonicalize(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    k = int(rng.integers(1, n + 1))
+    ids = [f"v{i:02d}" for i in range(n)]  # sorted, as the rows of W are
+    labels = np.array([rng.permutation(np.concatenate([np.arange(k),
+                                                       rng.integers(0, k, n - k)]))
+                       for _ in range(int(rng.integers(1, 5)))])
+    got = first_occurrence(labels, k)
+    for row, relabeled in zip(labels, got):
+        p = canonicalize(dict(zip(ids, row.tolist())), k)
+        assert relabeled.tolist() == [p.labels[v] for v in ids]
+
+
+def test_residual_check_is_relative_so_huge_weights_pass():
+    # the squares of residuals near 1e300 overflow unless they are scaled first
+    W = affinity([[0, 1e300, 0], [1e300, 0, 1e300], [0, 1e300, 0]])
+    emb = embed(build_laplacian(W), 2)
+    assert abs(emb.eigenvalues[0]) <= 1e-6 * 2e300
 
 
 def test_canonicalize_renumbers_by_smallest_vertex():
