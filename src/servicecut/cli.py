@@ -67,16 +67,6 @@ def _parse_size_model(pairs: tuple[str, ...]) -> SizeModel:
         raise click.UsageError(f"--size-model: {exc}") from exc
 
 
-def _check_k(inputs: PipelineInputs, flag: str, k: int) -> int:
-    """The count of classes with a cross-class call, the non-isolated vertices
-    every mode clusters; a data error naming ``flag`` if ``k`` exceeds it."""
-    n = len({c for r in inputs.calls if r.caller_class != r.callee_class
-             for c in (r.caller_class, r.callee_class)})
-    if k > n:
-        raise ValueError(f"{flag} {k} exceeds the {n} non-isolated class vertices")
-    return n
-
-
 def _common_options(fn):
     fn = click.option("--calls", "calls_path", required=True,
                       type=click.Path(dir_okay=False), help="Call log CSV.")(fn)
@@ -101,13 +91,11 @@ def cli():
 @_common_options
 def ingest_check(calls_path, perf_path, catalog_path, size_model, raw_attrs):
     """Parse inputs and report counts; fail loudly on malformed data."""
-    _parse_size_model(size_model)
-    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
-    self_calls = sum(1 for r in inputs.calls if r.is_self_call)
-    classes = {r.caller_class for r in inputs.calls} | {r.callee_class for r in inputs.calls}
-    click.echo(f"call records: {len(inputs.calls)} ({self_calls} self-call)")
+    model = _parse_size_model(size_model)
+    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path, model)
+    click.echo(f"call records: {len(inputs.calls)} ({inputs.graph.self_calls_dropped} self-call)")
     click.echo(f"perf records: {len(inputs.perf)}")
-    click.echo(f"classes:      {len(classes)}")
+    click.echo(f"classes:      {len(inputs.graph.vertices)}")
     click.echo(f"types:        {len(inputs.catalog.layouts)}")
 
 
@@ -118,15 +106,15 @@ def ingest_check(calls_path, perf_path, catalog_path, size_model, raw_attrs):
 def build_graph(calls_path, perf_path, catalog_path, size_model, raw_attrs, mode, out_dir):
     """Build the class-level feature graph and export it."""
     model = _parse_size_model(size_model)
-    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
-    g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, mode, model, not raw_attrs)
+    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path, model)
+    g = build_mode_graph(inputs.graph, inputs.perf, mode, not raw_attrs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fg.write_edge_list(g, out / "graph_edges.csv")
     fg.write_graph_json(g, out / "graph.json")
-    _, W, _ = fg.split_core(g)
-    if W.n:
-        fg.write_affinity_csv(W, out / "affinity.csv")
+    if inputs.core.vertices:
+        fg.write_affinity_csv(fg.to_affinity(dataclasses.replace(inputs.core, weight=g.weight)),
+                              out / "affinity.csv")
     click.echo(f"wrote graph exports to {out}")
 
 
@@ -142,9 +130,9 @@ def evaluate(calls_path, perf_path, catalog_path, size_model, raw_attrs,
              mode, k, seed, out_dir, fmt):
     """Cluster and score: writes partition plus a quality report."""
     model = _parse_size_model(size_model)
-    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
-    _check_k(inputs, "--k", k)
-    partition, report = run_pipeline(inputs, mode, k, seed, model, not raw_attrs)
+    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path, model)
+    inputs.check_k(k, "--k")
+    partition, report = run_pipeline(inputs, mode, k, seed, not raw_attrs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "partition.json").write_text(json.dumps(partition.to_json(seed=seed), indent=2,
@@ -180,9 +168,9 @@ def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
     if k_min > k_max:
         raise click.UsageError(f"--k-min {k_min} exceeds --k-max {k_max}")
     model = _parse_size_model(size_model)
-    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
-    _check_k(inputs, "--k-max", k_max)
-    result = sweep(inputs, mode_list, k_min, k_max, epochs, base_seed, model, not raw_attrs)
+    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path, model)
+    inputs.check_k(k_max, "--k-max")
+    result = sweep(inputs, mode_list, k_min, k_max, epochs, base_seed, not raw_attrs)
     write_sweep_outputs(result, out_dir)
     for mode, k in sorted(result.best_k.items()):
         click.echo(f"{mode}: best k = {k} (median MQw {result.medians[(mode, k)]:.4f})")
@@ -226,10 +214,10 @@ def oracle_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
                mode, k, objective):
     """Exhaustive best partition of a small system (<= 10 classes)."""
     model = _parse_size_model(size_model)
-    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path)
-    if _check_k(inputs, "--k", k) > MAX_VERTICES:
+    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path, model)
+    if inputs.check_k(k, "--k") > MAX_VERTICES:
         raise ValueError(f"--calls: more than {MAX_VERTICES} non-isolated classes for the oracle")
-    g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, mode, model, not raw_attrs)
+    g = build_mode_graph(inputs.graph, inputs.perf, mode, not raw_attrs)
     partition, value = brute_force_best(g, k, objective)
     click.echo(json.dumps({"objective": objective, "value": value,
                            **partition.to_json()}, sort_keys=True))

@@ -20,40 +20,48 @@ from .records import CallRecord, PerfRecord, TypeCatalog
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureGraph:
-    """Directed weighted graph over classes.
-
-    Vertices are kept sorted so downstream matrices are reproducible. Absent
-    edge pairs mean weight zero; self-loops are never stored.
-    """
+    """Directed weighted graph over the sorted, distinct class ``vertices``
+    (``from_edges`` sorts them). The edges are three arrays in first-seen
+    order: ``src`` and ``dst`` index into ``vertices`` and ``weight`` is
+    positive and finite. A (src, dst) pair appears at most once and never as
+    a self-loop. The modes share the edges and differ only in ``weight``."""
 
     vertices: list[str]
-    edges: dict[tuple[str, str], float]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
     vertex_attrs: dict[str, tuple[float, float]] | None = None
     self_calls_dropped: int = 0
 
     def __post_init__(self):
-        self.vertices = sorted(self.vertices)
-        for (i, j), w in self.edges.items():
-            if i == j:
-                raise ValueError(f"self-loop on {i!r}")
-            if not 0 < w < math.inf:
-                raise ValueError(f"non-positive or non-finite weight {w!r} on ({i!r}, {j!r})")
+        loops = self.src == self.dst
+        if loops.any():
+            raise ValueError(f"self-loop on {self.vertices[self.src[loops.argmax()]]!r}")
+        bad = ~((self.weight > 0) & (self.weight < math.inf))
+        if bad.any():
+            e = bad.argmax()
+            raise ValueError(f"non-positive or non-finite weight {float(self.weight[e])!r} "
+                             f"on {self._pair(e)!r}")
 
-    def total_weight(self) -> float:
-        return sum(self.edges.values())
+    @classmethod
+    def from_edges(cls, vertices, edges: dict[tuple[str, str], float],
+                   **kwargs) -> FeatureGraph:
+        """The graph of ``{(src, dst): weight}`` over ``vertices``, any order."""
+        vertices = sorted(vertices)
+        index = {v: i for i, v in enumerate(vertices)}
+        src = np.array([index[s] for s, _ in edges], dtype=np.intp)
+        dst = np.array([index[d] for _, d in edges], dtype=np.intp)
+        return cls(vertices, src, dst, np.array(list(edges.values()), dtype=float), **kwargs)
 
-    def isolated_vertices(self) -> set[str]:
-        touched = {v for e in self.edges for v in e}
-        return set(self.vertices) - touched
+    @property
+    def edges(self) -> dict[tuple[str, str], float]:
+        """``{(src, dst): weight}`` in edge order, derived from the arrays."""
+        return dict(zip(map(self._pair, range(self.src.size)), self.weight.tolist()))
 
-    def without_vertices(self, drop: set[str]) -> "FeatureGraph":
-        keep = [v for v in self.vertices if v not in drop]
-        edges = {e: w for e, w in self.edges.items() if e[0] not in drop and e[1] not in drop}
-        attrs = None if self.vertex_attrs is None else {
-            v: a for v, a in self.vertex_attrs.items() if v not in drop}
-        return FeatureGraph(keep, edges, attrs, self.self_calls_dropped)
+    def _pair(self, e: int) -> tuple[str, str]:
+        return self.vertices[self.src[e]], self.vertices[self.dst[e]]
 
 
 @dataclass
@@ -112,7 +120,10 @@ def build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
         edges[key] = edges.get(key, 0.0) + edge_cost(r.callee_params, catalog, model)
     if dropped:
         log.warning("dropped %d self-call record(s)", dropped)
-    return FeatureGraph(sorted(classes), edges, self_calls_dropped=dropped)
+    for key, w in edges.items():
+        if w == math.inf:
+            raise OverflowError(f"summed weight of {key!r} overflows float64")
+    return FeatureGraph.from_edges(classes, edges, self_calls_dropped=dropped)
 
 
 def attach_perf(g: FeatureGraph, perf: list[PerfRecord], normalize: bool = True) -> FeatureGraph:
@@ -146,45 +157,33 @@ def fuse(g: FeatureGraph) -> FeatureGraph:
     (t_j + r_j + 1). Edge set and vertex set are unchanged."""
     if g.vertex_attrs is None:
         raise ValueError("fuse requires vertex attributes; call attach_perf first")
-    edges = {}
-    for (i, j), w in g.edges.items():
-        t, r = g.vertex_attrs[j]
-        edges[(i, j)] = w * (t + r + 1.0)
-        if edges[(i, j)] == math.inf:
-            raise OverflowError(f"fused weight of ({i!r}, {j!r}) overflows float64")
-    return replace(g, edges=edges)
-
-
-def unit_structure(g: FeatureGraph) -> FeatureGraph:
-    """Replace every edge weight with 1, keeping the edge set. Used by the
-    dynamic-only mode so fused weights carry only performance signal."""
-    return replace(g, edges={e: 1.0 for e in g.edges})
-
-
-def edge_arrays(g: FeatureGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, weight) of ``g.edges`` in their order, as indices into
-    ``g.vertices`` and float weights."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    src = np.array([index[s] for s, _ in g.edges], dtype=np.intp)
-    dst = np.array([index[d] for _, d in g.edges], dtype=np.intp)
-    return src, dst, np.array(list(g.edges.values()), dtype=float)
+    factor = np.array([t + r + 1.0 for t, r in map(g.vertex_attrs.get, g.vertices)])
+    with np.errstate(over="ignore"):  # reported just below
+        weight = g.weight * factor[g.dst]
+    if np.isinf(weight).any():
+        pair = g._pair(np.isinf(weight).argmax())
+        raise OverflowError(f"fused weight of {pair!r} overflows float64")
+    return replace(g, weight=weight)
 
 
 def to_affinity(g: FeatureGraph) -> AffinityMatrix:
     """Symmetrize by directional sum: W[i][j] = w(i->j) + w(j->i), exact as
-    edge keys are unique and never self-loops."""
-    src, dst, w = edge_arrays(g)
+    edge pairs are unique and never self-loops."""
     n = len(g.vertices)
-    A = sp.csr_array((w, (src, dst)), shape=(n, n))
+    A = sp.csr_array((g.weight, (g.src, g.dst)), shape=(n, n))
     return AffinityMatrix(A + A.T, list(g.vertices))
 
 
-def split_core(g: FeatureGraph) -> tuple[FeatureGraph, AffinityMatrix, set[str]]:
-    """Split off the isolated vertices, which no partition assigns. Returns
-    (core, affinity of the core, isolated vertices)."""
-    isolated = g.isolated_vertices()
-    core = g.without_vertices(isolated)
-    return core, to_affinity(core), isolated
+def split_core(g: FeatureGraph) -> tuple[FeatureGraph, set[str]]:
+    """Split off the isolated vertices, which no partition assigns. They
+    touch no edge, so the core keeps every edge, in order, and only
+    renumbers the vertices. Returns (core, isolated vertices)."""
+    touched = np.bincount(np.concatenate([g.src, g.dst]), minlength=len(g.vertices)) > 0
+    index = np.cumsum(touched) - 1
+    keep = [v for v, t in zip(g.vertices, touched.tolist()) if t]
+    attrs = None if g.vertex_attrs is None else {v: g.vertex_attrs[v] for v in keep}
+    core = FeatureGraph(keep, index[g.src], index[g.dst], g.weight, attrs, g.self_calls_dropped)
+    return core, set(g.vertices) - set(keep)
 
 
 # --- export helpers ---------------------------------------------------------
@@ -194,8 +193,8 @@ def write_edge_list(g: FeatureGraph, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "weight"])
-        for (src, dst) in sorted(g.edges):
-            writer.writerow([src, dst, repr(g.edges[(src, dst)])])
+        for (src, dst), w in sorted(g.edges.items()):
+            writer.writerow([src, dst, repr(w)])
 
 
 def graph_to_json(g: FeatureGraph) -> dict:
@@ -203,8 +202,8 @@ def graph_to_json(g: FeatureGraph) -> dict:
         "granularity": "class",
         "vertices": list(g.vertices),
         "edges": [
-            {"src": src, "dst": dst, "weight": g.edges[(src, dst)]}
-            for (src, dst) in sorted(g.edges)
+            {"src": src, "dst": dst, "weight": w}
+            for (src, dst), w in sorted(g.edges.items())
         ],
     }
     if g.vertex_attrs is not None:

@@ -22,7 +22,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .feature_graph import FeatureGraph, edge_arrays
+from .feature_graph import FeatureGraph
 from .spectral import Partition
 
 
@@ -70,15 +70,15 @@ class QualityReport:
         return "mode,k,coh_w,cop_w,MQw,MQ,cut"
 
 
-def label_stats(labels: np.ndarray, k: int, edges: tuple[np.ndarray, np.ndarray, np.ndarray]):
+def label_stats(labels: np.ndarray, k: int, g: FeatureGraph):
     """Statistics of each row of the (P, n) cluster ``labels`` (-1: not
-    scored) over ``edge_arrays``: (P, k) sizes and intra edge counts/weights,
+    scored) over the edges of ``g``: (P, k) sizes and intra edge counts/weights,
     (P, k, k) inter counts/weights at [i, j], i < j (both directions
     aggregated), and the (P,) cut, the summed weight of the edges between
     clusters. Each row's bins are offset by its index, so one ``np.bincount``
     serves all rows, and it adds the weights in edge order: the sums are
     those of a loop over the edges."""
-    src, dst, w = edges
+    src, dst, w = g.src, g.dst, g.weight
     P = labels.shape[0]
     row = np.arange(P)[:, None]
     ci, cj = labels[:, src], labels[:, dst]
@@ -124,13 +124,13 @@ def _quality(k, sizes, u, uw, sigma, sigmaw):
 _CHUNK_VALUES = 2 ** 16
 
 
-def batch_scores(labels: np.ndarray, k: int, edges) -> tuple[np.ndarray, np.ndarray]:
-    """(P,) MQw and (P,) cut of each row of the (P, n) cluster ``labels``,
-    scored in chunks of rows."""
-    rows = max(1, _CHUNK_VALUES // max(1, edges[0].size))
+def batch_scores(labels: np.ndarray, k: int, g: FeatureGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(P,) MQw and (P,) cut of each row of the (P, n) cluster ``labels``
+    over the edges of ``g``, scored in chunks of rows."""
+    rows = max(1, _CHUNK_VALUES // max(1, g.src.size))
     mqw_values, cuts = [], []
     for start in range(0, labels.shape[0], rows):
-        *stats, cut = label_stats(labels[start:start + rows], k, edges)
+        *stats, cut = label_stats(labels[start:start + rows], k, g)
         mqw_values.append(_quality(k, *stats)[2])
         cuts.append(cut)
     return np.concatenate(mqw_values), np.concatenate(cuts)
@@ -145,7 +145,7 @@ def score(p: Partition, g: FeatureGraph, mode: str) -> QualityReport:
     if absent:
         raise ValueError(f"partition references vertex {min(absent)!r} absent from graph")
     labels = np.array([[p.labels.get(v, -1) for v in g.vertices]], dtype=np.intp)
-    sizes, u, uw, sigma, sigmaw, cut = label_stats(labels, p.k, edge_arrays(g))
+    sizes, u, uw, sigma, sigmaw, cut = label_stats(labels, p.k, g)
     pairs = list(combinations(range(p.k), 2))
     coh, cop, mq_value = _quality(p.k, sizes, u, u, sigma, sigma)
     coh_w, cop_w, mqw_value = _quality(p.k, sizes, u, uw, sigma, sigmaw)

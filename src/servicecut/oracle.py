@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .feature_graph import FeatureGraph, edge_arrays, split_core
+from .feature_graph import FeatureGraph, split_core
 from .metrics import batch_scores
 from .spectral import Partition
 
@@ -34,18 +34,17 @@ def brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Partition
     (maximize ``mqw``, minimize ``cut``)."""
     if objective not in ("mqw", "cut"):
         raise ValueError(f"unknown objective {objective!r}")
-    n = len(g.vertices) - len(g.isolated_vertices())
+    core, isolated = split_core(g)
+    n = len(core.vertices)
     if n > MAX_VERTICES:
         raise ValueError(f"brute force bounded to {MAX_VERTICES} vertices, got {n}")
-    core, _, isolated = split_core(g)
-    verts = core.vertices
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     labels = restricted_growth_strings(n, k)
-    mqw_values, cuts = batch_scores(labels, k, edge_arrays(core))
+    mqw_values, cuts = batch_scores(labels, k, core)
     # the first best in enumeration order
     best = int(mqw_values.argmax() if objective == "mqw" else cuts.argmin())
     value = mqw_values[best] if objective == "mqw" else cuts[best]
     # the strings number the parts in first-occurrence order over the sorted
     # vertices, which is smallest-vertex-id order: the canonical labeling
-    return Partition(dict(zip(verts, labels[best].tolist())), k, set(isolated)), float(value)
+    return Partition(dict(zip(core.vertices, labels[best].tolist())), k, isolated), float(value)

@@ -7,22 +7,15 @@ from __future__ import annotations
 import hashlib
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .cost_model import SizeModel
-from .feature_graph import (
-    FeatureGraph,
-    attach_perf,
-    build_class_graph,
-    edge_arrays,
-    fuse,
-    split_core,
-    unit_structure,
-)
+from .feature_graph import (FeatureGraph, attach_perf, build_class_graph, fuse, split_core,
+                            to_affinity)
 from .metrics import QualityReport, batch_scores, score
 from .records import (
     CallRecord,
@@ -47,37 +40,61 @@ def epoch_seed(base_seed: int, mode: str, k: int, epoch: int) -> int:
 
 
 def build_mode_graph(
-    calls: list[CallRecord],
+    g: FeatureGraph,
     perf: list[PerfRecord],
-    catalog: TypeCatalog,
     mode: str,
-    model: SizeModel | None = None,
     normalize: bool = True,
 ) -> FeatureGraph:
-    """The mode's weighted class graph, used for clustering and scoring.
-    Every mode keeps the vertex and edge sets of the static class graph."""
+    """The mode's weights over the class graph ``g``'s vertices and edges:
+    with f = t + r + 1 per vertex after ``attach_perf``, static keeps w,
+    fusion takes w * f[dst] and dynamic f[dst]."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    g = build_class_graph(calls, catalog, model)
     if mode == "static":
         return g
-    base = unit_structure(g) if mode == "dynamic" else g
-    return fuse(attach_perf(base, perf, normalize))
+    g = attach_perf(g, perf, normalize)
+    return fuse(g if mode == "fusion" else replace(g, weight=np.ones_like(g.weight)))
 
 
 @dataclass
 class PipelineInputs:
+    """Parsed inputs, their class graph, built once, and its core (the
+    graph without its isolated vertices), split once."""
+
     calls: list[CallRecord]
     perf: list[PerfRecord]
     catalog: TypeCatalog
+    model: SizeModel | None = None
+    graph: FeatureGraph = field(init=False)
+    core: FeatureGraph = field(init=False)
+    isolated: set[str] = field(init=False)
+
+    def __post_init__(self):
+        self.graph = build_class_graph(self.calls, self.catalog, self.model)
+        self.core, self.isolated = split_core(self.graph)
 
     @classmethod
-    def load(cls, calls_path, perf_path=None, catalog_path=None) -> "PipelineInputs":
+    def load(cls, calls_path, perf_path=None, catalog_path=None,
+             model: SizeModel | None = None) -> "PipelineInputs":
         return cls(
             calls=parse_call_log(calls_path),
             perf=parse_perf_log(perf_path) if perf_path else [],
             catalog=parse_type_catalog(catalog_path),
+            model=model,
         )
+
+    def check_k(self, k: int, name: str = "k") -> int:
+        """The count of the core's vertices, the classes every mode clusters;
+        a ValueError naming ``name`` if ``k`` exceeds it."""
+        n = len(self.core.vertices)
+        if k > n:
+            raise ValueError(f"{name} {k} exceeds the {n} non-isolated class vertices")
+        return n
+
+    def mode_core(self, mode: str, normalize: bool = True) -> FeatureGraph:
+        """The core with the mode's weights (the core keeps the graph's edges, in order)."""
+        return replace(self.core, weight=build_mode_graph(self.graph, self.perf, mode,
+                                                          normalize).weight)
 
 
 def run_pipeline(
@@ -85,16 +102,13 @@ def run_pipeline(
     mode: str,
     k: int,
     seed: int,
-    model: SizeModel | None = None,
     normalize: bool = True,
 ) -> tuple[Partition, QualityReport]:
-    g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, mode, model, normalize)
-    _, W, isolated = split_core(g)
-    if k > W.n:
-        raise ValueError(f"k={k} exceeds the {W.n} non-isolated class vertices")
-    partition = extract_candidates(W, k, seed)
-    partition.unassigned = set(isolated)
-    report = score(partition, g, mode)
+    inputs.check_k(k)
+    core = inputs.mode_core(mode, normalize)
+    partition = extract_candidates(to_affinity(core), k, seed)
+    partition.unassigned = set(inputs.isolated)
+    report = score(partition, core, mode)
     return partition, report
 
 
@@ -145,22 +159,19 @@ def sweep_graph(
     epochs: int,
     base_seed: int,
 ) -> dict[tuple[str, int], list[float]]:
-    """Sweep one mode's graph over k. The k_max-column embedding and the
-    core's edge arrays are computed once; each (k, epoch) only re-runs seeded
-    k-means on the first k columns, and each k scores the MQw of all its
-    epochs at once. Clusters are renumbered by first occurrence, which is
-    smallest-vertex-id order because the rows follow the sorted vertex ids."""
-    core, W, _ = split_core(g)
-    if k_max > W.n:
-        raise ValueError(f"k_max={k_max} exceeds the {W.n} non-isolated class vertices")
-    emb = embed(build_laplacian(W), k_max)
-    edges = edge_arrays(core)
+    """Sweep one mode's core (a graph without isolated vertices, see
+    ``split_core``) over k. The k_max-column embedding is computed once;
+    each (k, epoch) only re-runs seeded k-means on the first k columns, and
+    each k scores the MQw of all its epochs at once. Clusters are renumbered
+    by first occurrence, which is smallest-vertex-id order because the rows
+    follow the sorted vertex ids."""
+    emb = embed(build_laplacian(to_affinity(g)), k_max)
     out: dict[tuple[str, int], list[float]] = {}
     for k in range(k_min, k_max + 1):
         U = emb.U[:, :k].copy()
         raw = np.stack([kmeans(U, k, epoch_seed(base_seed, mode, k, epoch))
                         for epoch in range(epochs)])
-        out[(mode, k)] = batch_scores(first_occurrence(raw, k), k, edges)[0].tolist()
+        out[(mode, k)] = batch_scores(first_occurrence(raw, k), k, g)[0].tolist()
     return out
 
 
@@ -171,7 +182,6 @@ def sweep(
     k_max: int = 10,
     epochs: int = 100,
     base_seed: int = 0,
-    model: SizeModel | None = None,
     normalize: bool = True,
 ) -> SweepResult:
     if not modes:
@@ -184,10 +194,11 @@ def sweep(
         raise ValueError(f"epochs={epochs} must be at least 1")
     if base_seed < 0:
         raise ValueError(f"base_seed={base_seed} must be non-negative")
+    inputs.check_k(k_max, "k_max")
     result = SweepResult(tuple(modes), (k_min, k_max), epochs, base_seed)
     for mode in modes:
-        g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, mode, model, normalize)
-        result.epoch_values.update(sweep_graph(g, mode, k_min, k_max, epochs, base_seed))
+        core = inputs.mode_core(mode, normalize)
+        result.epoch_values.update(sweep_graph(core, mode, k_min, k_max, epochs, base_seed))
     return result
 
 

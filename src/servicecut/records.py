@@ -246,9 +246,9 @@ def parse_perf_log(path: str | Path) -> list[PerfRecord]:
         if not math.isfinite(cpu) or not math.isfinite(retained):
             raise LogParseError("non-finite cpu_time or retained_bytes", path, lineno)
         if cpu < 0:
-            raise LogParseError(f"negative cpu_time at line {lineno}", path, lineno)
+            raise LogParseError("negative cpu_time", path, lineno)
         if retained < 0:
-            raise LogParseError(f"negative retained_bytes at line {lineno}", path, lineno)
+            raise LogParseError("negative retained_bytes", path, lineno)
         records.append(PerfRecord(class_id, cpu, retained))
     return records
 
@@ -302,6 +302,8 @@ def parse_type_catalog(path: str | Path | None) -> TypeCatalog:
             raise LogParseError(f"invalid type name {name!r}", path, lineno)
         if name in PRIMITIVE_SIZES:
             raise LogParseError(f"cannot redefine primitive type {name!r}", path, lineno)
+        if name in catalog.layouts:
+            raise LogParseError(f"type {name!r} declared twice", path, lineno)
         if decl == "object":
             current_name, current_fields = name, []
         elif decl.startswith("opaque"):

@@ -138,11 +138,11 @@ def naive_brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Par
     (maximize ``mqw``, minimize ``cut``). One partition scored at a time."""
     if objective not in ("mqw", "cut"):
         raise ValueError(f"unknown objective {objective!r}")
-    n = len(g.vertices) - len(g.isolated_vertices())
+    core, isolated = split_core(g)
+    verts = core.vertices
+    n = len(verts)
     if n > MAX_VERTICES:
         raise ValueError(f"brute force bounded to {MAX_VERTICES} vertices, got {n}")
-    core, _, isolated = split_core(g)
-    verts = core.vertices
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     best_p, best_v = None, None

@@ -14,8 +14,8 @@ from servicecut.feature_graph import AffinityMatrix, FeatureGraph, split_core, t
 from servicecut.metrics import cut_value, mq, mqw
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import (
+    PipelineInputs,
     SweepResult,
-    build_mode_graph,
     partition_accuracy,
     sweep_graph,
 )
@@ -98,7 +98,7 @@ def test_criterion_2_metric_oracle_equivalence(capsys):
             assert cut_value(p, g) == pytest.approx(
                 naive_cut(p.labels, aff, p.k), abs=1e-12
             )
-            unit = FeatureGraph(list(g.vertices), {e: 1.0 for e in g.edges})
+            unit = FeatureGraph.from_edges(list(g.vertices), {e: 1.0 for e in g.edges})
             assert mqw(p, unit)[2] == pytest.approx(mq(p, unit)[2], abs=1e-12)
         assert time.perf_counter() - start < 30.0
 
@@ -179,12 +179,11 @@ def test_criterion_4_planted_partition_recovery(capsys):
                     param_pool=SMALL_PARAMS, max_params=1, seed=seed,
                 )
                 calls, perf, truth = generate_system(spec)
-                g = build_mode_graph(calls, perf, cat, "static")
-                _, W, _ = split_core(g)
-                p = extract_candidates(W, blocks, seed=1000 + seed)
+                core = PipelineInputs(calls, perf, cat).core
+                p = extract_candidates(to_affinity(core), blocks, seed=1000 + seed)
                 accuracies.append(partition_accuracy(p.labels, truth))
                 result = SweepResult(("static",), (2, 10), 10, seed,
-                                     sweep_graph(g, "static", 2, 10, 10, seed))
+                                     sweep_graph(core, "static", 2, 10, 10, seed))
                 argmax_hits += result.best_k["static"] == blocks
             mean_acc = statistics.mean(accuracies)
             assert mean_acc >= 0.95, (n, blocks, mean_acc)
@@ -203,11 +202,11 @@ def test_criterion_5_fusion_dominates_static(capsys):
                 param_pool=SMALL_PARAMS, max_params=1,
                 block_correlated_perf=True, seed=seed,
             )
-            calls, perf, _ = generate_system(spec)
+            inputs = PipelineInputs(*generate_system(spec)[:2], cat)
             result = SweepResult(("static", "fusion"), (2, 10), 100, 100 + seed)
             for mode in result.modes:
-                g = build_mode_graph(calls, perf, cat, mode)
-                result.epoch_values.update(sweep_graph(g, mode, 2, 10, 100, 100 + seed))
+                core = inputs.mode_core(mode)
+                result.epoch_values.update(sweep_graph(core, mode, 2, 10, 100, 100 + seed))
             medians = result.medians
             dominated = all(
                 medians[("fusion", k)] >= medians[("static", k)] - 1e-12
@@ -254,10 +253,10 @@ def test_criterion_7_oracle_dominance(capsys):
                 for b in verts:
                     if a != b and rng.random() < 0.25:
                         edges[(a, b)] = float(np.round(rng.random() * 9 + 1, 3))
-            g = FeatureGraph(verts, edges)
-            core, W, _ = split_core(g)
+            g = FeatureGraph.from_edges(verts, edges)
+            core, _ = split_core(g)
             k = int(rng.integers(2, min(5, len(core.vertices)) + 1))
-            p = extract_candidates(W, k, seed=checked)
+            p = extract_candidates(to_affinity(core), k, seed=checked)
             pipeline_value = mqw(p, core)[2]
             _, best_value = brute_force_best(g, k, "mqw")
             assert best_value >= pipeline_value - 1e-12

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from servicecut import feature_graph, pipeline
 from servicecut.cli import main
 
 
@@ -241,6 +242,55 @@ def test_overflowing_weights_are_data_errors_naming_their_sources(tmp_path, caps
     assert "--type-catalog" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["static", "fusion", "dynamic"])
+def test_summed_catalog_costs_that_overflow_name_the_catalog(tmp_path, capsys, mode):
+    # each row costs 1e308 + 1; their sum is beyond float64
+    calls = tmp_path / "calls.csv"
+    calls.write_text("f,g,A,B,,Big\nh,g,A,B,,Big\n")
+    catalog = tmp_path / "types.txt"
+    catalog.write_text("Big: opaque 1" + "0" * 308 + "\n")
+    for command in (["evaluate", "--k", "2", "--out", str(tmp_path / "o")],
+                    ["build-graph", "--out", str(tmp_path / "g")]):
+        assert run(*command, "--mode", mode, "--calls", str(calls),
+                   "--type-catalog", str(catalog)) == 2
+        err = capsys.readouterr().err
+        assert "summed weight of ('A', 'B') overflows float64" in err
+        assert "--type-catalog" in err
+
+
+def test_repeated_catalog_type_is_data_error_naming_file_and_line(tmp_path, capsys):
+    calls = tmp_path / "calls.csv"
+    calls.write_text("f,g,A,B,,Order\n")
+    catalog = tmp_path / "types.txt"
+    catalog.write_text("Order: object\n    int\nOrder: opaque 4096\n")
+    assert run("build-graph", "--calls", str(calls), "--type-catalog", str(catalog),
+               "--out", str(tmp_path / "g")) == 2
+    assert "types.txt:3: type 'Order' declared twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--modes", "static,fusion,dynamic", "--k-max", "3", "--epochs", "2",
+     "--out", "{out}"],
+    ["evaluate", "--k", "2", "--out", "{out}"],
+    ["build-graph", "--mode", "dynamic", "--out", "{out}"],
+    ["oracle", "--k", "2", "--mode", "fusion"],
+], ids=["sweep-three-modes", "evaluate", "build-graph", "oracle"])
+def test_the_class_graph_is_built_once_per_invocation(tmp_path, monkeypatch, args):
+    sysdir = synth_system(tmp_path, **{"--n-classes": "8"})
+    built, original = [], feature_graph.build_class_graph
+
+    def counting(*a, **kw):
+        built.append(a)
+        return original(*a, **kw)
+
+    for module in (feature_graph, pipeline):
+        monkeypatch.setattr(module, "build_class_graph", counting)
+    argv = [a.format(out=tmp_path / "o") for a in args]
+    assert run(*argv, "--calls", str(sysdir / "calls.csv"),
+               "--perf", str(sysdir / "perf.csv")) == 0
+    assert len(built) == 1
+
+
 def test_huge_raw_perf_values_still_cluster(tmp_path):
     # the fused weights reach 1e301: finite, but their squares overflow
     calls = tmp_path / "calls.csv"
@@ -273,6 +323,29 @@ _PERF_ROW = st.builds(lambda c, t, r: f"{c},{t},{r}", st.sampled_from(_CLASSES +
 # line anywhere, or (None) a byte that is not UTF-8
 _ODD_LINE = st.none() | st.lists(_FIELD, max_size=8).map(",".join) | st.sampled_from(
     [_CALL_HEADER, _PERF_HEADER, "# comment", ""])
+
+
+# a type catalog of distinct declarations (the call rows use Foo) and one odd
+# line: a repeated declaration, an opaque size of 1e308 (two such calls on one
+# class pair overflow float64), an indented field outside an object, an
+# unknown kind or a bad name
+_DECLARATIONS = ["Foo: object\n    int\n    long[]", "Bar: opaque 16",
+                 "Baz: object\n    Foo\n    int"]
+_HUGE_FOO = "Foo: opaque 1" + "0" * 308
+_ODD_TYPE_LINE = st.sampled_from(["repeat", _HUGE_FOO, "    int", "Qux: struct", "1Bad: object"])
+_CATALOG = st.tuples(st.lists(st.sampled_from(_DECLARATIONS), min_size=1, max_size=3,
+                              unique=True),
+                     st.tuples(st.integers(0, 8), _ODD_TYPE_LINE))
+
+
+def _catalog(declarations, odd):
+    lines = "\n".join(declarations).splitlines()
+    at, line = odd
+    if line == "repeat":
+        line = lines[0]  # a top-level declaration
+    # an indented line anywhere but first would be a field
+    lines.insert(0 if line.startswith(" ") else at % (len(lines) + 1), line)
+    return "\n".join(lines) + "\n"
 
 
 def _log(rows, odd):
@@ -325,9 +398,10 @@ def _invocations(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_CALL_ROW, max_size=8), st.none() | st.tuples(st.integers(0, 8), _ODD_LINE),
        st.none() | st.lists(_PERF_ROW, max_size=5),
-       st.none() | st.tuples(st.integers(0, 5), _ODD_LINE), _invocations())
+       st.none() | st.tuples(st.integers(0, 5), _ODD_LINE), st.none() | _CATALOG,
+       _invocations())
 def test_fuzzed_logs_and_flags_keep_the_exit_code_contract(calls, odd_call, perf, odd_perf,
-                                                            argv):
+                                                            catalog, argv):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "calls.csv").write_bytes(_log(calls, odd_call))
@@ -335,11 +409,19 @@ def test_fuzzed_logs_and_flags_keep_the_exit_code_contract(calls, odd_call, perf
         if perf is not None:
             (root / "perf.csv").write_bytes(_log(perf, odd_perf))
             argv += ["--perf", str(root / "perf.csv")]
+        invalid_catalog = False
+        if catalog is not None:
+            (root / "types.txt").write_text(_catalog(*catalog))
+            argv += ["--type-catalog", str(root / "types.txt")]
+            # each odd line is invalid, but the huge Foo only when it repeats Foo
+            declarations, odd = catalog
+            invalid_catalog = odd[1] != _HUGE_FOO or _DECLARATIONS[0] in declarations
         err = io.StringIO()
         with redirect_stderr(err), redirect_stdout(io.StringIO()):
             code = main(argv)
     message = err.getvalue()
     assert code in (0, 1, 2, 3), message
     assert "Traceback" not in message
+    assert code or not invalid_catalog, argv
     if code:
-        assert re.search(r"\.csv:\d+|--[a-z]", message), (argv, message)
+        assert re.search(r"\.(csv|txt):\d+|--[a-z]", message), (argv, message)

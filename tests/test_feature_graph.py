@@ -15,15 +15,14 @@ from servicecut.feature_graph import (
     fuse,
     split_core,
     to_affinity,
-    unit_structure,
     write_affinity_csv,
     write_edge_list,
     write_graph_json,
 )
 from servicecut.cost_model import edge_cost
 from servicecut.metrics import mq, score
-from servicecut.pipeline import MODES, build_mode_graph
-from servicecut.records import CallRecord, PerfRecord, TypeCatalog, TypeRef
+from servicecut.pipeline import MODES, PipelineInputs, build_mode_graph
+from servicecut.records import CallRecord, OpaqueLayout, PerfRecord, TypeCatalog, TypeRef
 from servicecut.spectral import extract_candidates
 from servicecut.synth import SynthSpec, generate_system
 
@@ -70,13 +69,13 @@ def test_lift_discards_intra_class_edges():
     assert g.edges == {}
     assert g.self_calls_dropped == 0
     assert g.vertices == ["A"]
-    assert g.isolated_vertices() == {"A"}
+    assert split_core(g)[1] == {"A"}
 
 
 def test_lift_preserves_direction():
     records = [call("f", "g", "A", "B", ["long"]), call("g", "f", "B", "A", ["byte"])]
     g = build_class_graph(records, CAT)
-    assert g.edges == {("A", "B"): 9.0, ("B", "A"): 2.0}
+    assert list(g.edges.items()) == [(("A", "B"), 9.0), (("B", "A"), 2.0)]
 
 
 def test_lift_conserves_inter_class_weight():
@@ -92,7 +91,7 @@ def test_lift_conserves_inter_class_weight():
     inter = sum(
         edge_cost(r.callee_params, CAT) for r in records if r.caller_class != r.callee_class
     )
-    assert g.total_weight() == pytest.approx(inter)
+    assert g.weight.sum() == pytest.approx(inter)
 
 
 def test_self_call_compares_fields_not_joined_ids():
@@ -111,7 +110,7 @@ def test_class_names_containing_separator():
 
 
 def _class_graph():
-    return FeatureGraph(["A", "B", "C"], {("A", "B"): 8.0, ("B", "A"): 2.0})
+    return FeatureGraph.from_edges(["A", "B", "C"], {("A", "B"): 8.0, ("B", "A"): 2.0})
 
 
 def test_attach_perf_normalizes_to_unit_interval():
@@ -147,7 +146,7 @@ def test_fuse_identity_with_zero_attrs():
 
 
 def test_fuse_same_factor_for_all_in_edges():
-    g = FeatureGraph(
+    g = FeatureGraph.from_edges(
         ["A", "B", "C"], {("A", "C"): 2.0, ("B", "C"): 6.0},
         vertex_attrs={"A": (0, 0), "B": (0, 0), "C": (0.5, 0.5)},
     )
@@ -160,10 +159,13 @@ def test_fuse_requires_attrs():
         fuse(_class_graph())
 
 
-def test_unit_structure():
-    g = unit_structure(_class_graph())
-    assert set(g.edges.values()) == {1.0}
-    assert set(g.edges) == set(_class_graph().edges)
+def test_modes_are_weight_vectors_over_the_class_graph_edges():
+    # callee factors f = t + r + 1: 3.0 for A, 2.0 for B
+    perf = [PerfRecord("A", 100, 2e6), PerfRecord("B", 50, 1e6)]
+    g = _class_graph()
+    assert build_mode_graph(g, perf, "static") is g
+    assert build_mode_graph(g, perf, "fusion").edges == {("A", "B"): 16.0, ("B", "A"): 6.0}
+    assert build_mode_graph(g, perf, "dynamic").edges == {("A", "B"): 2.0, ("B", "A"): 3.0}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -173,10 +175,10 @@ def test_mode_graph_keeps_class_graph_vertices_and_edges(mode):
     calls, perf, _ = generate_system(SynthSpec(n_classes=24, n_blocks=3,
                                                inter_call_prob=0.1, seed=2))
     base = build_class_graph(calls, CAT)
-    g = build_mode_graph(calls, perf, CAT, mode)
+    g = build_mode_graph(base, perf, mode)
     assert g.vertices == base.vertices
-    assert set(g.edges) == set(base.edges)
-    p = extract_candidates(split_core(g)[1], 3, seed=0)
+    assert list(g.edges) == list(base.edges)
+    p = extract_candidates(to_affinity(split_core(g)[0]), 3, seed=0)
     assert score(p, g, mode).mq == mq(p, base)[2]
 
 
@@ -187,32 +189,32 @@ def test_affinity_sums_both_directions():
 
 
 def test_affinity_empty_graph_is_zero_matrix():
-    W = to_affinity(FeatureGraph(["A", "B"], {}))
+    W = to_affinity(FeatureGraph.from_edges(["A", "B"], {}))
     assert not W.entries.toarray().any()
 
 
 def test_affinity_single_directed_edge():
-    W = to_affinity(FeatureGraph(["A", "B"], {("A", "B"): 5.0}))
+    W = to_affinity(FeatureGraph.from_edges(["A", "B"], {("A", "B"): 5.0}))
     assert W.entries[0, 1] == W.entries[1, 0] == 5.0
 
 
 def test_affinity_total_is_twice_directed_weight():
     g = _class_graph()
     W = to_affinity(g)
-    assert W.entries.sum() == pytest.approx(2 * g.total_weight())
+    assert W.entries.sum() == pytest.approx(2 * g.weight.sum())
 
 
 def test_graph_rejects_self_loop_and_nonpositive_weight():
     with pytest.raises(ValueError):
-        FeatureGraph(["A"], {("A", "A"): 1.0})
+        FeatureGraph.from_edges(["A"], {("A", "A"): 1.0})
     with pytest.raises(ValueError):
-        FeatureGraph(["A", "B"], {("A", "B"): 0.0})
+        FeatureGraph.from_edges(["A", "B"], {("A", "B"): 0.0})
 
 
 @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf"), -1.0])
 def test_graph_rejects_non_finite_weight(w):
     with pytest.raises(ValueError, match="non-positive or non-finite"):
-        FeatureGraph(["A", "B"], {("A", "B"): w})
+        FeatureGraph.from_edges(["A", "B"], {("A", "B"): w})
 
 
 @st.composite
@@ -228,7 +230,7 @@ def _weighted_graph(draw):
             for key in draw(st.sampled_from([(), ((i, j),), ((j, i),), ((i, j), (j, i))])):
                 edges[(verts[key[0]], verts[key[1]])] = draw(weight)
     order = draw(st.permutations(list(edges)))
-    return FeatureGraph(verts, {e: edges[e] for e in order})
+    return FeatureGraph.from_edges(verts, {e: edges[e] for e in order})
 
 
 @given(_weighted_graph())
@@ -270,13 +272,6 @@ def test_affinity_matrix_rejects_bad_csr_input(spoil, match):
         AffinityMatrix(W, ["A", "B", "C"])
 
 
-def test_without_vertices():
-    g = _class_graph()
-    sub = g.without_vertices({"C"})
-    assert sub.vertices == ["A", "B"]
-    assert sub.edges == g.edges
-
-
 def test_exports(tmp_path):
     g = attach_perf(_class_graph(), [PerfRecord("A", 10, 20)])
     write_edge_list(g, tmp_path / "edges.csv")
@@ -303,7 +298,7 @@ def test_affinity_csv_is_the_dense_matrix(tmp_path):
 
 def test_affinity_csv_cells_parse_to_the_matrix_bit_for_bit(tmp_path):
     calls, perf, _ = generate_system(SynthSpec(n_classes=12, n_blocks=2, seed=1))
-    W = split_core(build_mode_graph(calls, perf, CAT, "fusion"))[1]
+    W = to_affinity(PipelineInputs(calls, perf, CAT).mode_core("fusion"))
     write_affinity_csv(W, tmp_path / "aff.csv")
     with open(tmp_path / "aff.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -318,7 +313,26 @@ def test_affinity_rejects_overflowing_degrees():
 
 
 def test_split_core_drops_isolated_vertices():
-    core, W, isolated = split_core(_class_graph())
+    g = attach_perf(_class_graph(), [PerfRecord("C", 1, 1)])
+    core, isolated = split_core(g)
     assert isolated == {"C"}
-    assert core.vertices == W.vertex_ids == ["A", "B"]
+    assert core.vertices == ["A", "B"]
+    assert core.edges == g.edges
+    assert core.vertex_attrs == {"A": (0.0, 0.0), "B": (0.0, 0.0)}
+    W = to_affinity(core)
     assert W.entries[0, 1] == W.entries[1, 0] == 10.0
+
+
+def test_split_core_keeps_the_edge_order_and_renumbers():
+    g = FeatureGraph.from_edges(["a", "b", "c", "d"], {("d", "b"): 1.0, ("b", "d"): 2.0})
+    core, isolated = split_core(g)
+    assert isolated == {"a", "c"}
+    assert (core.src.tolist(), core.dst.tolist()) == ([1, 0], [0, 1])
+    assert list(core.edges.items()) == [(("d", "b"), 1.0), (("b", "d"), 2.0)]
+
+
+def test_summed_weight_overflow_is_an_overflow_error():
+    catalog = TypeCatalog({"Big": OpaqueLayout(10 ** 308)})
+    records = [call("f", "g", "A", "B", ["Big"])] * 2
+    with pytest.raises(OverflowError, match=r"summed weight of \('A', 'B'\) overflows"):
+        build_class_graph(records, catalog)

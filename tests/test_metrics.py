@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naive_oracles import naive_cluster_stats, naive_cut, naive_mq, naive_mqw
-from servicecut.feature_graph import FeatureGraph, edge_arrays, to_affinity
+from servicecut.feature_graph import FeatureGraph, to_affinity
 from servicecut.metrics import cut_value, label_stats, mq, mqw
 from servicecut.spectral import Partition
 
 
 def graph(vertices, edges):
-    return FeatureGraph(list(vertices), dict(edges))
+    return FeatureGraph.from_edges(list(vertices), dict(edges))
 
 
 def test_mq_two_cohesive_pairs():
@@ -145,7 +145,7 @@ def test_bounds_and_unit_weight_equivalence(seed):
         assert 0.0 <= x <= 1.0
     assert -1.0 <= value <= 1.0
     assert -1.0 <= value_w <= 1.0
-    unit = FeatureGraph(list(g.vertices), {e: 1.0 for e in g.edges})
+    unit = FeatureGraph.from_edges(list(g.vertices), {e: 1.0 for e in g.edges})
     assert mqw(p, unit)[2] == pytest.approx(mq(p, unit)[2], abs=1e-15)
 
 
@@ -155,14 +155,14 @@ def test_cluster_stats_equal_edge_loop_bit_for_bit(seed, unassigned):
     # fractional weights, so a changed summation order would show in the bits
     rng = np.random.default_rng(seed)
     g, p = random_instance(rng, max_n=12)
-    g = FeatureGraph(list(g.vertices), {e: w / 3.0 for e, w in g.edges.items()})
+    g = FeatureGraph.from_edges(list(g.vertices), {e: w / 3.0 for e, w in g.edges.items()})
     labels = dict(p.labels)
     for v in g.vertices[:unassigned]:
         if list(labels.values()).count(labels[v]) > 1:
             del labels[v]
     p = Partition(labels, p.k)
     rows = np.array([[p.labels.get(v, -1) for v in g.vertices]])
-    sizes, u, uw, sigma, sigmaw, cut = label_stats(rows, p.k, edge_arrays(g))
+    sizes, u, uw, sigma, sigmaw, cut = label_stats(rows, p.k, g)
     sizes_e, u_e, uw_e, sigma_e, sigmaw_e, cut_e = naive_cluster_stats(p.labels, g.edges, p.k)
     assert (sizes[0].tolist(), u[0].tolist(), uw[0].tolist()) == (sizes_e, u_e, uw_e)
     crossing = [tuple(pair) for pair in np.argwhere(sigmaw[0]).tolist()]

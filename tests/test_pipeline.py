@@ -4,13 +4,12 @@ from dataclasses import replace
 import pytest
 
 from naive_oracles import canonicalize, naive_kmeans
-from servicecut.feature_graph import split_core
+from servicecut.feature_graph import to_affinity
 from servicecut.metrics import mqw
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import (
     MODES,
     PipelineInputs,
-    build_mode_graph,
     epoch_seed,
     partition_accuracy,
     run_pipeline,
@@ -69,8 +68,8 @@ def test_synth_files_parse(tmp_path):
 def test_ground_truth_recovery_zero_inter_every_seed():
     for seed in range(8):
         calls, perf, truth = generate_system(two_block_spec(seed=seed))
-        g = build_mode_graph(calls, perf, CAT, "static")
-        p = extract_candidates(split_core(g)[1], 2, seed=seed)
+        core = PipelineInputs(calls, perf, CAT).core
+        p = extract_candidates(to_affinity(core), 2, seed=seed)
         assert partition_accuracy(p.labels, truth) == 1.0
 
 
@@ -102,9 +101,7 @@ def test_pipeline_recovers_two_blocks_static(tmp_path):
     calls, _, truth = generate_system(two_block_spec())
     assert partition_accuracy(partition.labels, truth) == 1.0
     # reported MQw equals the metric module applied to the same partition
-    g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, "static")
-    core, _, _ = split_core(g)
-    assert report.mqw == pytest.approx(mqw(partition, core)[2])
+    assert report.mqw == pytest.approx(mqw(partition, inputs.core)[2])
     assert report.cut == 0.0
 
 
@@ -216,8 +213,7 @@ def test_sweep_two_block_best_k_is_two(tmp_path):
     result = sweep(inputs, ("static",), k_min=2, k_max=5, epochs=5, base_seed=0)
     assert result.best_k["static"] == 2
     # cross-check against exhaustive search on this small instance
-    g = build_mode_graph(inputs.calls, inputs.perf, inputs.catalog, "static")
-    best_p, best_value = brute_force_best(g, 2, "mqw")
+    best_p, best_value = brute_force_best(inputs.graph, 2, "mqw")
     assert best_value >= result.medians[("static", 2)] - 1e-12
 
 
@@ -246,8 +242,8 @@ def test_sweep_graph_epoch_values_equal_reference_loop(mode):
     # the per-restart k-means, dict relabeling and dict-loop MQw the sweep
     # replaced, value for value: guards a byte-identical sweep.json
     calls, perf, _ = generate_system(SynthSpec(n_classes=40, n_blocks=4, seed=1))
-    g = build_mode_graph(calls, perf, CAT, mode)
-    core, W, _ = split_core(g)
+    core = PipelineInputs(calls, perf, CAT).mode_core(mode)
+    W = to_affinity(core)
     U = embed(build_laplacian(W), 10).U
     expected = {}
     for k in range(2, 11):
@@ -256,7 +252,7 @@ def test_sweep_graph_epoch_values_equal_reference_loop(mode):
             raw = naive_kmeans(U[:, :k].copy(), k, epoch_seed(11, mode, k, epoch))
             p = canonicalize(dict(zip(W.vertex_ids, (int(c) for c in raw))), k)
             expected[(mode, k)].append(mqw(p, core)[2])
-    assert sweep_graph(g, mode, 2, 10, 3, 11) == expected
+    assert sweep_graph(core, mode, 2, 10, 3, 11) == expected
 
 
 def test_sweep_median_reproducible_from_stored_values(tmp_path):

@@ -107,7 +107,7 @@ def test_parse_perf_empty_file(tmp_path):
 def test_parse_perf_negative_cpu(tmp_path):
     p = tmp_path / "perf.csv"
     p.write_text("X,-1,0\n")
-    with pytest.raises(LogParseError, match="negative cpu_time at line 1"):
+    with pytest.raises(LogParseError, match=":1: negative cpu_time"):
         parse_perf_log(p)
 
 
@@ -218,6 +218,18 @@ def test_catalog_redefine_primitive_rejected(tmp_path):
     p = tmp_path / "types.txt"
     p.write_text("int: opaque 2\n")
     with pytest.raises(LogParseError, match="primitive"):
+        parse_type_catalog(p)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("Order: object\n    int\nOrder: opaque 4096\n", 3),
+    ("Blob: opaque 8\nOrder: object\nBlob: object\n    int\n", 3),
+    ("Order: object\nOrder: object\n", 2),
+], ids=["object-then-opaque", "opaque-then-object", "object-twice"])
+def test_catalog_repeated_type_names_its_line(tmp_path, text, line):
+    p = tmp_path / "types.txt"
+    p.write_text(text)
+    with pytest.raises(LogParseError, match=f"types.txt:{line}: type .* declared twice"):
         parse_type_catalog(p)
 
 
