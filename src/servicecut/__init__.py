@@ -5,9 +5,7 @@ from .cost_model import SizeModel, api_estimate, edge_cost
 from .feature_graph import (
     AffinityMatrix,
     FeatureGraph,
-    attach_perf,
     build_class_graph,
-    fuse,
     to_affinity,
 )
 from .metrics import QualityReport, cut_value, mq, mqw, score
@@ -55,7 +53,6 @@ __all__ = [
     "TypeCatalog",
     "TypeRef",
     "api_estimate",
-    "attach_perf",
     "brute_force_best",
     "build_class_graph",
     "build_laplacian",
@@ -63,7 +60,6 @@ __all__ = [
     "edge_cost",
     "embed",
     "extract_candidates",
-    "fuse",
     "generate_system",
     "kmeans",
     "mq",

@@ -21,7 +21,6 @@ from .pipeline import (
     DEFAULT_MODES,
     MODES,
     PipelineInputs,
-    build_mode_graph,
     run_pipeline,
     sweep,
     write_sweep_outputs,
@@ -67,6 +66,12 @@ def _parse_size_model(pairs: tuple[str, ...]) -> SizeModel:
         raise click.UsageError(f"--size-model: {exc}") from exc
 
 
+def _load(calls_path, perf_path, catalog_path, size_model, raw_attrs) -> PipelineInputs:
+    """The inputs the common options name."""
+    return PipelineInputs.load(calls_path, perf_path, catalog_path,
+                               _parse_size_model(size_model), not raw_attrs)
+
+
 def _common_options(fn):
     fn = click.option("--calls", "calls_path", required=True,
                       type=click.Path(dir_okay=False), help="Call log CSV.")(fn)
@@ -91,8 +96,7 @@ def cli():
 @_common_options
 def ingest_check(calls_path, perf_path, catalog_path, size_model, raw_attrs):
     """Parse inputs and report counts; fail loudly on malformed data."""
-    model = _parse_size_model(size_model)
-    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path, model)
+    inputs = _load(calls_path, perf_path, catalog_path, size_model, raw_attrs)
     click.echo(f"call records: {len(inputs.calls)} ({inputs.graph.self_calls_dropped} self-call)")
     click.echo(f"perf records: {len(inputs.perf)}")
     click.echo(f"classes:      {len(inputs.graph.vertices)}")
@@ -105,16 +109,14 @@ def ingest_check(calls_path, perf_path, catalog_path, size_model, raw_attrs):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def build_graph(calls_path, perf_path, catalog_path, size_model, raw_attrs, mode, out_dir):
     """Build the class-level feature graph and export it."""
-    model = _parse_size_model(size_model)
-    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path, model)
-    g = build_mode_graph(inputs.graph, inputs.perf, mode, not raw_attrs)
+    inputs = _load(calls_path, perf_path, catalog_path, size_model, raw_attrs)
+    g = inputs.mode_graph(mode)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fg.write_edge_list(g, out / "graph_edges.csv")
-    fg.write_graph_json(g, out / "graph.json")
+    fg.write_graph_json(g, out / "graph.json", None if mode == "static" else inputs.attrs)
     if inputs.core.vertices:
-        fg.write_affinity_csv(fg.to_affinity(dataclasses.replace(inputs.core, weight=g.weight)),
-                              out / "affinity.csv")
+        fg.write_affinity_csv(fg.to_affinity(inputs.mode_core(mode)), out / "affinity.csv")
     click.echo(f"wrote graph exports to {out}")
 
 
@@ -129,10 +131,9 @@ def build_graph(calls_path, perf_path, catalog_path, size_model, raw_attrs, mode
 def evaluate(calls_path, perf_path, catalog_path, size_model, raw_attrs,
              mode, k, seed, out_dir, fmt):
     """Cluster and score: writes partition plus a quality report."""
-    model = _parse_size_model(size_model)
-    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path, model)
+    inputs = _load(calls_path, perf_path, catalog_path, size_model, raw_attrs)
     inputs.check_k(k, "--k")
-    partition, report = run_pipeline(inputs, mode, k, seed, not raw_attrs)
+    partition, report = run_pipeline(inputs, mode, k, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "partition.json").write_text(json.dumps(partition.to_json(seed=seed), indent=2,
@@ -167,10 +168,9 @@ def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
         raise click.UsageError(f"--modes names a mode twice: {modes!r}")
     if k_min > k_max:
         raise click.UsageError(f"--k-min {k_min} exceeds --k-max {k_max}")
-    model = _parse_size_model(size_model)
-    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path, model)
+    inputs = _load(calls_path, perf_path, catalog_path, size_model, raw_attrs)
     inputs.check_k(k_max, "--k-max")
-    result = sweep(inputs, mode_list, k_min, k_max, epochs, base_seed, not raw_attrs)
+    result = sweep(inputs, mode_list, k_min, k_max, epochs, base_seed)
     write_sweep_outputs(result, out_dir)
     for mode, k in sorted(result.best_k.items()):
         click.echo(f"{mode}: best k = {k} (median MQw {result.medians[(mode, k)]:.4f})")
@@ -213,12 +213,10 @@ def synth(n_classes, n_blocks, intra_call_prob, inter_call_prob,
 def oracle_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
                mode, k, objective):
     """Exhaustive best partition of a small system (<= 10 classes)."""
-    model = _parse_size_model(size_model)
-    inputs = PipelineInputs.load(calls_path, perf_path, catalog_path, model)
+    inputs = _load(calls_path, perf_path, catalog_path, size_model, raw_attrs)
     if inputs.check_k(k, "--k") > MAX_VERTICES:
         raise ValueError(f"--calls: more than {MAX_VERTICES} non-isolated classes for the oracle")
-    g = build_mode_graph(inputs.graph, inputs.perf, mode, not raw_attrs)
-    partition, value = brute_force_best(g, k, objective)
+    partition, value = brute_force_best(inputs.mode_graph(mode), k, objective)
     click.echo(json.dumps({"objective": objective, "value": value,
                            **partition.to_json()}, sort_keys=True))
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .records import (
     BOOLEAN_ARRAY_ELEMENT_SIZE,
+    MAX_ARRAY_RANK,
     PRIMITIVE_SIZES,
     ObjectLayout,
     OpaqueLayout,
@@ -35,12 +36,20 @@ class SizeModel:
     assumed_array_len: int = 0
 
     def __post_init__(self):
+        # non-negative sizes keep every edge cost at 1 or more
+        for name in ("header_plain", "header_array", "ref_slot", "default_unknown",
+                     "assumed_array_len"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.alignment <= 0 or self.alignment & (self.alignment - 1):
             raise ValueError("alignment must be a power of two")
         if self.header_plain > self.header_array:
             raise ValueError("header_plain must be <= header_array")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        # _estimate recurses two frames per object level and one per array
+        # rank; with both capped at 255 it stays near 765 frames, under
+        # Python's default recursion limit of 1000
+        if not 1 <= self.max_depth <= MAX_ARRAY_RANK:
+            raise ValueError(f"max_depth must be in [1, {MAX_ARRAY_RANK}]")
 
     def align(self, size: int) -> int:
         return -(-size // self.alignment) * self.alignment

@@ -1,6 +1,6 @@
 """Weighted program feature graphs: class-level construction from call
-records, performance-attribute attachment, fusion, and the symmetric affinity
-matrix fed to the clusterer."""
+records, the core split, and the symmetric affinity matrix fed to the
+clusterer."""
 
 from __future__ import annotations
 
@@ -8,14 +8,14 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .cost_model import SizeModel, edge_cost
-from .records import CallRecord, PerfRecord, TypeCatalog
+from .records import CallRecord, TypeCatalog
 
 log = logging.getLogger(__name__)
 
@@ -32,7 +32,6 @@ class FeatureGraph:
     src: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
-    vertex_attrs: dict[str, tuple[float, float]] | None = None
     self_calls_dropped: int = 0
 
     def __post_init__(self):
@@ -43,7 +42,7 @@ class FeatureGraph:
         if bad.any():
             e = bad.argmax()
             raise ValueError(f"non-positive or non-finite weight {float(self.weight[e])!r} "
-                             f"on {self._pair(e)!r}")
+                             f"on {self.pair(e)!r}")
 
     @classmethod
     def from_edges(cls, vertices, edges: dict[tuple[str, str], float],
@@ -58,9 +57,10 @@ class FeatureGraph:
     @property
     def edges(self) -> dict[tuple[str, str], float]:
         """``{(src, dst): weight}`` in edge order, derived from the arrays."""
-        return dict(zip(map(self._pair, range(self.src.size)), self.weight.tolist()))
+        return dict(zip(map(self.pair, range(self.src.size)), self.weight.tolist()))
 
-    def _pair(self, e: int) -> tuple[str, str]:
+    def pair(self, e: int) -> tuple[str, str]:
+        """The (src, dst) class names of edge ``e``."""
         return self.vertices[self.src[e]], self.vertices[self.dst[e]]
 
 
@@ -126,46 +126,6 @@ def build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
     return FeatureGraph.from_edges(classes, edges, self_calls_dropped=dropped)
 
 
-def attach_perf(g: FeatureGraph, perf: list[PerfRecord], normalize: bool = True) -> FeatureGraph:
-    """Attach (cpu_time, retained_bytes) attributes to every class vertex.
-
-    Missing classes get (0, 0). With ``normalize`` (the default) each
-    attribute is divided by its maximum over all classes so both lie in
-    [0, 1]; an all-zero attribute stays all-zero.
-    """
-    known = set(g.vertices)
-    by_class = {}
-    for r in perf:
-        if r.class_id not in known:
-            log.warning("perf record for %r has no call-graph vertex; ignored", r.class_id)
-            continue
-        by_class[r.class_id] = (r.cpu_time, r.retained_bytes)
-    t_max = max((t for t, _ in by_class.values()), default=0.0)
-    r_max = max((r for _, r in by_class.values()), default=0.0)
-    attrs = {}
-    for v in g.vertices:
-        t, r = by_class.get(v, (0.0, 0.0))
-        if normalize:
-            t = t / t_max if t_max > 0 else 0.0
-            r = r / r_max if r_max > 0 else 0.0
-        attrs[v] = (t, r)
-    return replace(g, vertex_attrs=attrs)
-
-
-def fuse(g: FeatureGraph) -> FeatureGraph:
-    """Reweight each directed edge (i -> j) by the callee factor
-    (t_j + r_j + 1). Edge set and vertex set are unchanged."""
-    if g.vertex_attrs is None:
-        raise ValueError("fuse requires vertex attributes; call attach_perf first")
-    factor = np.array([t + r + 1.0 for t, r in map(g.vertex_attrs.get, g.vertices)])
-    with np.errstate(over="ignore"):  # reported just below
-        weight = g.weight * factor[g.dst]
-    if np.isinf(weight).any():
-        pair = g._pair(np.isinf(weight).argmax())
-        raise OverflowError(f"fused weight of {pair!r} overflows float64")
-    return replace(g, weight=weight)
-
-
 def to_affinity(g: FeatureGraph) -> AffinityMatrix:
     """Symmetrize by directional sum: W[i][j] = w(i->j) + w(j->i), exact as
     edge pairs are unique and never self-loops."""
@@ -181,8 +141,7 @@ def split_core(g: FeatureGraph) -> tuple[FeatureGraph, set[str]]:
     touched = np.bincount(np.concatenate([g.src, g.dst]), minlength=len(g.vertices)) > 0
     index = np.cumsum(touched) - 1
     keep = [v for v, t in zip(g.vertices, touched.tolist()) if t]
-    attrs = None if g.vertex_attrs is None else {v: g.vertex_attrs[v] for v in keep}
-    core = FeatureGraph(keep, index[g.src], index[g.dst], g.weight, attrs, g.self_calls_dropped)
+    core = FeatureGraph(keep, index[g.src], index[g.dst], g.weight, g.self_calls_dropped)
     return core, set(g.vertices) - set(keep)
 
 
@@ -197,7 +156,9 @@ def write_edge_list(g: FeatureGraph, path: str | Path) -> None:
             writer.writerow([src, dst, repr(w)])
 
 
-def graph_to_json(g: FeatureGraph) -> dict:
+def graph_to_json(g: FeatureGraph, attrs: np.ndarray | None = None) -> dict:
+    """The graph as a JSON document; ``attrs``, the (n, 2) perf attributes
+    over ``g.vertices``, are written as ``vertex_attrs`` when given."""
     doc = {
         "granularity": "class",
         "vertices": list(g.vertices),
@@ -206,15 +167,15 @@ def graph_to_json(g: FeatureGraph) -> dict:
             for (src, dst), w in sorted(g.edges.items())
         ],
     }
-    if g.vertex_attrs is not None:
+    if attrs is not None:
         doc["vertex_attrs"] = {
-            v: {"cpu_time": t, "retained": r} for v, (t, r) in sorted(g.vertex_attrs.items())
+            v: {"cpu_time": t, "retained": r} for v, (t, r) in zip(g.vertices, attrs.tolist())
         }
     return doc
 
 
-def write_graph_json(g: FeatureGraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n",
+def write_graph_json(g: FeatureGraph, path: str | Path, attrs: np.ndarray | None = None) -> None:
+    Path(path).write_text(json.dumps(graph_to_json(g, attrs), indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -14,8 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .cost_model import SizeModel
-from .feature_graph import (FeatureGraph, attach_perf, build_class_graph, fuse, split_core,
-                            to_affinity)
+from .feature_graph import FeatureGraph, build_class_graph, split_core, to_affinity
 from .metrics import QualityReport, batch_scores, score
 from .records import (
     CallRecord,
@@ -28,6 +28,8 @@ from .records import (
 from .spectral import (Partition, build_laplacian, embed, extract_candidates, first_occurrence,
                        kmeans)
 
+log = logging.getLogger(__name__)
+
 MODES = ("static", "fusion", "dynamic")
 DEFAULT_MODES = ("static", "fusion")  # dynamic-only is behind a flag
 
@@ -39,48 +41,65 @@ def epoch_seed(base_seed: int, mode: str, k: int, epoch: int) -> int:
     return (base_seed ^ int.from_bytes(digest, "big")) & 0x7FFF_FFFF_FFFF_FFFF
 
 
-def build_mode_graph(
-    g: FeatureGraph,
-    perf: list[PerfRecord],
-    mode: str,
-    normalize: bool = True,
-) -> FeatureGraph:
-    """The mode's weights over the class graph ``g``'s vertices and edges:
-    with f = t + r + 1 per vertex after ``attach_perf``, static keeps w,
-    fusion takes w * f[dst] and dynamic f[dst]."""
+def mode_weights(g: FeatureGraph, attrs: np.ndarray, mode: str) -> np.ndarray:
+    """The mode's weights over the edges of ``g``, given the (n, 2) perf
+    ``attrs`` of its vertices: with f = t + r + 1 per vertex, static keeps
+    w, fusion takes w * f[dst] and dynamic f[dst]."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == "static":
-        return g
-    g = attach_perf(g, perf, normalize)
-    return fuse(g if mode == "fusion" else replace(g, weight=np.ones_like(g.weight)))
+        return g.weight
+    with np.errstate(over="ignore"):  # reported just below
+        f = attrs[:, 0] + attrs[:, 1] + 1.0
+        weight = g.weight * f[g.dst] if mode == "fusion" else f[g.dst]
+    if np.isinf(weight).any():
+        pair = g.pair(np.isinf(weight).argmax())
+        raise OverflowError(f"fused weight of {pair!r} overflows float64")
+    return weight
 
 
 @dataclass
 class PipelineInputs:
-    """Parsed inputs, their class graph, built once, and its core (the
-    graph without its isolated vertices), split once."""
+    """Parsed inputs, their class graph, built once, its core (the graph
+    without its isolated vertices), split once, and the perf attributes of
+    the graph's vertices, attached once: an (n, 2) array of (cpu_time,
+    retained) rows, (0, 0) for a class without a perf row and, with
+    ``normalize``, each column divided by its maximum when that is positive."""
 
     calls: list[CallRecord]
     perf: list[PerfRecord]
     catalog: TypeCatalog
     model: SizeModel | None = None
+    normalize: bool = True
     graph: FeatureGraph = field(init=False)
     core: FeatureGraph = field(init=False)
     isolated: set[str] = field(init=False)
+    attrs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.graph = build_class_graph(self.calls, self.catalog, self.model)
         self.core, self.isolated = split_core(self.graph)
+        index = {v: i for i, v in enumerate(self.graph.vertices)}
+        self.attrs = np.zeros((len(index), 2))
+        for r in self.perf:
+            if r.class_id not in index:
+                log.warning("perf record for %r has no call-graph vertex; ignored", r.class_id)
+                continue
+            self.attrs[index[r.class_id]] = r.cpu_time, r.retained_bytes
+        if self.normalize:
+            top = self.attrs.max(axis=0, initial=0.0)
+            self.attrs = np.divide(self.attrs, top, out=np.zeros_like(self.attrs),
+                                   where=top > 0)
 
     @classmethod
     def load(cls, calls_path, perf_path=None, catalog_path=None,
-             model: SizeModel | None = None) -> "PipelineInputs":
+             model: SizeModel | None = None, normalize: bool = True) -> "PipelineInputs":
         return cls(
             calls=parse_call_log(calls_path),
             perf=parse_perf_log(perf_path) if perf_path else [],
             catalog=parse_type_catalog(catalog_path),
             model=model,
+            normalize=normalize,
         )
 
     def check_k(self, k: int, name: str = "k") -> int:
@@ -91,10 +110,13 @@ class PipelineInputs:
             raise ValueError(f"{name} {k} exceeds the {n} non-isolated class vertices")
         return n
 
-    def mode_core(self, mode: str, normalize: bool = True) -> FeatureGraph:
+    def mode_graph(self, mode: str) -> FeatureGraph:
+        """The class graph with the mode's weights."""
+        return replace(self.graph, weight=mode_weights(self.graph, self.attrs, mode))
+
+    def mode_core(self, mode: str) -> FeatureGraph:
         """The core with the mode's weights (the core keeps the graph's edges, in order)."""
-        return replace(self.core, weight=build_mode_graph(self.graph, self.perf, mode,
-                                                          normalize).weight)
+        return replace(self.core, weight=mode_weights(self.graph, self.attrs, mode))
 
 
 def run_pipeline(
@@ -102,10 +124,9 @@ def run_pipeline(
     mode: str,
     k: int,
     seed: int,
-    normalize: bool = True,
 ) -> tuple[Partition, QualityReport]:
     inputs.check_k(k)
-    core = inputs.mode_core(mode, normalize)
+    core = inputs.mode_core(mode)
     partition = extract_candidates(to_affinity(core), k, seed)
     partition.unassigned = set(inputs.isolated)
     report = score(partition, core, mode)
@@ -182,7 +203,6 @@ def sweep(
     k_max: int = 10,
     epochs: int = 100,
     base_seed: int = 0,
-    normalize: bool = True,
 ) -> SweepResult:
     if not modes:
         raise ValueError("modes names no mode")
@@ -197,7 +217,7 @@ def sweep(
     inputs.check_k(k_max, "k_max")
     result = SweepResult(tuple(modes), (k_min, k_max), epochs, base_seed)
     for mode in modes:
-        core = inputs.mode_core(mode, normalize)
+        core = inputs.mode_core(mode)
         result.epoch_values.update(sweep_graph(core, mode, k_min, k_max, epochs, base_seed))
     return result
 

@@ -40,6 +40,10 @@ PRIMITIVE_SIZES = {
 
 BOOLEAN_ARRAY_ELEMENT_SIZE = 1
 
+#: The JVM's limit on array dimensions (JVMS 4.3.2); it also bounds the
+#: cost model's recursion through array element types.
+MAX_ARRAY_RANK = 255
+
 
 class LogParseError(ValueError):
     """Malformed log or catalog input; carries the file path and line number."""
@@ -62,8 +66,9 @@ class TypeRef:
     def __post_init__(self):
         if not self.name:
             raise ValueError("type name must be non-empty")
-        if self.array_rank < 0:
-            raise ValueError("array_rank must be >= 0")
+        if not 0 <= self.array_rank <= MAX_ARRAY_RANK:
+            raise ValueError(f"array rank {self.array_rank} of {self.name!r} is not in "
+                             f"[0, {MAX_ARRAY_RANK}]")
 
     def __str__(self) -> str:
         return self.name + "[]" * self.array_rank

@@ -13,12 +13,7 @@ from servicecut.cost_model import SizeModel, api_estimate
 from servicecut.feature_graph import AffinityMatrix, FeatureGraph, split_core, to_affinity
 from servicecut.metrics import cut_value, mq, mqw
 from servicecut.oracle import brute_force_best
-from servicecut.pipeline import (
-    PipelineInputs,
-    SweepResult,
-    partition_accuracy,
-    sweep_graph,
-)
+from servicecut.pipeline import PipelineInputs, partition_accuracy, sweep
 from servicecut.records import ObjectLayout, PRIMITIVE_SIZES, TypeCatalog, TypeRef
 from servicecut.spectral import build_laplacian, embed, extract_candidates
 from servicecut.synth import SynthSpec, generate_system
@@ -179,11 +174,10 @@ def test_criterion_4_planted_partition_recovery(capsys):
                     param_pool=SMALL_PARAMS, max_params=1, seed=seed,
                 )
                 calls, perf, truth = generate_system(spec)
-                core = PipelineInputs(calls, perf, cat).core
-                p = extract_candidates(to_affinity(core), blocks, seed=1000 + seed)
+                inputs = PipelineInputs(calls, perf, cat)
+                p = extract_candidates(to_affinity(inputs.core), blocks, seed=1000 + seed)
                 accuracies.append(partition_accuracy(p.labels, truth))
-                result = SweepResult(("static",), (2, 10), 10, seed,
-                                     sweep_graph(core, "static", 2, 10, 10, seed))
+                result = sweep(inputs, ("static",), 2, 10, 10, seed)
                 argmax_hits += result.best_k["static"] == blocks
             mean_acc = statistics.mean(accuracies)
             assert mean_acc >= 0.95, (n, blocks, mean_acc)
@@ -203,10 +197,7 @@ def test_criterion_5_fusion_dominates_static(capsys):
                 block_correlated_perf=True, seed=seed,
             )
             inputs = PipelineInputs(*generate_system(spec)[:2], cat)
-            result = SweepResult(("static", "fusion"), (2, 10), 100, 100 + seed)
-            for mode in result.modes:
-                core = inputs.mode_core(mode)
-                result.epoch_values.update(sweep_graph(core, mode, 2, 10, 100, 100 + seed))
+            result = sweep(inputs, ("static", "fusion"), 2, 10, 100, 100 + seed)
             medians = result.medians
             dominated = all(
                 medians[("fusion", k)] >= medians[("static", k)] - 1e-12

@@ -202,9 +202,14 @@ def test_ingest_check_rejects_bad_size_model(tmp_path, capsys):
     (["sweep", "--modes", "static,static"], "--modes"),
     (["evaluate", "--k", "2", "--seed", "-1"], "--seed"),
     (["sweep", "--seed", "-1"], "--seed"),
+    (["evaluate", "--k", "2", "--size-model", "default_unknown=-100"], "--size-model"),
+    (["evaluate", "--k", "2", "--size-model", "assumed_array_len=-5"], "--size-model"),
+    (["sweep", "--size-model", "ref_slot=-1"], "--size-model"),
+    (["evaluate", "--k", "2", "--size-model", "max_depth=600"], "--size-model"),
 ], ids=["k-1", "k-min-1", "k-min-above-k-max", "epochs-0", "size-model-not-int",
         "size-model-rejected", "modes-empty", "modes-repeated", "evaluate-seed-negative",
-        "sweep-seed-negative"])
+        "sweep-seed-negative", "size-model-negative-default", "size-model-negative-array-len",
+        "size-model-negative-ref-slot", "size-model-max-depth-600"])
 def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, args, flag):
     sysdir = synth_system(tmp_path)
     capsys.readouterr()  # discard synth output
@@ -291,6 +296,30 @@ def test_the_class_graph_is_built_once_per_invocation(tmp_path, monkeypatch, arg
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--modes", "fusion,dynamic", "--k-max", "3", "--epochs", "1", "--out", "{out}"],
+    ["evaluate", "--mode", "static", "--k", "2", "--out", "{out}"],
+    ["ingest-check"],
+], ids=["sweep-fusion-dynamic", "evaluate-static", "ingest-check"])
+def test_an_unknown_perf_class_is_logged_once_per_run(tmp_path, caplog, args):
+    sysdir = synth_system(tmp_path)
+    perf = tmp_path / "perf.csv"
+    perf.write_text((sysdir / "perf.csv").read_text() + "Ghost,1,1\n")
+    argv = [a.format(out=tmp_path / "o") for a in args]
+    assert run(*argv, "--calls", str(sysdir / "calls.csv"), "--perf", str(perf)) == 0
+    assert caplog.text.count("'Ghost' has no call-graph vertex") == 1
+
+
+@pytest.mark.parametrize("command", [["ingest-check"], ["evaluate", "--k", "2", "--out", "{out}"]])
+def test_array_rank_beyond_the_jvm_limit_is_a_data_error_naming_the_line(tmp_path, capsys,
+                                                                          command):
+    calls = tmp_path / "calls.csv"
+    calls.write_text("f,g,A,B,,int\ng,f,B,A,,int" + "[]" * 1000 + "\n")
+    argv = [a.format(out=tmp_path / "o") for a in command]
+    assert run(*argv, "--calls", str(calls)) == 2
+    assert "calls.csv:2: array rank 1000 of 'int' is not in [0, 255]" in capsys.readouterr().err
+
+
 def test_huge_raw_perf_values_still_cluster(tmp_path):
     # the fused weights reach 1e301: finite, but their squares overflow
     calls = tmp_path / "calls.csv"
@@ -320,9 +349,11 @@ _PERF_VALUE = st.sampled_from(["0", "1", "2.5", "1e300", "1e308", "-1", "nan", "
 _PERF_ROW = st.builds(lambda c, t, r: f"{c},{t},{r}", st.sampled_from(_CLASSES + ["Z"]),
                       _PERF_VALUE, _PERF_VALUE)
 # one odd line per log: any column count or empty fields, a header or comment
-# line anywhere, or (None) a byte that is not UTF-8
+# line anywhere, a call row whose parameter has more array dimensions than the
+# JVM's 255, or (None) a byte that is not UTF-8
+_DEEP_ROW = "f,g,A,B,,int" + "[]" * 1000
 _ODD_LINE = st.none() | st.lists(_FIELD, max_size=8).map(",".join) | st.sampled_from(
-    [_CALL_HEADER, _PERF_HEADER, "# comment", ""])
+    [_CALL_HEADER, _PERF_HEADER, "# comment", "", _DEEP_ROW])
 
 
 # a type catalog of distinct declarations (the call rows use Foo) and one odd
@@ -360,6 +391,10 @@ def _log(rows, odd):
     return b"\n".join(lines) + b"\n"
 
 
+# size-model overrides outside their ranges: each is a usage error
+_BAD_MODELS = ["ref_slot=-1", "default_unknown=-100", "assumed_array_len=-5", "max_depth=600"]
+
+
 def _flags(draw, *pairs):
     argv = []
     for flag, values in pairs:
@@ -376,7 +411,8 @@ def _invocations(draw):
     seed = ("--seed", ["0", "3", "-1"])
     command = draw(st.sampled_from(["ingest-check", "build-graph", "evaluate", "sweep",
                                     "oracle"]))
-    argv = [command] + _flags(draw, ("--size-model", ["ref_slot=8", "alignment=3"]))
+    models = ["ref_slot=8", "alignment=3", "max_depth=255"] + _BAD_MODELS
+    argv = [command] + _flags(draw, ("--size-model", models))
     if draw(st.booleans()):
         argv.append("--raw-attrs")
     if command == "build-graph":
@@ -423,5 +459,8 @@ def test_fuzzed_logs_and_flags_keep_the_exit_code_contract(calls, odd_call, perf
     assert code in (0, 1, 2, 3), message
     assert "Traceback" not in message
     assert code or not invalid_catalog, argv
+    assert code or odd_call is None or odd_call[1] != _DEEP_ROW, argv
+    if any(a in _BAD_MODELS for a in argv):
+        assert code == 1, (argv, message)
     if code:
         assert re.search(r"\.(csv|txt):\d+|--[a-z]", message), (argv, message)

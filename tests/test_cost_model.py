@@ -98,6 +98,14 @@ def test_model_validation():
         SizeModel(header_plain=20, header_array=16)
     with pytest.raises(ValueError):
         SizeModel(max_depth=0)
+    for name in ("header_plain", "header_array", "ref_slot", "default_unknown",
+                 "assumed_array_len"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            SizeModel(**{name: -1})
+        SizeModel(**{"header_plain": 0, name: 0})
+    with pytest.raises(ValueError, match="max_depth"):
+        SizeModel(max_depth=256)
+    SizeModel(max_depth=255)
 
 
 _prim = st.sampled_from(sorted(PRIMITIVE_SIZES))

@@ -10,9 +10,7 @@ from naive_oracles import naive_affinity
 from servicecut.feature_graph import (
     AffinityMatrix,
     FeatureGraph,
-    attach_perf,
     build_class_graph,
-    fuse,
     split_core,
     to_affinity,
     write_affinity_csv,
@@ -21,7 +19,7 @@ from servicecut.feature_graph import (
 )
 from servicecut.cost_model import edge_cost
 from servicecut.metrics import mq, score
-from servicecut.pipeline import MODES, PipelineInputs, build_mode_graph
+from servicecut.pipeline import MODES, PipelineInputs, mode_weights
 from servicecut.records import CallRecord, OpaqueLayout, PerfRecord, TypeCatalog, TypeRef
 from servicecut.spectral import extract_candidates
 from servicecut.synth import SynthSpec, generate_system
@@ -113,59 +111,68 @@ def _class_graph():
     return FeatureGraph.from_edges(["A", "B", "C"], {("A", "B"): 8.0, ("B", "A"): 2.0})
 
 
+def _class_inputs(perf, **kwargs):
+    """Inputs whose class graph is ``_class_graph()``: C only calls itself."""
+    records = [call("f", "g", "A", "B", ["int"]), call("h", "g", "A", "B", ["short"]),
+               call("g", "f", "B", "A", ["byte"]), call("f", "g", "C", "C")]
+    inputs = PipelineInputs(records, perf, CAT, **kwargs)
+    assert inputs.graph.vertices == ["A", "B", "C"]
+    assert inputs.graph.edges == _class_graph().edges
+    return inputs
+
+
 def test_attach_perf_normalizes_to_unit_interval():
-    g = attach_perf(_class_graph(), [PerfRecord("A", 100, 2e6), PerfRecord("B", 50, 4e6)])
-    assert g.vertex_attrs["A"] == (1.0, 0.5)
-    assert g.vertex_attrs["B"] == (0.5, 1.0)
-    assert g.vertex_attrs["C"] == (0.0, 0.0)
+    inputs = _class_inputs([PerfRecord("A", 100, 2e6), PerfRecord("B", 50, 4e6)])
+    assert inputs.attrs.tolist() == [[1.0, 0.5], [0.5, 1.0], [0.0, 0.0]]
 
 
 def test_attach_perf_raw_mode():
-    g = attach_perf(_class_graph(), [PerfRecord("A", 100, 2e6)], normalize=False)
-    assert g.vertex_attrs["A"] == (100.0, 2e6)
+    inputs = _class_inputs([PerfRecord("A", 100, 2e6)], normalize=False)
+    assert inputs.attrs.tolist() == [[100.0, 2e6], [0.0, 0.0], [0.0, 0.0]]
 
 
-def test_attach_perf_unknown_class_ignored():
-    g = attach_perf(_class_graph(), [PerfRecord("Zed", 9, 9)])
-    assert "Zed" not in g.vertex_attrs
-    assert all(a == (0.0, 0.0) for a in g.vertex_attrs.values())
+def test_attach_perf_unknown_class_ignored(caplog):
+    inputs = _class_inputs([PerfRecord("Zed", 9, 9)])
+    assert inputs.attrs.shape == (3, 2)
+    assert not inputs.attrs.any()
+    assert "'Zed' has no call-graph vertex" in caplog.text
 
 
 def test_fuse_scales_by_callee_factor():
-    g = _class_graph()
-    g = attach_perf(g, [])
-    g.vertex_attrs["B"] = (0.5, 0.25)
-    fused = fuse(g)
-    assert fused.edges[("A", "B")] == pytest.approx(8.0 * 1.75)
-    assert fused.edges[("B", "A")] == pytest.approx(2.0)  # A has zero attrs
+    attrs = np.array([[0.0, 0.0], [0.5, 0.25], [0.0, 0.0]])
+    fused = mode_weights(_class_graph(), attrs, "fusion")
+    assert fused.tolist() == pytest.approx([8.0 * 1.75, 2.0])  # A has zero attrs
 
 
 def test_fuse_identity_with_zero_attrs():
-    g = attach_perf(_class_graph(), [])
-    assert fuse(g).edges == g.edges
+    g = _class_graph()
+    assert mode_weights(g, np.zeros((3, 2)), "fusion").tolist() == g.weight.tolist()
 
 
 def test_fuse_same_factor_for_all_in_edges():
-    g = FeatureGraph.from_edges(
-        ["A", "B", "C"], {("A", "C"): 2.0, ("B", "C"): 6.0},
-        vertex_attrs={"A": (0, 0), "B": (0, 0), "C": (0.5, 0.5)},
-    )
-    fused = fuse(g)
-    assert fused.edges[("A", "C")] / 2.0 == fused.edges[("B", "C")] / 6.0 == 2.0
+    g = FeatureGraph.from_edges(["A", "B", "C"], {("A", "C"): 2.0, ("B", "C"): 6.0})
+    fused = mode_weights(g, np.array([[0, 0], [0, 0], [0.5, 0.5]]), "fusion")
+    assert fused[0] / 2.0 == fused[1] / 6.0 == 2.0
 
 
-def test_fuse_requires_attrs():
-    with pytest.raises(ValueError):
-        fuse(_class_graph())
+def test_unknown_mode_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        mode_weights(_class_graph(), np.zeros((3, 2)), "bogus")
+
+
+@pytest.mark.parametrize("mode", ["fusion", "dynamic"])
+def test_fused_weight_overflow_names_the_pair(mode):
+    attrs = np.array([[0.0, 0.0], [1e308, 1e308], [0.0, 0.0]])
+    with pytest.raises(OverflowError, match=r"fused weight of \('A', 'B'\) overflows"):
+        mode_weights(_class_graph(), attrs, mode)
 
 
 def test_modes_are_weight_vectors_over_the_class_graph_edges():
     # callee factors f = t + r + 1: 3.0 for A, 2.0 for B
-    perf = [PerfRecord("A", 100, 2e6), PerfRecord("B", 50, 1e6)]
-    g = _class_graph()
-    assert build_mode_graph(g, perf, "static") is g
-    assert build_mode_graph(g, perf, "fusion").edges == {("A", "B"): 16.0, ("B", "A"): 6.0}
-    assert build_mode_graph(g, perf, "dynamic").edges == {("A", "B"): 2.0, ("B", "A"): 3.0}
+    inputs = _class_inputs([PerfRecord("A", 100, 2e6), PerfRecord("B", 50, 1e6)])
+    assert inputs.mode_graph("static").weight is inputs.graph.weight
+    assert inputs.mode_graph("fusion").edges == {("A", "B"): 16.0, ("B", "A"): 6.0}
+    assert inputs.mode_graph("dynamic").edges == {("A", "B"): 2.0, ("B", "A"): 3.0}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -174,8 +181,8 @@ def test_mode_graph_keeps_class_graph_vertices_and_edges(mode):
     # keep the static class graph's vertex list and edge-key set
     calls, perf, _ = generate_system(SynthSpec(n_classes=24, n_blocks=3,
                                                inter_call_prob=0.1, seed=2))
-    base = build_class_graph(calls, CAT)
-    g = build_mode_graph(base, perf, mode)
+    inputs = PipelineInputs(calls, perf, CAT)
+    base, g = inputs.graph, inputs.mode_graph(mode)
     assert g.vertices == base.vertices
     assert list(g.edges) == list(base.edges)
     p = extract_candidates(to_affinity(split_core(g)[0]), 3, seed=0)
@@ -273,9 +280,10 @@ def test_affinity_matrix_rejects_bad_csr_input(spoil, match):
 
 
 def test_exports(tmp_path):
-    g = attach_perf(_class_graph(), [PerfRecord("A", 10, 20)])
+    inputs = _class_inputs([PerfRecord("A", 10, 20)])
+    g = inputs.graph
     write_edge_list(g, tmp_path / "edges.csv")
-    write_graph_json(g, tmp_path / "graph.json")
+    write_graph_json(g, tmp_path / "graph.json", inputs.attrs)
     write_affinity_csv(to_affinity(g), tmp_path / "aff.csv")
     assert (tmp_path / "edges.csv").read_text().splitlines()[0] == "src,dst,weight"
     doc = json.loads((tmp_path / "graph.json").read_text())
@@ -313,12 +321,11 @@ def test_affinity_rejects_overflowing_degrees():
 
 
 def test_split_core_drops_isolated_vertices():
-    g = attach_perf(_class_graph(), [PerfRecord("C", 1, 1)])
+    g = _class_graph()
     core, isolated = split_core(g)
     assert isolated == {"C"}
     assert core.vertices == ["A", "B"]
     assert core.edges == g.edges
-    assert core.vertex_attrs == {"A": (0.0, 0.0), "B": (0.0, 0.0)}
     W = to_affinity(core)
     assert W.entries[0, 1] == W.entries[1, 0] == 10.0
 

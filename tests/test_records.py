@@ -66,6 +66,15 @@ def test_parse_call_array_params(tmp_path):
     p.write_text("f,g,A,B,,int[];byte[][]\n")
     (rec,) = parse_call_log(p)
     assert rec.callee_params == (TypeRef("int", 1), TypeRef("byte", 2))
+    # the JVM allows at most 255 array dimensions
+    p.write_text("f,g,A,B,,int" + "[]" * 255 + "\n")
+    (rec,) = parse_call_log(p)
+    assert rec.callee_params == (TypeRef("int", 255),)
+    p.write_text("f,g,A,B,,int\ng,f,B,A,,int" + "[]" * 256 + "\n")
+    with pytest.raises(LogParseError, match=r"calls.csv:2: array rank 256 of 'int'"):
+        parse_call_log(p)
+    with pytest.raises(ValueError, match="array rank 256"):
+        TypeRef("int", 256)
 
 
 def test_parse_call_bad_column_count(tmp_path):
