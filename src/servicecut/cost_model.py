@@ -62,7 +62,7 @@ def api_estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel | None = Non
     incomplete catalog degrades gracefully.
     """
     model = model or SizeModel()
-    return _estimate(t, catalog, model, depth=0, visiting=frozenset())
+    return _estimate(t, catalog, model, depth=0, visiting=frozenset(), memo={})
 
 
 def edge_cost(callee_params: list[TypeRef] | tuple[TypeRef, ...], catalog: TypeCatalog,
@@ -73,14 +73,21 @@ def edge_cost(callee_params: list[TypeRef] | tuple[TypeRef, ...], catalog: TypeC
 
 
 def _estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel,
-              depth: int, visiting: frozenset[str]) -> int:
+              depth: int, visiting: frozenset[str], memo: dict) -> int:
+    """Size of ``t`` met at ``depth`` below the estimated parameter, with the
+    object types on the path to it in ``visiting``. ``memo`` holds the
+    object sizes of one estimate, keyed on (name, depth, the names in
+    ``visiting`` that the type can reach): only those can cut its recursion,
+    so the key is exact, and in an acyclic catalog each (type, depth) is
+    costed once, where unmemoized an object with two fields of the type one
+    level down is costed 2^depth times."""
     if t.array_rank > 0:
         element = TypeRef(t.name, t.array_rank - 1)
         if element.array_rank == 0 and element.name in PRIMITIVE_SIZES:
             elem_size = (BOOLEAN_ARRAY_ELEMENT_SIZE if element.name == "boolean"
                          else PRIMITIVE_SIZES[element.name])
         else:
-            elem_size = _estimate(element, catalog, model, depth + 1, visiting)
+            elem_size = _estimate(element, catalog, model, depth + 1, visiting, memo)
         return model.align(model.header_array + model.assumed_array_len * elem_size)
 
     layout = catalog.lookup(t.name)
@@ -93,6 +100,9 @@ def _estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel,
     assert isinstance(layout, ObjectLayout)
     if depth >= model.max_depth or t.name in visiting:
         return model.ref_slot
-    visiting = visiting | {t.name}
-    data = sum(_estimate(f, catalog, model, depth + 1, visiting) for f in layout.fields)
-    return model.align(model.header_plain + data)
+    key = (t.name, depth, visiting & catalog.reachable(t.name))
+    if key not in memo:
+        inner = visiting | {t.name}
+        data = sum(_estimate(f, catalog, model, depth + 1, inner, memo) for f in layout.fields)
+        memo[key] = model.align(model.header_plain + data)
+    return memo[key]

@@ -182,16 +182,15 @@ def sweep_graph(
 ) -> dict[tuple[str, int], list[float]]:
     """Sweep one mode's core (a graph without isolated vertices, see
     ``split_core``) over k. The k_max-column embedding is computed once;
-    each (k, epoch) only re-runs seeded k-means on the first k columns, and
-    each k scores the MQw of all its epochs at once. Clusters are renumbered
+    each k runs one seeded k-means call, with all its epochs' seeds, on the
+    first k columns, and scores the MQw of all its epochs at once. Clusters are renumbered
     by first occurrence, which is smallest-vertex-id order because the rows
     follow the sorted vertex ids."""
     emb = embed(build_laplacian(to_affinity(g)), k_max)
     out: dict[tuple[str, int], list[float]] = {}
     for k in range(k_min, k_max + 1):
         U = emb.U[:, :k].copy()
-        raw = np.stack([kmeans(U, k, epoch_seed(base_seed, mode, k, epoch))
-                        for epoch in range(epochs)])
+        raw = kmeans(U, k, [epoch_seed(base_seed, mode, k, epoch) for epoch in range(epochs)])
         out[(mode, k)] = batch_scores(first_occurrence(raw, k), k, g)[0].tolist()
     return out
 

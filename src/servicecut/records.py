@@ -146,6 +146,8 @@ class TypeCatalog:
     """Declared type layouts; the eight JVM primitives are always present."""
 
     layouts: dict[str, TypeLayout] = field(default_factory=dict)
+    _reachable: dict[str, frozenset[str]] = field(default_factory=dict, init=False,
+                                                  repr=False, compare=False)
 
     def __post_init__(self):
         for kind in PRIMITIVE_SIZES:
@@ -158,6 +160,22 @@ class TypeCatalog:
         if name in PRIMITIVE_SIZES:
             raise LogParseError(f"cannot redefine primitive type {name!r}")
         self.layouts[name] = layout
+        self._reachable.clear()
+
+    def reachable(self, name: str) -> frozenset[str]:
+        """``name`` and every type name its object fields lead to, at any
+        depth; computed once per name until the next ``declare``."""
+        if name not in self._reachable:
+            seen, stack = {name}, [name]
+            while stack:
+                layout = self.layouts.get(stack.pop())
+                if isinstance(layout, ObjectLayout):
+                    for f in layout.fields:
+                        if f.name not in seen:
+                            seen.add(f.name)
+                            stack.append(f.name)
+            self._reachable[name] = frozenset(seen)
+        return self._reachable[name]
 
     @classmethod
     def default(cls) -> "TypeCatalog":

@@ -3,6 +3,7 @@ smallest-k eigenvector embedding, seeded k-means on the embedded rows."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,24 +155,37 @@ def _check_kernel(L: Laplacian, emb: Embedding, tol: float = 1e-6) -> None:
         raise NumericError(f"{zeros} zero eigenvalues found for {components} components")
 
 
-# Restarts per Lloyd batch are capped so the (R, n, k, d) distance temporary
-# holds at most this many float64 values (16 MiB).
-_BATCH_VALUES = 2 ** 21
+# Restarts per Lloyd batch, and seeds per k-means++ batch, are capped so the
+# distance pass holds about this many float64 values (1 MiB) in its terms
+# and accumulators; see ``kmeans``.
+_BATCH_VALUES = 2 ** 17
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, n_restarts: int = 10,
+def kmeans(points: np.ndarray, k: int, seeds: Sequence[int], n_restarts: int = 10,
            max_iter: int = 300) -> np.ndarray:
-    """Lloyd's algorithm with distance-weighted seeding, deterministic given
-    the seed. Keeps the best of ``n_restarts`` runs by inertia (the first
-    strictly lowest, in attempt order); runs that collapse to an empty
-    cluster are retried, up to ``4 * n_restarts`` attempts in all.
+    """Lloyd's algorithm with distance-weighted seeding, run once per seed:
+    returns (len(seeds), n) labels, row i deterministic given ``seeds[i]``.
+    Each seed keeps the best of ``n_restarts`` runs by inertia (the first
+    strictly lowest, in its attempt order); runs that collapse to an empty
+    cluster are retried, up to ``4 * n_restarts`` attempts per seed.
 
-    The Lloyd iterations of up to ``_BATCH_VALUES // (n * k * d)`` restarts
-    (at least 1, at most ``n_restarts``) run as one array operation, each
-    restart stopping on its own. Lloyd draws nothing from the RNG, and every
-    restart's k-means++ centers are drawn in attempt order before its batch
-    runs, so the RNG order, and with it the labels, are those of running
-    the restarts one after another."""
+    The restarts of all seeds run in rounds. A round draws every seed's
+    pending restarts (``n_restarts`` less its runs, within the attempt cap),
+    each from the seed's own Generator in attempt order, so a seed whose
+    restarts collapse draws its retries in the next round. The k-means++
+    centers of one attempt index are drawn for all seeds at once, up to
+    ``_BATCH_VALUES // (n * d)`` seeds per batch, and the round's Lloyd
+    iterations run up to ``_BATCH_VALUES // (n * k * d)`` restarts (at least
+    1) as one array operation, each restart stopping on its own. Lloyd draws
+    nothing from the RNGs, so each seed's draws, and with them its labels,
+    are those of running its restarts one after another.
+
+    Squared distances are summed one coordinate at a time in the order
+    NumPy's pairwise summation adds a row of d terms (see
+    ``_sq_distances``). That keeps them bit-equal to the direct form
+    ``((x - c) ** 2).sum()``, whose argmin ties and inertia bits the labels
+    depend on, without its (R, n, k, d) temporary; the expanded
+    |x|^2 - 2x.c + |c|^2 sums in another order and can move labels."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -187,46 +201,107 @@ def kmeans(points: np.ndarray, k: int, seed: int, n_restarts: int = 10,
         raise NumericError("k-means squared distances overflow float64")
     if np.unique(pts, axis=0).shape[0] < k:
         raise NumericError("k exceeds distinct embedded points")
-    rng = np.random.default_rng(seed)
-    batch = max(1, min(n_restarts, _BATCH_VALUES // max(1, n * k * d)))
-    best_labels, best_inertia = None, np.inf
-    attempts = 0
-    runs = 0
-    while runs < n_restarts and attempts < 4 * n_restarts:
-        size = min(batch, n_restarts - runs, 4 * n_restarts - attempts)
-        centers = np.stack([_kmeanspp_init(pts, k, rng) for _ in range(size)])
-        attempts += size
-        for labels, inertia in _lloyd(pts, centers, max_iter):
-            if labels is None:
-                continue  # empty-cluster collapse; retried with a fresh init
-            runs += 1
-            if inertia < best_inertia:
-                best_labels, best_inertia = labels, inertia
-    if best_labels is None:
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    best_labels = np.zeros((len(rngs), n), dtype=np.intp)
+    best_inertia = np.full(len(rngs), np.inf)
+    runs = np.zeros(len(rngs), dtype=int)
+    attempts = np.zeros(len(rngs), dtype=int)
+    seeding = max(1, _BATCH_VALUES // (n * d))
+    batch = max(1, _BATCH_VALUES // (n * k * d))
+    while (pending := np.minimum(n_restarts - runs, 4 * n_restarts - attempts)).any():
+        # the seeds with a j-th pending restart, for j = 0, 1, ...: one row
+        # per restart, each seed's rows in its attempt order
+        drawers = [np.flatnonzero(pending > j) for j in range(pending.max())]
+        owner = np.concatenate(drawers)
+        centers = np.concatenate([
+            _kmeanspp_init(pts, k, [rngs[s] for s in group[lo:lo + seeding]])
+            for group in drawers for lo in range(0, group.size, seeding)])
+        attempts += pending
+        for lo in range(0, owner.size, batch):
+            results = _lloyd(pts, centers[lo:lo + batch], max_iter)
+            for s, (labels, inertia) in zip(owner[lo:lo + batch], results):
+                if labels is None:
+                    continue  # empty-cluster collapse; retried in the next round
+                runs[s] += 1
+                if inertia < best_inertia[s]:
+                    best_labels[s], best_inertia[s] = labels, inertia
+    if not runs.all():
         raise NumericError("k-means failed to produce k non-empty clusters")
     return best_labels
 
 
-def _kmeanspp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(pts: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """(P, k, d) k-means++ centers, row p drawn from ``rngs[p]`` as
+    ``rng.choice(n, p=d2 / d2.sum())`` would draw each center after the
+    first, without its checks."""
     n = pts.shape[0]
-    centers = np.empty((k, pts.shape[1]))
-    centers[0] = pts[rng.integers(n)]
-    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+    centers = np.empty((len(rngs), k, pts.shape[1]))
+    centers[:, 0] = pts[[rng.integers(n) for rng in rngs]]
+    d2 = _sq_distances(pts, centers[:, :1])[:, :, 0]
     for i in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            # the draw of rng.choice(n, p=d2 / total), without its checks
-            cdf = (d2 / total).cumsum()
-            cdf /= cdf[-1]
-            idx = cdf.searchsorted(rng.random(), side="right")
-        else:
+        total = d2.sum(axis=1)
+        with np.errstate(invalid="ignore"):  # rows with total 0 take the fallback
+            cdf = (d2 / total[:, None]).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+        u = np.array([rng.random() if t > 0 else np.nan for rng, t in zip(rngs, total)])
+        # the cdf never decreases, so this count is searchsorted(u, side="right")
+        idx = (cdf <= u[:, None]).sum(axis=1)
+        for p in np.flatnonzero(~(total > 0)):
             # all remaining points coincide with chosen centers; pick any
             # point distinct from them (guaranteed by the distinct-count check)
-            taken = {tuple(c) for c in centers[:i]}
-            idx = next(j for j in range(n) if tuple(pts[j]) not in taken)
-        centers[i] = pts[idx]
-        d2 = np.minimum(d2, ((pts - centers[i]) ** 2).sum(axis=1))
+            taken = {tuple(c) for c in centers[p, :i]}
+            idx[p] = next(j for j in range(n) if tuple(pts[j]) not in taken)
+        centers[:, i] = pts[idx]
+        np.minimum(d2, _sq_distances(pts, centers[:, i:i + 1])[:, :, 0], out=d2)
     return centers
+
+
+# NumPy adds a contiguous row of terms pairwise: in order below 8 terms, in 8
+# interleaved accumulators up to this many, and in two halves, split at a
+# multiple of 8, above it.
+_PAIRWISE_BLOCK = 128
+
+
+def _sq_distances(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(R, n, k) squared distances from the (n, d) ``pts`` to the (R, k, d)
+    ``centers``, bit-equal to ``((pts[:, None, :] - centers[:, None]) ** 2)
+    .sum(axis=-1)``: the coordinate terms are added in place, one column at
+    a time, in the order that sum adds them."""
+    return _column_sum(pts.T.copy(), centers, 0, pts.shape[1]).transpose(0, 2, 1)
+
+
+def _column_sum(columns: np.ndarray, centers: np.ndarray, lo: int, m: int) -> np.ndarray:
+    """(R, k, n) sum over j in [lo, lo + m) of the squared terms
+    ``(centers[:, :, j, None] - columns[j]) ** 2``, so the innermost loop runs
+    over the n points. Recursive at module level: a recursive closure is a
+    reference cycle, which would hold each call's arrays until the garbage
+    collector runs."""
+
+    def term(j: int) -> np.ndarray:
+        t = centers[:, :, j, None] - columns[j]
+        return np.square(t, out=t)
+
+    if m < 8:
+        acc = term(lo)
+        for j in range(lo + 1, lo + m):
+            acc += term(j)
+        return acc
+    if m <= _PAIRWISE_BLOCK:
+        r = [term(lo + j) for j in range(8)]
+        end = lo + m - m % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += term(i + j)
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            r[a] += r[b]
+        for j in range(end, lo + m):
+            r[0] += term(j)
+        return r[0]
+    half = m // 2 - m // 2 % 8
+    acc = _column_sum(columns, centers, lo, half)
+    acc += _column_sum(columns, centers, lo + half, m - half)
+    return acc
 
 
 def _lloyd(pts: np.ndarray, centers: np.ndarray,
@@ -242,9 +317,7 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray,
     for _ in range(max_iter):
         if not live.size:
             break
-        # the direct form with the coordinate axis last: the expanded
-        # |x|^2 - 2x.c + |c|^2 sums in another order and can move labels
-        new = ((pts[:, None, :] - centers[live, None]) ** 2).sum(axis=-1).argmin(axis=-1)
+        new = _sq_distances(pts, centers[live]).argmin(axis=-1)
         counts = np.bincount((new + k * np.arange(live.size)[:, None]).ravel(),
                              minlength=live.size * k).reshape(-1, k)
         empty = (counts == 0).any(axis=1)
@@ -253,11 +326,12 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray,
         live = live[moved]
         labels[live] = new[moved]
         centers[live] = _centroids(pts, new[moved], counts[moved])
-    return [
-        (None, np.inf) if collapsed[r]
-        else (labels[r], float(((pts - centers[r][labels[r]]) ** 2).sum()))
-        for r in range(R)
-    ]
+    # each row sums its n * d terms as ((pts - centers[r][labels[r]]) ** 2).sum() does
+    done = np.flatnonzero(~collapsed)
+    inertia = np.full(R, np.inf)
+    inertia[done] = ((pts - centers[done[:, None], labels[done]]) ** 2).reshape(
+        done.size, pts.size).sum(axis=1)
+    return [(None if collapsed[r] else labels[r], float(inertia[r])) for r in range(R)]
 
 
 def _centroids(pts: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -284,7 +358,7 @@ def extract_candidates(W: AffinityMatrix, k: int, seed: int) -> Partition:
     if not 2 <= k <= W.n:
         raise ValueError(f"k must be in [2, {W.n}], got {k}")
     emb = embed(build_laplacian(W), k)
-    labels = first_occurrence(kmeans(emb.U, k, seed)[None], k)[0]
+    labels = first_occurrence(kmeans(emb.U, k, [seed]), k)[0]
     return Partition(dict(zip(W.vertex_ids, labels.tolist())), k)
 
 

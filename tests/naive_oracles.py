@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's aggregation code paths: quality
 metrics are computed by enumerating every ordered vertex pair, object sizes
-by a flat hand-layout table, the affinity one edge at a time, and k-means one
-restart after another.
+by a flat hand-layout table and by the cost model's recursion without a memo,
+the affinity one edge at a time, and k-means one restart after another.
 """
 
 from __future__ import annotations
@@ -12,9 +12,19 @@ from itertools import combinations
 
 import numpy as np
 
+from servicecut.cost_model import SizeModel
 from servicecut.feature_graph import FeatureGraph, split_core
 from servicecut.metrics import cut_value, mqw
 from servicecut.oracle import MAX_VERTICES, restricted_growth_strings
+from servicecut.records import (
+    BOOLEAN_ARRAY_ELEMENT_SIZE,
+    PRIMITIVE_SIZES,
+    ObjectLayout,
+    OpaqueLayout,
+    PrimitiveLayout,
+    TypeCatalog,
+    TypeRef,
+)
 from servicecut.spectral import NumericError, Partition
 
 
@@ -178,6 +188,38 @@ def hand_object_size(field_sizes: list[int], header: int = 12, alignment: int = 
     total = header + sum(field_sizes)
     remainder = total % alignment
     return total if remainder == 0 else total + alignment - remainder
+
+
+def naive_api_estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel) -> int:
+    """``api_estimate`` without a memo: every field of every object on every
+    path is costed anew, so the time is exponential in the depth."""
+    return _naive_estimate(t, catalog, model, 0, frozenset())
+
+
+def _naive_estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel,
+                    depth: int, visiting: frozenset[str]) -> int:
+    if t.array_rank > 0:
+        element = TypeRef(t.name, t.array_rank - 1)
+        if element.array_rank == 0 and element.name in PRIMITIVE_SIZES:
+            elem_size = (BOOLEAN_ARRAY_ELEMENT_SIZE if element.name == "boolean"
+                         else PRIMITIVE_SIZES[element.name])
+        else:
+            elem_size = _naive_estimate(element, catalog, model, depth + 1, visiting)
+        return model.align(model.header_array + model.assumed_array_len * elem_size)
+
+    layout = catalog.lookup(t.name)
+    if layout is None:
+        return model.default_unknown
+    if isinstance(layout, PrimitiveLayout):
+        return PRIMITIVE_SIZES[layout.kind]
+    if isinstance(layout, OpaqueLayout):
+        return layout.size_bytes
+    assert isinstance(layout, ObjectLayout)
+    if depth >= model.max_depth or t.name in visiting:
+        return model.ref_slot
+    visiting = visiting | {t.name}
+    data = sum(_naive_estimate(f, catalog, model, depth + 1, visiting) for f in layout.fields)
+    return model.align(model.header_plain + data)
 
 
 # k-means with one Lloyd run per restart, each restart's k-means++ centers

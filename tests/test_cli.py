@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import servicecut
 from servicecut import feature_graph, pipeline
 from servicecut.cli import main
 
@@ -112,6 +116,29 @@ def test_bad_size_model_is_usage_error(tmp_path):
     sysdir = synth_system(tmp_path)
     assert run("evaluate", "--calls", str(sysdir / "calls.csv"), "--k", "2",
                "--out", str(tmp_path / "o"), "--size-model", "bogus=1") == 1
+
+
+@pytest.mark.parametrize("fields", [("D", "D"), ("D", "E")], ids=["binary-chain", "two-types"])
+def test_max_depth_255_over_a_doubling_catalog_finishes(tmp_path, fields):
+    # forty levels whose objects hold two fields of the level below: costed
+    # path by path that is 2^40 objects per parameter, so the run is a child
+    # process with a time limit
+    lines = []
+    for name in dict.fromkeys(fields):
+        lines += [f"{name}0: object", "    int"]
+        for i in range(1, 40):
+            lines += [f"{name}{i}: object"] + [f"    {m}{i - 1}" for m in fields]
+    catalog = tmp_path / "types.txt"
+    catalog.write_text("\n".join(lines) + "\n")
+    calls = tmp_path / "calls.csv"
+    calls.write_text("f,g,A,B,,D39\ng,f,B,C,,int;D39[]\nf,g,C,A,,long\n")
+    src = Path(servicecut.__file__).parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "servicecut.cli", "evaluate", "--calls", str(calls),
+         "--type-catalog", str(catalog), "--size-model", "max_depth=255", "--k", "2",
+         "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, timeout=30)
+    assert done.returncode == 0, done.stderr
 
 
 def test_data_error_exit_code(tmp_path):

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from naive_oracles import hand_object_size
+from naive_oracles import hand_object_size, naive_api_estimate
+from servicecut import cost_model
 from servicecut.cost_model import SizeModel, api_estimate, edge_cost
 from servicecut.records import (
     ObjectLayout,
@@ -132,3 +133,76 @@ def test_adding_a_field_never_decreases_size(fields, extra):
 @given(st.lists(st.builds(TypeRef, name=_prim, array_rank=st.integers(0, 1)), max_size=5))
 def test_edge_cost_is_one_plus_sum(params):
     assert edge_cost(params, CAT) == 1 + sum(api_estimate(p, CAT) for p in params)
+
+
+def _doubling_chain(fields):
+    """Forty levels: each type named in ``fields`` has at level i > 0 one
+    field per entry of ``fields``, naming level i - 1, and an int at level 0.
+    ("D", "D") is the binary chain; ("D", "E") also meets 2^depth distinct
+    sets of visited types."""
+    cat = TypeCatalog.default()
+    for name in dict.fromkeys(fields):
+        cat.declare(f"{name}0", ObjectLayout((TypeRef("int"),)))
+        for i in range(1, 40):
+            cat.declare(f"{name}{i}", ObjectLayout(tuple(TypeRef(f"{m}{i - 1}") for m in fields)))
+    return cat
+
+
+@pytest.mark.parametrize("fields", [("D", "D"), ("D", "E")], ids=["binary-chain", "two-types"])
+def test_doubling_chains_cost_every_level_once(fields, monkeypatch):
+    cat = _doubling_chain(fields)
+    for depth in (1, 6, 12):
+        model = SizeModel(max_depth=depth)
+        assert api_estimate(TypeRef("D39"), cat, model) == naive_api_estimate(
+            TypeRef("D39"), cat, model)
+    # at max_depth=255 all forty levels are expanded: unmemoized that is 2^40
+    # objects, memoized one per (type, level), with one call per field
+    calls = []
+    estimate = cost_model._estimate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        assert len(calls) <= 1 + 2 * 40 * len(set(fields)), "an object was costed twice"
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(cost_model, "_estimate", counting)
+    size = hand_object_size([4])
+    for _ in range(39):
+        size = hand_object_size([size, size])
+    assert api_estimate(TypeRef("D39"), cat, SizeModel(max_depth=255)) == size
+
+
+_NAMES = ["T0", "T1", "T2", "T3", "T4"]
+_FIELD = st.builds(TypeRef, name=st.sampled_from(_NAMES + ["int"]), array_rank=st.integers(0, 1))
+_LAYOUT = st.one_of(st.builds(ObjectLayout, st.lists(_FIELD, min_size=1, max_size=4).map(tuple)),
+                    st.builds(OpaqueLayout, st.integers(0, 64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LAYOUT, min_size=len(_NAMES), max_size=len(_NAMES)),
+       st.integers(1, 12), st.integers(0, 2))
+# T3 is met at depth 2 both after T1, which T3 holds, and after T2: the first
+# path cuts T3's field to a reference slot, the second expands it
+@example([ObjectLayout((TypeRef("T1"), TypeRef("T2"))), ObjectLayout((TypeRef("T3"),)),
+          ObjectLayout((TypeRef("T3"),)), ObjectLayout((TypeRef("T1"),)), OpaqueLayout(8)], 8, 0)
+def test_estimate_equals_the_unmemoized_reference_on_cyclic_catalogs(layouts, max_depth,
+                                                                     array_len):
+    # fields may name any of the types, the type itself included, so most
+    # catalogs have cycles; array lengths above 0 make arrays cost their
+    # elements
+    cat = TypeCatalog.default()
+    for name, layout in zip(_NAMES, layouts):
+        cat.declare(name, layout)
+    model = SizeModel(max_depth=max_depth, assumed_array_len=array_len)
+    for t in [TypeRef(name, rank) for name in _NAMES for rank in (0, 1)]:
+        assert api_estimate(t, cat, model) == naive_api_estimate(t, cat, model)
+
+
+def test_reachable_names_follow_object_fields_and_reset_on_declare():
+    cat = TypeCatalog.default()
+    cat.declare("A", ObjectLayout((TypeRef("B", 1), TypeRef("int"))))
+    cat.declare("B", ObjectLayout((TypeRef("A"),)))
+    assert cat.reachable("A") == {"A", "B", "int"}
+    assert cat.reachable("int") == {"int"}
+    cat.declare("B", ObjectLayout((TypeRef("C"),)))
+    assert cat.reachable("A") == {"A", "B", "C", "int"}

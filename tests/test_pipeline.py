@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from naive_oracles import canonicalize, naive_kmeans
+from servicecut import pipeline
 from servicecut.feature_graph import to_affinity
 from servicecut.metrics import mqw
 from servicecut.oracle import brute_force_best
@@ -18,7 +19,7 @@ from servicecut.pipeline import (
     write_sweep_outputs,
 )
 from servicecut.records import TypeCatalog, parse_call_log, parse_perf_log
-from servicecut.spectral import build_laplacian, embed, extract_candidates
+from servicecut.spectral import build_laplacian, embed, extract_candidates, kmeans
 from servicecut.synth import SynthSpec, generate_system, synth_generate
 
 CAT = TypeCatalog.default()
@@ -238,9 +239,10 @@ def test_sweep_rejects_the_arguments_the_cli_rejects(tmp_path, kwargs, name):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_sweep_graph_epoch_values_equal_reference_loop(mode):
+def test_sweep_graph_epoch_values_equal_reference_loop(mode, monkeypatch):
     # the per-restart k-means, dict relabeling and dict-loop MQw the sweep
-    # replaced, value for value: guards a byte-identical sweep.json
+    # replaced, value for value: guards a byte-identical sweep.json; all the
+    # epochs of one k share one k-means call
     calls, perf, _ = generate_system(SynthSpec(n_classes=40, n_blocks=4, seed=1))
     core = PipelineInputs(calls, perf, CAT).mode_core(mode)
     W = to_affinity(core)
@@ -252,7 +254,11 @@ def test_sweep_graph_epoch_values_equal_reference_loop(mode):
             raw = naive_kmeans(U[:, :k].copy(), k, epoch_seed(11, mode, k, epoch))
             p = canonicalize(dict(zip(W.vertex_ids, (int(c) for c in raw))), k)
             expected[(mode, k)].append(mqw(p, core)[2])
+    calls = []
+    monkeypatch.setattr(pipeline, "kmeans",
+                        lambda *args: calls.append(len(args[2])) or kmeans(*args))
     assert sweep_graph(core, mode, 2, 10, 3, 11) == expected
+    assert calls == [3] * 9
 
 
 def test_sweep_median_reproducible_from_stored_values(tmp_path):

@@ -178,7 +178,7 @@ def test_lanczos_agrees_with_dense_eigh(large_laplacian, residual_checks, monkey
     dense = dense_embed(large_laplacian, 12, monkeypatch)
     assert residual_checks == [True, True]
     assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() < 1e-9
-    assert np.array_equal(kmeans(sparse.U, 12, 0), kmeans(dense.U, 12, 0))
+    assert np.array_equal(kmeans(sparse.U, 12, [0]), kmeans(dense.U, 12, [0]))
 
 
 def test_lanczos_without_convergence_falls_back_to_dense(large_laplacian, residual_checks,
@@ -229,7 +229,7 @@ def test_zero_eigenvalues_lanczos_misses_come_from_the_dense_solve():
 
 def test_kmeans_separated_clusters():
     pts = np.array([[0, 0]] * 3 + [[10, 10]] * 3, dtype=float)
-    labels = kmeans(pts, 2, seed=1)
+    labels = kmeans(pts, 2, [1])[0]
     assert len(set(labels[:3])) == 1
     assert len(set(labels[3:])) == 1
     assert labels[0] != labels[3]
@@ -237,22 +237,22 @@ def test_kmeans_separated_clusters():
 
 def test_kmeans_k1_and_kn():
     pts = np.array([[0.0], [1.0], [2.0]])
-    assert set(kmeans(pts, 1, seed=0)) == {0}
-    assert sorted(kmeans(pts, 3, seed=0)) == [0, 1, 2]
+    assert set(kmeans(pts, 1, [0])[0]) == {0}
+    assert sorted(kmeans(pts, 3, [0])[0]) == [0, 1, 2]
 
 
 def test_kmeans_deterministic():
     rng = np.random.default_rng(5)
     pts = rng.random((30, 3))
-    a = kmeans(pts, 4, seed=9)
-    b = kmeans(pts, 4, seed=9)
+    a = kmeans(pts, 4, [9])
+    b = kmeans(pts, 4, [9])
     assert np.array_equal(a, b)
 
 
 def test_kmeans_too_few_distinct_points():
     pts = np.array([[1.0, 1.0]] * 5)
     with pytest.raises(NumericError, match="distinct"):
-        kmeans(pts, 2, seed=0)
+        kmeans(pts, 2, [0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -260,36 +260,38 @@ def test_kmeans_rejects_non_finite_points(bad, monkeypatch):
     monkeypatch.setattr(spectral, "_kmeanspp_init", None)  # must not be reached
     pts = np.array([[0.0], [bad], [1.0]])
     with pytest.raises(NumericError, match="NaN or inf"):
-        kmeans(pts, 2, seed=0)
+        kmeans(pts, 2, [0])
 
 
 def test_kmeans_rejects_overflowing_distances(monkeypatch):
     monkeypatch.setattr(spectral, "_kmeanspp_init", None)  # must not be reached
     with pytest.raises(NumericError, match="overflow"):
-        kmeans(np.array([[0.0], [1e200], [2e200]]), 2, seed=0)
+        kmeans(np.array([[0.0], [1e200], [2e200]]), 2, [0])
 
 
 @st.composite
 def _kmeans_case(draw):
+    # d >= 8 reaches the 8-accumulator order of the distance sums
     n = draw(st.integers(1, 60))
-    d = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 12))
     k = draw(st.integers(1, min(n, 8)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.standard_normal((n, d))
     if draw(st.booleans()):
         pts = pts[rng.integers(0, max(1, n // 3), n)]  # duplicated rows
-    return pts, k, draw(st.integers(0, 2**63 - 1))
+    return pts, k, draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6))
 
 
-def _assert_kmeans_matches_naive(pts, k, seed):
+def _assert_kmeans_matches_naive(pts, k, seeds):
     try:
-        expected = naive_kmeans(pts, k, seed)
+        expected = np.stack([naive_kmeans(pts, k, seed) for seed in seeds])
     except (ValueError, NumericError) as exc:
         with pytest.raises(NumericError, match=re.escape(str(exc))):
-            kmeans(pts, k, seed)
+            kmeans(pts, k, seeds)
         return
-    got = kmeans(pts, k, seed)
+    got = kmeans(pts, k, seeds)
     assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
 
 
@@ -300,7 +302,7 @@ def test_kmeans_labels_equal_one_restart_at_a_time(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 60), st.integers(1, 10), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 60), st.integers(1, 12), st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
     # inertia bits move with any change in how distances or means are
     # summed, also where the winning labels do not; d >= 8 reaches NumPy's
@@ -311,8 +313,8 @@ def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
     if np.unique(pts, axis=0).shape[0] < k:
         return
     expected = [_naive_lloyd_once(pts, k, np.random.default_rng(seed + r), 300) for r in range(4)]
-    inits = [spectral._kmeanspp_init(pts, k, np.random.default_rng(seed + r)) for r in range(4)]
-    got = spectral._lloyd(pts, np.stack(inits), 300)
+    inits = spectral._kmeanspp_init(pts, k, [np.random.default_rng(seed + r) for r in range(4)])
+    got = spectral._lloyd(pts, inits, 300)
     for (labels, inertia), (labels_ref, inertia_ref) in zip(got, expected):
         assert inertia == inertia_ref
         assert (labels is None) == (labels_ref is None)
@@ -321,30 +323,46 @@ def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
 
 
 def test_kmeans_retries_collapsed_restarts_like_the_reference(monkeypatch):
-    # with seed 0, two restarts on these points lose a cluster mid-Lloyd
+    # with seed 0, two restarts on these points lose a cluster mid-Lloyd;
+    # seeds 1 and 2 lose none, so only seed 0 draws in the second round
     pts = np.array([[0.0], [6.0], [22.0], [24.0], [25.0], [39.0]])
-    collapsed = []
     lloyd = spectral._lloyd
+    for seeds in ([0], [0, 1, 2]):
+        collapsed, batches = [], []
 
-    def counting(*args):
-        results = lloyd(*args)
-        collapsed.extend(labels is None for labels, _ in results)
-        return results
+        def counting(*args):
+            results = lloyd(*args)
+            collapsed.extend(labels is None for labels, _ in results)
+            batches.append(len(results))
+            return results
 
-    monkeypatch.setattr(spectral, "_lloyd", counting)
-    _assert_kmeans_matches_naive(pts, 3, 0)
-    assert sum(collapsed) == 2
+        monkeypatch.setattr(spectral, "_lloyd", counting)
+        _assert_kmeans_matches_naive(pts, 3, seeds)
+        assert sum(collapsed) == 2
+        assert batches == [10 * len(seeds), 2]  # one Lloyd pass per round
 
 
 @pytest.mark.parametrize("k", range(1, 6))
-@pytest.mark.parametrize("seed", range(3))
-def test_kmeans_underflow_fallback_like_the_reference(k, seed):
+@pytest.mark.parametrize("seeds", [[0], [1], [2], [0, 1, 2]], ids=["0", "1", "2", "0,1,2"])
+def test_kmeans_underflow_fallback_like_the_reference(k, seeds):
     # the squared distances among 0, 1e-200 and 2e-200 underflow to 0: once
     # one of them, 1 and 2 are centers, every d2 is 0 and the next center
     # comes from the fallback without a draw; at k >= 4 every restart then
     # collapses on the tied distances and both give up
     pts = np.array([[0.0], [1e-200], [2e-200], [1.0], [2.0]])
-    _assert_kmeans_matches_naive(pts, k, seed)
+    _assert_kmeans_matches_naive(pts, k, seeds)
+
+
+@pytest.mark.parametrize("d", [*range(1, 21), 64, 127, 128, 129, 136, 200, 300])
+def test_column_wise_distances_equal_the_direct_sum(d):
+    # below 8, up to 128 and above 128 terms NumPy sums a row differently;
+    # the scales spread the terms' magnitudes so a change of order shows
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((17, d)) * rng.choice([1e-3, 1.0, 1e5], size=d)
+    centers = rng.standard_normal((3, 4, d))
+    got = spectral._sq_distances(pts, centers)
+    assert got.shape == (3, 17, 4)
+    assert got.tobytes() == ((pts[:, None, :] - centers[:, None]) ** 2).sum(axis=-1).tobytes()
 
 
 def test_extract_two_components_recovered():
