@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cost_model import SizeModel, edge_cost
-from .records import CallRecord, TypeCatalog
+from .records import CallRecord, TypeCatalog, TypeRef
 
 log = logging.getLogger(__name__)
 
@@ -103,10 +103,14 @@ def build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
     """Build the class-level digraph keyed on the records' class fields.
     Repeated (caller_class, callee_class) pairs accumulate by weight
     summation; intra-class calls add no edge, so a class seen only in them
-    becomes an isolated vertex. Self-calls are dropped with a warning."""
+    becomes an isolated vertex. Self-calls are dropped with a warning.
+    Each distinct callee-parameter tuple is costed once per build; the
+    weights still add one row at a time, in row order, since count x cost
+    rounds differently once the sum passes 2**53."""
     model = model or SizeModel()
     classes: set[str] = set()
     edges: dict[tuple[str, str], float] = {}
+    costs: dict[tuple[TypeRef, ...], int] = {}
     dropped = 0
     for r in records:
         classes.add(r.caller_class)
@@ -116,8 +120,10 @@ def build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
             continue
         if r.caller_class == r.callee_class:
             continue
+        if r.callee_params not in costs:
+            costs[r.callee_params] = edge_cost(r.callee_params, catalog, model)
         key = (r.caller_class, r.callee_class)
-        edges[key] = edges.get(key, 0.0) + edge_cost(r.callee_params, catalog, model)
+        edges[key] = edges.get(key, 0.0) + costs[r.callee_params]
     if dropped:
         log.warning("dropped %d self-call record(s)", dropped)
     for key, w in edges.items():

@@ -97,17 +97,9 @@ class CallRecord:
     callee_params: tuple[TypeRef, ...]
 
     @property
-    def caller(self) -> str:
-        """Globally unique qualified caller id."""
-        return f"{self.caller_class}::{self.caller_method}"
-
-    @property
-    def callee(self) -> str:
-        return f"{self.callee_class}::{self.callee_method}"
-
-    @property
     def is_self_call(self) -> bool:
-        # compare the fields: the joined ids of ns::A/m and ns/A::m coincide
+        # compare the fields: ids joined as class::method would confuse
+        # ns::A/m with ns/A::m
         return (self.caller_class, self.caller_method) == (self.callee_class, self.callee_method)
 
 
@@ -177,10 +169,6 @@ class TypeCatalog:
             self._reachable[name] = frozenset(seen)
         return self._reachable[name]
 
-    @classmethod
-    def default(cls) -> "TypeCatalog":
-        return cls()
-
 
 # --- parsing ----------------------------------------------------------------
 
@@ -238,15 +226,21 @@ def _read_rows(path: str | Path, header: tuple[str, ...]):
 
 def parse_call_log(path: str | Path) -> list[CallRecord]:
     """Parse a call-relationship log. Duplicate lines are preserved; their
-    multiplicity matters when edge weights are aggregated."""
+    multiplicity matters when edge weights are aggregated. Each distinct
+    params text is parsed once per call: rows share its (frozen) TypeRef
+    tuple, and a text that fails is never stored, so the error names the
+    first line that holds it."""
     records = []
+    parsed: dict[str, tuple[TypeRef, ...]] = {}
     for lineno, row in _read_rows(path, CALL_HEADER):
         for label, value in zip(CALL_HEADER, row[:4]):
             if not value:
                 raise LogParseError(f"empty {label}", path, lineno)
+        for text in row[4:]:
+            if text not in parsed:
+                parsed[text] = _parse_params(text, path, lineno)
         # CallRecord's fields follow CALL_HEADER
-        records.append(CallRecord(*row[:4], _parse_params(row[4], path, lineno),
-                                  _parse_params(row[5], path, lineno)))
+        records.append(CallRecord(*row[:4], parsed[row[4]], parsed[row[5]]))
     return records
 
 
@@ -292,7 +286,7 @@ def parse_type_catalog(path: str | Path | None) -> TypeCatalog:
     TypeRef per line. Cyclic object definitions are accepted (the cost model
     bounds recursion). ``path=None`` yields the primitives-only catalog.
     """
-    catalog = TypeCatalog.default()
+    catalog = TypeCatalog()
     if path is None:
         return catalog
     current_fields: list[TypeRef] | None = None

@@ -3,7 +3,8 @@
 These deliberately avoid the library's aggregation code paths: quality
 metrics are computed by enumerating every ordered vertex pair, object sizes
 by a flat hand-layout table and by the cost model's recursion without a memo,
-the affinity one edge at a time, and k-means one restart after another.
+the class graph by costing every call row anew, the affinity one edge at a
+time, and k-means one restart after another.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from itertools import combinations
 
 import numpy as np
 
-from servicecut.cost_model import SizeModel
+from servicecut.cost_model import SizeModel, edge_cost
 from servicecut.feature_graph import FeatureGraph, split_core
 from servicecut.metrics import cut_value, mqw
 from servicecut.oracle import MAX_VERTICES, restricted_growth_strings
 from servicecut.records import (
     BOOLEAN_ARRAY_ELEMENT_SIZE,
+    CallRecord,
     PRIMITIVE_SIZES,
     ObjectLayout,
     OpaqueLayout,
@@ -168,6 +170,27 @@ def naive_brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Par
             best_p, best_v = p, value
     best_p.unassigned = set(isolated)
     return best_p, best_v
+
+
+def naive_build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
+                            model: SizeModel | None = None) -> FeatureGraph:
+    """``build_class_graph`` with no cost memo: ``edge_cost`` runs for every
+    inter-class row, and each cost is added to its class pair in row order."""
+    model = model or SizeModel()
+    classes: set[str] = set()
+    edges: dict[tuple[str, str], float] = {}
+    dropped = 0
+    for r in records:
+        classes.add(r.caller_class)
+        classes.add(r.callee_class)
+        if r.is_self_call:
+            dropped += 1
+            continue
+        if r.caller_class == r.callee_class:
+            continue
+        key = (r.caller_class, r.callee_class)
+        edges[key] = edges.get(key, 0.0) + edge_cost(r.callee_params, catalog, model)
+    return FeatureGraph.from_edges(classes, edges, self_calls_dropped=dropped)
 
 
 def naive_affinity(g) -> np.ndarray:

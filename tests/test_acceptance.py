@@ -46,7 +46,7 @@ def random_symmetric_affinity(rng, n):
 def test_criterion_1_cost_model_table(capsys):
     with criterion(capsys, 1, "primitive sizes, boolean conventions, 8-byte padding"):
         start = time.perf_counter()
-        cat = TypeCatalog.default()
+        cat = TypeCatalog()
         expected = {"byte": 1, "short": 2, "int": 4, "long": 8,
                     "char": 2, "float": 4, "double": 8, "boolean": 4}
         for name, size in expected.items():
@@ -62,7 +62,7 @@ def test_criterion_1_cost_model_table(capsys):
                 TypeRef(prim_names[int(rng.integers(len(prim_names)))])
                 for _ in range(int(rng.integers(0, 15)))
             )
-            c = TypeCatalog.default()
+            c = TypeCatalog()
             c.declare("T", ObjectLayout(fields))
             size = api_estimate(TypeRef("T"), c)
             assert size % 8 == 0
@@ -163,7 +163,7 @@ CONFIGS = ((24, 3), (46, 3), (139, 6))
 def test_criterion_4_planted_partition_recovery(capsys):
     with criterion(capsys, 4, "planted-partition accuracy and k-sweep argmax"):
         start = time.perf_counter()
-        cat = TypeCatalog.default()
+        cat = TypeCatalog()
         for n, blocks in CONFIGS:
             accuracies = []
             argmax_hits = 0
@@ -187,7 +187,7 @@ def test_criterion_4_planted_partition_recovery(capsys):
 
 def test_criterion_5_fusion_dominates_static(capsys):
     with criterion(capsys, 5, "Fusion >= Static median MQw for every k, >=4/5 seeds"):
-        cat = TypeCatalog.default()
+        cat = TypeCatalog()
         good_seeds = 0
         for seed in range(5):
             spec = SynthSpec(

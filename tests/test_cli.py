@@ -371,7 +371,7 @@ _FIELD = st.sampled_from(["f", "g", "", "int", "long[]", "int;Foo[]", "A", "x y"
 _CALL_ROW = st.builds(lambda m, n, a, b, p: f"{m},{n},{a},{b},{p},{p}",
                       st.sampled_from(["f", "g"]), st.sampled_from(["f", "g"]),
                       st.sampled_from(_CLASSES), st.sampled_from(_CLASSES),
-                      st.sampled_from(["", "int", "int;long[]", "Foo", "int[][]"]))
+                      st.sampled_from(["", "int", "int;long[]", "Foo", "int[][]", "int;9x"]))
 _PERF_VALUE = st.sampled_from(["0", "1", "2.5", "1e300", "1e308", "-1", "nan", "inf", "abc", ""])
 _PERF_ROW = st.builds(lambda c, t, r: f"{c},{t},{r}", st.sampled_from(_CLASSES + ["Z"]),
                       _PERF_VALUE, _PERF_VALUE)

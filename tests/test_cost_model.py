@@ -12,7 +12,7 @@ from servicecut.records import (
     TypeRef,
 )
 
-CAT = TypeCatalog.default()
+CAT = TypeCatalog()
 
 
 @pytest.mark.parametrize(
@@ -32,13 +32,13 @@ def test_boolean_scalar_vs_array_element():
 
 
 def test_object_single_int_field():
-    cat = TypeCatalog.default()
+    cat = TypeCatalog()
     cat.declare("Holder", ObjectLayout((TypeRef("int"),)))
     assert api_estimate(TypeRef("Holder"), cat) == 16  # 12 + 4
 
 
 def test_object_single_long_field_padded():
-    cat = TypeCatalog.default()
+    cat = TypeCatalog()
     cat.declare("Holder", ObjectLayout((TypeRef("long"),)))
     assert api_estimate(TypeRef("Holder"), cat) == 24  # 12 + 8 -> pad to 24
 
@@ -53,20 +53,20 @@ def test_unknown_type_default():
 
 
 def test_opaque_passthrough():
-    cat = TypeCatalog.default()
+    cat = TypeCatalog()
     cat.declare("Blob", OpaqueLayout(128))
     assert api_estimate(TypeRef("Blob"), cat) == 128
 
 
 def test_nested_object_costed_deeply():
-    cat = TypeCatalog.default()
+    cat = TypeCatalog()
     cat.declare("Inner", ObjectLayout((TypeRef("int"),)))          # 16
     cat.declare("Outer", ObjectLayout((TypeRef("Inner"), TypeRef("int"))))
     assert api_estimate(TypeRef("Outer"), cat) == 32  # 12 + 16 + 4 -> 32
 
 
 def test_cyclic_type_terminates():
-    cat = TypeCatalog.default()
+    cat = TypeCatalog()
     cat.declare("Node", ObjectLayout((TypeRef("Node"), TypeRef("int"))))
     size = api_estimate(TypeRef("Node"), cat)
     # inner self-reference collapses to one ref slot: 12 + 4 + 4 -> 24
@@ -74,7 +74,7 @@ def test_cyclic_type_terminates():
 
 
 def test_depth_limit():
-    cat = TypeCatalog.default()
+    cat = TypeCatalog()
     cat.declare("L0", ObjectLayout((TypeRef("int"),)))
     for i in range(1, 12):
         cat.declare(f"L{i}", ObjectLayout((TypeRef(f"L{i-1}"),)))
@@ -87,7 +87,7 @@ def test_depth_limit():
 def test_edge_cost_examples():
     assert edge_cost([], CAT) == 1
     assert edge_cost([TypeRef("int"), TypeRef("double")], CAT) == 13
-    cat = TypeCatalog.default()
+    cat = TypeCatalog()
     cat.declare("Holder", ObjectLayout((TypeRef("int"),)))
     assert edge_cost([TypeRef("Holder")], cat) == 17
 
@@ -115,7 +115,7 @@ _fields = st.lists(st.builds(TypeRef, name=_prim, array_rank=st.just(0)), max_si
 
 @given(_fields)
 def test_object_size_is_aligned_and_matches_hand_layout(fields):
-    cat = TypeCatalog.default()
+    cat = TypeCatalog()
     cat.declare("T", ObjectLayout(tuple(fields)))
     size = api_estimate(TypeRef("T"), cat)
     assert size % 8 == 0
@@ -124,7 +124,7 @@ def test_object_size_is_aligned_and_matches_hand_layout(fields):
 
 @given(_fields, st.builds(TypeRef, name=_prim, array_rank=st.just(0)))
 def test_adding_a_field_never_decreases_size(fields, extra):
-    cat = TypeCatalog.default()
+    cat = TypeCatalog()
     cat.declare("T", ObjectLayout(tuple(fields)))
     cat.declare("T2", ObjectLayout(tuple(fields) + (extra,)))
     assert api_estimate(TypeRef("T2"), cat) >= api_estimate(TypeRef("T"), cat)
@@ -140,7 +140,7 @@ def _doubling_chain(fields):
     field per entry of ``fields``, naming level i - 1, and an int at level 0.
     ("D", "D") is the binary chain; ("D", "E") also meets 2^depth distinct
     sets of visited types."""
-    cat = TypeCatalog.default()
+    cat = TypeCatalog()
     for name in dict.fromkeys(fields):
         cat.declare(f"{name}0", ObjectLayout((TypeRef("int"),)))
         for i in range(1, 40):
@@ -190,7 +190,7 @@ def test_estimate_equals_the_unmemoized_reference_on_cyclic_catalogs(layouts, ma
     # fields may name any of the types, the type itself included, so most
     # catalogs have cycles; array lengths above 0 make arrays cost their
     # elements
-    cat = TypeCatalog.default()
+    cat = TypeCatalog()
     for name, layout in zip(_NAMES, layouts):
         cat.declare(name, layout)
     model = SizeModel(max_depth=max_depth, assumed_array_len=array_len)
@@ -199,7 +199,7 @@ def test_estimate_equals_the_unmemoized_reference_on_cyclic_catalogs(layouts, ma
 
 
 def test_reachable_names_follow_object_fields_and_reset_on_declare():
-    cat = TypeCatalog.default()
+    cat = TypeCatalog()
     cat.declare("A", ObjectLayout((TypeRef("B", 1), TypeRef("int"))))
     cat.declare("B", ObjectLayout((TypeRef("A"),)))
     assert cat.reachable("A") == {"A", "B", "int"}

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from naive_oracles import naive_affinity
+from naive_oracles import naive_affinity, naive_build_class_graph
 from servicecut.feature_graph import (
     AffinityMatrix,
     FeatureGraph,
@@ -17,14 +17,15 @@ from servicecut.feature_graph import (
     write_edge_list,
     write_graph_json,
 )
-from servicecut.cost_model import edge_cost
+from servicecut import feature_graph
+from servicecut.cost_model import SizeModel, edge_cost
 from servicecut.metrics import mq, score
 from servicecut.pipeline import MODES, PipelineInputs, mode_weights
 from servicecut.records import CallRecord, OpaqueLayout, PerfRecord, TypeCatalog, TypeRef
 from servicecut.spectral import extract_candidates
 from servicecut.synth import SynthSpec, generate_system
 
-CAT = TypeCatalog.default()
+CAT = TypeCatalog()
 
 
 def call(cm, km, cc, kc, params=()):
@@ -105,6 +106,47 @@ def test_class_names_containing_separator():
     assert g.vertices == ["ns::A", "ns::B"]
     assert g.edges == {("ns::A", "ns::B"): 5.0, ("ns::B", "ns::A"): 1.0}
     assert g.self_calls_dropped == 0
+
+
+# a few shared parameter tuples, so rows repeat them; under a million-element
+# array length the rank-3 arrays cost about 1e18 to 8e18, above 2**53
+_BYTES_3 = (TypeRef("byte", 3), TypeRef("int", 1))
+_PARAM_TUPLES = [(), (TypeRef("int"),), (TypeRef("long", 3),),
+                 (TypeRef("Foo"), TypeRef("double", 3)), _BYTES_3]
+_HUGE_ARRAYS = SizeModel(assumed_array_len=10 ** 6)
+_METHOD, _CLASS = st.sampled_from(["f", "g"]), st.sampled_from("ABC")
+_COST_ROWS = st.lists(st.builds(CallRecord, _METHOD, _METHOD, _CLASS, _CLASS, st.just(()),
+                                st.sampled_from(_PARAM_TUPLES)), max_size=30)
+
+
+@given(_COST_ROWS, st.sampled_from([SizeModel(), _HUGE_ARRAYS]))
+# six rows of one cost sum to 0x1.4d127e16c5943p+62 one by one, but six
+# times the cost is 0x1.4d127e16c5944p+62
+@example([CallRecord("f", "g", "A", "B", (), _BYTES_3)] * 6
+         + [CallRecord("g", "f", "B", "A", (), (TypeRef("long", 3),))] * 3, _HUGE_ARRAYS)
+def test_class_graph_costing_each_tuple_once_matches_the_row_loop_bit_for_bit(records, model):
+    catalog = TypeCatalog({"Foo": OpaqueLayout(24)})
+    g = build_class_graph(records, catalog, model)
+    naive = naive_build_class_graph(records, catalog, model)
+    assert g.vertices == naive.vertices
+    assert list(g.edges) == list(naive.edges)
+    assert list(map(float.hex, g.weight.tolist())) == list(map(float.hex, naive.weight.tolist()))
+    assert g.self_calls_dropped == naive.self_calls_dropped
+
+
+def test_class_graph_costs_each_callee_tuple_once(monkeypatch):
+    calls = []
+
+    def counting_edge_cost(params, catalog, model):
+        calls.append(params)
+        return edge_cost(params, catalog, model)
+
+    monkeypatch.setattr(feature_graph, "edge_cost", counting_edge_cost)
+    records = [call("f", "g", a, b, params) for params in (["int"], ["long", "int"])
+               for a, b in (("A", "B"), ("B", "C"), ("C", "A"))]
+    g = build_class_graph(records, CAT)
+    assert calls == [(TypeRef("int"),), (TypeRef("long"), TypeRef("int"))]
+    assert g.edges == {("A", "B"): 18.0, ("B", "C"): 18.0, ("C", "A"): 18.0}  # 5 + 13
 
 
 def _class_graph():

@@ -22,7 +22,7 @@ from servicecut.records import TypeCatalog, parse_call_log, parse_perf_log
 from servicecut.spectral import build_laplacian, embed, extract_candidates, kmeans
 from servicecut.synth import SynthSpec, generate_system, synth_generate
 
-CAT = TypeCatalog.default()
+CAT = TypeCatalog()
 
 
 def two_block_spec(seed=0, **kwargs):

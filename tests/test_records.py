@@ -29,8 +29,6 @@ def test_parse_call_line(tmp_path):
     assert rec.callee_class == "ItemDao"
     assert rec.caller_params == (TypeRef("int"),)
     assert rec.callee_params == (TypeRef("int"), TypeRef("String"))
-    assert rec.caller == "OrderService::getOrder"
-    assert rec.callee == "ItemDao::getItem"
 
 
 def test_parse_call_empty_file(tmp_path):
@@ -91,6 +89,21 @@ def test_parse_call_bad_type_name(tmp_path):
     with pytest.raises(LogParseError) as exc:
         parse_call_log(p)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("rows, line", [
+    # a bad text repeated later is reported where it first appears
+    ([",", "int;9x,", ",int", ",", "int;9x,"], 2),
+    # a valid text parsed earlier does not hide a bad one
+    (["int,int", "int,int", "int;9x,int"], 3),
+    # one text met in both params columns is one parse
+    ([",", "int;9x,", ",", ",int;9x"], 2),
+])
+def test_parse_call_bad_params_text_names_its_first_line(tmp_path, rows, line):
+    p = tmp_path / "calls.csv"
+    p.write_text("".join(f"f,g,A,B,{params}\n" for params in rows))
+    with pytest.raises(LogParseError, match=rf"calls.csv:{line}: invalid type name '9x'"):
+        parse_call_log(p)
 
 
 def test_parse_call_empty_id(tmp_path):
