@@ -2,12 +2,7 @@
 partitioning of fused call/performance feature graphs."""
 
 from .cost_model import SizeModel, api_estimate, edge_cost
-from .feature_graph import (
-    AffinityMatrix,
-    FeatureGraph,
-    build_class_graph,
-    to_affinity,
-)
+from .feature_graph import FeatureGraph, build_class_graph, to_affinity
 from .metrics import QualityReport, cut_value, mq, mqw, score
 from .oracle import brute_force_best
 from .pipeline import PipelineInputs, SweepResult, partition_accuracy, run_pipeline, sweep
@@ -23,7 +18,6 @@ from .records import (
 )
 from .spectral import (
     Embedding,
-    Laplacian,
     NumericError,
     Partition,
     build_laplacian,
@@ -36,11 +30,9 @@ from .synth import SynthSpec, generate_system, synth_generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityMatrix",
     "CallRecord",
     "Embedding",
     "FeatureGraph",
-    "Laplacian",
     "LogParseError",
     "NumericError",
     "Partition",

@@ -116,7 +116,7 @@ def build_graph(calls_path, perf_path, catalog_path, size_model, raw_attrs, mode
     fg.write_edge_list(g, out / "graph_edges.csv")
     fg.write_graph_json(g, out / "graph.json", None if mode == "static" else inputs.attrs)
     if inputs.core.vertices:
-        fg.write_affinity_csv(fg.to_affinity(inputs.mode_core(mode)), out / "affinity.csv")
+        fg.write_affinity_csv(inputs.mode_core(mode), out / "affinity.csv")
     click.echo(f"wrote graph exports to {out}")
 
 

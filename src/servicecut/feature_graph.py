@@ -1,6 +1,6 @@
 """Weighted program feature graphs: class-level construction from call
-records, the core split, and the symmetric affinity matrix fed to the
-clusterer."""
+records, the core split, and the symmetric affinity of a graph, from which
+the clusterer builds its Laplacian."""
 
 from __future__ import annotations
 
@@ -64,40 +64,6 @@ class FeatureGraph:
         return self.vertices[self.src[e]], self.vertices[self.dst[e]]
 
 
-@dataclass
-class AffinityMatrix:
-    """Sparse (CSR) symmetric non-negative matrix with an empty diagonal,
-    rows aligned to ``vertex_ids``; any 2-D array is converted. Symmetry is
-    exact: the dense eigensolver reads one triangle and Lanczos the whole
-    matrix, so an asymmetric W would give solver-dependent eigenpairs."""
-
-    entries: sp.csr_array
-    vertex_ids: list[str]
-
-    def __post_init__(self):
-        W = sp.csr_array(self.entries, dtype=float)
-        W.sum_duplicates()
-        W.eliminate_zeros()
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError("affinity matrix must be square")
-        if W.shape[0] != len(self.vertex_ids):
-            raise ValueError("vertex_ids length must match matrix dimension")
-        if (W != W.T).nnz:
-            raise ValueError("affinity matrix must be symmetric")
-        if (W.data < 0).any():
-            raise ValueError("affinity matrix must be non-negative")
-        if W.diagonal().any():
-            raise ValueError("affinity matrix must have zero diagonal")
-        with np.errstate(over="ignore"):  # reported just below
-            if not np.isfinite(W.sum(axis=1)).all():
-                raise OverflowError("affinity degrees overflow float64")
-        self.entries = W
-
-    @property
-    def n(self) -> int:
-        return len(self.vertex_ids)
-
-
 def build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
                       model: SizeModel | None = None) -> FeatureGraph:
     """Build the class-level digraph keyed on the records' class fields.
@@ -132,12 +98,19 @@ def build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
     return FeatureGraph.from_edges(classes, edges, self_calls_dropped=dropped)
 
 
-def to_affinity(g: FeatureGraph) -> AffinityMatrix:
-    """Symmetrize by directional sum: W[i][j] = w(i->j) + w(j->i), exact as
-    edge pairs are unique and never self-loops."""
+def to_affinity(g: FeatureGraph) -> sp.csr_array:
+    """W = A + A.T over ``g.vertices``: W[i][j] = w(i->j) + w(j->i). It is
+    exactly symmetric, non-negative and zero on the diagonal: the weights
+    are positive and finite and never on a self-loop (``FeatureGraph``
+    checks both), each (src, dst) pair appears once, and float addition
+    commutes, so W[i][j] and W[j][i] add the same two terms."""
     n = len(g.vertices)
     A = sp.csr_array((g.weight, (g.src, g.dst)), shape=(n, n))
-    return AffinityMatrix(A + A.T, list(g.vertices))
+    W = A + A.T
+    if np.isinf(W.data).any():
+        e = np.isinf(W[g.src, g.dst]).argmax()
+        raise OverflowError(f"affinity of {g.pair(e)!r} overflows float64")
+    return W
 
 
 def split_core(g: FeatureGraph) -> tuple[FeatureGraph, set[str]]:
@@ -185,10 +158,11 @@ def write_graph_json(g: FeatureGraph, path: str | Path, attrs: np.ndarray | None
                           encoding="utf-8")
 
 
-def write_affinity_csv(W: AffinityMatrix, path: str | Path) -> None:
+def write_affinity_csv(g: FeatureGraph, path: str | Path) -> None:
+    """The affinity of ``g`` as a dense n x n table over ``g.vertices``."""
+    W = to_affinity(g)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([""] + W.vertex_ids)
-        # the dense n x n export; W itself stays sparse
-        for vid, row in zip(W.vertex_ids, W.entries.toarray()):
+        writer.writerow([""] + g.vertices)
+        for vid, row in zip(g.vertices, W.toarray()):
             writer.writerow([vid] + [repr(float(x)) for x in row])

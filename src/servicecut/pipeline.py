@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .cost_model import SizeModel
-from .feature_graph import FeatureGraph, build_class_graph, split_core, to_affinity
+from .feature_graph import FeatureGraph, build_class_graph, split_core
 from .metrics import QualityReport, batch_scores, score
 from .records import (
     CallRecord,
@@ -25,8 +25,7 @@ from .records import (
     parse_perf_log,
     parse_type_catalog,
 )
-from .spectral import (Partition, build_laplacian, embed, extract_candidates, first_occurrence,
-                       kmeans)
+from .spectral import Partition, embed, extract_candidates, first_occurrence, kmeans
 
 log = logging.getLogger(__name__)
 
@@ -127,7 +126,7 @@ def run_pipeline(
 ) -> tuple[Partition, QualityReport]:
     inputs.check_k(k)
     core = inputs.mode_core(mode)
-    partition = extract_candidates(to_affinity(core), k, seed)
+    partition = extract_candidates(core, k, seed)
     partition.unassigned = set(inputs.isolated)
     report = score(partition, core, mode)
     return partition, report
@@ -186,7 +185,7 @@ def sweep_graph(
     first k columns, and scores the MQw of all its epochs at once. Clusters are renumbered
     by first occurrence, which is smallest-vertex-id order because the rows
     follow the sorted vertex ids."""
-    emb = embed(build_laplacian(to_affinity(g)), k_max)
+    emb = embed(g, k_max)
     out: dict[tuple[str, int], list[float]] = {}
     for k in range(k_min, k_max + 1):
         U = emb.U[:, :k].copy()
@@ -207,6 +206,8 @@ def sweep(
         raise ValueError("modes names no mode")
     if len(set(modes)) < len(modes):
         raise ValueError(f"modes names a mode twice: {modes!r}")
+    if unknown := set(modes) - set(MODES):
+        raise ValueError(f"unknown mode {min(unknown)!r}; expected one of {MODES}")
     if not 2 <= k_min <= k_max:
         raise ValueError(f"k_min={k_min} must be in [2, k_max={k_max}]")
     if epochs < 1:

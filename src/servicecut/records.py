@@ -281,10 +281,11 @@ def parse_type_catalog(path: str | Path | None) -> TypeCatalog:
             String[]
         Blob: opaque 128
 
-    A top-level line declares a type as ``object`` or ``opaque N``; the
-    indented lines under an object declaration list its field types, one
-    TypeRef per line. Cyclic object definitions are accepted (the cost model
-    bounds recursion). ``path=None`` yields the primitives-only catalog.
+    A top-level line declares a type as exactly ``object`` or the two words
+    ``opaque N``; the indented lines under an object declaration list its
+    field types, one TypeRef per line. Cyclic object definitions are
+    accepted (the cost model bounds recursion). ``path=None`` yields the
+    primitives-only catalog.
     """
     catalog = TypeCatalog()
     if path is None:
@@ -323,10 +324,10 @@ def parse_type_catalog(path: str | Path | None) -> TypeCatalog:
             raise LogParseError(f"type {name!r} declared twice", path, lineno)
         if decl == "object":
             current_name, current_fields = name, []
-        elif decl.startswith("opaque"):
+        elif decl.split()[:1] == ["opaque"]:
             try:
-                size = int(decl.split()[1])
-            except (IndexError, ValueError) as exc:
+                (size,) = map(int, decl.split()[1:])
+            except ValueError as exc:
                 raise LogParseError("opaque declaration needs an integer size", path, lineno) from exc
             if size < 0:
                 raise LogParseError("opaque size must be >= 0", path, lineno)
@@ -345,13 +346,18 @@ def format_params(params: tuple[TypeRef, ...]) -> str:
 
 
 def write_call_log(records: list[CallRecord], path: str | Path) -> None:
+    """Write ``CALL_HEADER``, so that a first record spelling it is data, then the records."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(
+        writer = csv.writer(fh)
+        writer.writerow(CALL_HEADER)
+        writer.writerows(
             [r.caller_method, r.callee_method, r.caller_class, r.callee_class,
              format_params(r.caller_params), format_params(r.callee_params)] for r in records)
 
 
 def write_perf_log(records: list[PerfRecord], path: str | Path) -> None:
+    """Write ``PERF_HEADER`` and one row per record."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(
-            [r.class_id, repr(r.cpu_time), repr(r.retained_bytes)] for r in records)
+        writer = csv.writer(fh)
+        writer.writerow(PERF_HEADER)
+        writer.writerows([r.class_id, repr(r.cpu_time), repr(r.retained_bytes)] for r in records)

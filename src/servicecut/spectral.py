@@ -11,22 +11,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from .feature_graph import AffinityMatrix
+from .feature_graph import FeatureGraph, to_affinity
 
 
 class NumericError(RuntimeError):
     """Eigensolver or clustering failure."""
-
-
-@dataclass
-class Laplacian:
-    """L = D - W with D the diagonal degree matrix of W, as a CSR array."""
-
-    matrix: sp.csr_array
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass
@@ -68,10 +57,17 @@ class Partition:
         return doc
 
 
-def build_laplacian(W: AffinityMatrix) -> Laplacian:
-    if W.n == 0:
+def build_laplacian(g: FeatureGraph) -> sp.csr_array:
+    """L = D - W, with W the affinity of ``g`` (see ``to_affinity``) and D
+    the diagonal matrix of its degrees, as a CSR array."""
+    if not g.vertices:
         raise ValueError("empty graph")
-    return Laplacian(sp.csr_array(sp.diags_array(W.entries.sum(axis=1)) - W.entries))
+    W = to_affinity(g)
+    with np.errstate(over="ignore"):  # reported just below
+        degrees = W.sum(axis=1)
+    if not np.isfinite(degrees).all():
+        raise OverflowError("affinity degrees overflow float64")
+    return sp.csr_array(sp.diags_array(degrees) - W)
 
 
 # Above this many vertices ``embed`` solves for the k smallest eigenpairs by
@@ -80,15 +76,17 @@ def build_laplacian(W: AffinityMatrix) -> Laplacian:
 _DENSE_MAX_N = 1000
 
 
-def embed(L: Laplacian, k: int) -> Embedding:
-    """Eigenpairs of the k smallest eigenvalues, ascending, with a
-    deterministic sign convention (first nonzero coordinate positive).
+def embed(g: FeatureGraph, k: int) -> Embedding:
+    """Eigenpairs of the k smallest eigenvalues of the Laplacian of ``g``,
+    ascending, with a deterministic sign convention (first nonzero
+    coordinate positive); row i belongs to ``g.vertices[i]``.
 
     Graphs above ``_DENSE_MAX_N`` vertices are solved by Lanczos; if it does
     not converge, or its eigenpairs fail the residual or kernel check, the
     dense solve runs instead. Every returned embedding passed the residual
     check."""
-    n = L.n
+    L = build_laplacian(g)
+    n = L.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if n > _DENSE_MAX_N and k + 1 < n:
@@ -100,7 +98,7 @@ def embed(L: Laplacian, k: int) -> Embedding:
         except (ArpackError, NumericError):
             pass  # the dense solve below is exact where Lanczos falls short
     try:
-        eigenvalues, vectors = np.linalg.eigh(L.matrix.toarray())
+        eigenvalues, vectors = np.linalg.eigh(L.toarray())
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     emb = _signed(eigenvalues[:k], vectors[:, :k])
@@ -108,17 +106,17 @@ def embed(L: Laplacian, k: int) -> Embedding:
     return emb
 
 
-def _lanczos(L: Laplacian, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _lanczos(L: sp.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenpairs of L, ascending, as the k largest of
     c*I - L with c = 2 * max degree, which bounds L's spectrum (Gershgorin),
     so the wanted end is the largest and no factorization is needed."""
-    n = L.n
-    c = 2.0 * float(L.matrix.diagonal().max())
+    n = L.shape[0]
+    c = 2.0 * float(L.diagonal().max())
     # a fixed start vector: ARPACK's default one is random on every call, and
     # the constant vector is an eigenvector of L, so its Krylov space is
     # one-dimensional
     v0 = np.random.default_rng(0).standard_normal(n)
-    mu, vectors = eigsh(sp.eye_array(n, format="csr") * c - L.matrix, k=k, which="LA",
+    mu, vectors = eigsh(sp.eye_array(n, format="csr") * c - L, k=k, which="LA",
                         tol=1e-12, v0=v0)
     return (c - mu)[::-1], vectors[:, ::-1]
 
@@ -133,23 +131,23 @@ def _signed(eigenvalues: np.ndarray, vectors: np.ndarray) -> Embedding:
     return Embedding(U, eigenvalues.copy())
 
 
-def _scale(L: Laplacian) -> float:
-    return float(np.abs(L.matrix.data).max(initial=1.0))
+def _scale(L: sp.csr_array) -> float:
+    return float(np.abs(L.data).max(initial=1.0))
 
 
-def _check_residuals(L: Laplacian, emb: Embedding, tol: float = 1e-6) -> None:
+def _check_residuals(L: sp.csr_array, emb: Embedding, tol: float = 1e-6) -> None:
     # relative to the largest entry, so the norm's squares cannot overflow
-    residuals = np.linalg.norm((L.matrix @ emb.U - emb.U * emb.eigenvalues) / _scale(L), axis=0)
+    residuals = np.linalg.norm((L @ emb.U - emb.U * emb.eigenvalues) / _scale(L), axis=0)
     worst = int(residuals.argmax())
     if not residuals[worst] <= tol:
         raise NumericError(f"eigenpair {worst} residual {residuals[worst]:.3e} exceeds tolerance")
 
 
-def _check_kernel(L: Laplacian, emb: Embedding, tol: float = 1e-6) -> None:
+def _check_kernel(L: sp.csr_array, emb: Embedding, tol: float = 1e-6) -> None:
     """Lanczos can miss copies of a repeated eigenvalue and still return
     exact eigenpairs. Eigenvalue 0 has one copy per connected component, so
     the embedding must hold min(k, components) of them."""
-    components = connected_components(L.matrix, directed=False, return_labels=False)
+    components = connected_components(L, directed=False, return_labels=False)
     zeros = int(np.count_nonzero(np.abs(emb.eigenvalues) <= tol * _scale(L)))
     if zeros < min(emb.U.shape[1], components):
         raise NumericError(f"{zeros} zero eigenvalues found for {components} components")
@@ -159,18 +157,20 @@ def _check_kernel(L: Laplacian, emb: Embedding, tol: float = 1e-6) -> None:
 # distance pass holds about this many float64 values (1 MiB) in its terms
 # and accumulators; see ``kmeans``.
 _BATCH_VALUES = 2 ** 17
+_RESTARTS = 10  # Lloyd runs kept per seed
+_MAX_ITER = 300  # Lloyd iterations per run
 
 
-def kmeans(points: np.ndarray, k: int, seeds: Sequence[int], n_restarts: int = 10,
-           max_iter: int = 300) -> np.ndarray:
+def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     """Lloyd's algorithm with distance-weighted seeding, run once per seed:
     returns (len(seeds), n) labels, row i deterministic given ``seeds[i]``.
-    Each seed keeps the best of ``n_restarts`` runs by inertia (the first
-    strictly lowest, in its attempt order); runs that collapse to an empty
-    cluster are retried, up to ``4 * n_restarts`` attempts per seed.
+    Each seed keeps the best of ``_RESTARTS`` (10) runs by inertia (the
+    first strictly lowest, in its attempt order), each of at most
+    ``_MAX_ITER`` (300) Lloyd iterations; runs that collapse to an empty
+    cluster are retried, up to ``4 * _RESTARTS`` attempts per seed.
 
     The restarts of all seeds run in rounds. A round draws every seed's
-    pending restarts (``n_restarts`` less its runs, within the attempt cap),
+    pending restarts (``_RESTARTS`` less its runs, within the attempt cap),
     each from the seed's own Generator in attempt order, so a seed whose
     restarts collapse draws its retries in the next round. The k-means++
     centers of one attempt index are drawn for all seeds at once, up to
@@ -208,7 +208,7 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int], n_restarts: int = 1
     attempts = np.zeros(len(rngs), dtype=int)
     seeding = max(1, _BATCH_VALUES // (n * d))
     batch = max(1, _BATCH_VALUES // (n * k * d))
-    while (pending := np.minimum(n_restarts - runs, 4 * n_restarts - attempts)).any():
+    while (pending := np.minimum(_RESTARTS - runs, 4 * _RESTARTS - attempts)).any():
         # the seeds with a j-th pending restart, for j = 0, 1, ...: one row
         # per restart, each seed's rows in its attempt order
         drawers = [np.flatnonzero(pending > j) for j in range(pending.max())]
@@ -218,7 +218,7 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int], n_restarts: int = 1
             for group in drawers for lo in range(0, group.size, seeding)])
         attempts += pending
         for lo in range(0, owner.size, batch):
-            results = _lloyd(pts, centers[lo:lo + batch], max_iter)
+            results = _lloyd(pts, centers[lo:lo + batch], _MAX_ITER)
             for s, (labels, inertia) in zip(owner[lo:lo + batch], results):
                 if labels is None:
                     continue  # empty-cluster collapse; retried in the next round
@@ -352,14 +352,15 @@ def _centroids(pts: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.nd
     return sums.reshape(R, k, d) / counts[:, :, None]
 
 
-def extract_candidates(W: AffinityMatrix, k: int, seed: int) -> Partition:
-    """End-to-end: Laplacian, smallest-k embedding, k-means, canonical
-    relabeling (clusters renumbered by smallest contained vertex id)."""
-    if not 2 <= k <= W.n:
-        raise ValueError(f"k must be in [2, {W.n}], got {k}")
-    emb = embed(build_laplacian(W), k)
-    labels = first_occurrence(kmeans(emb.U, k, [seed]), k)[0]
-    return Partition(dict(zip(W.vertex_ids, labels.tolist())), k)
+def extract_candidates(g: FeatureGraph, k: int, seed: int) -> Partition:
+    """End-to-end on a graph without isolated vertices: smallest-k embedding,
+    k-means, canonical relabeling (clusters renumbered by smallest contained
+    vertex id)."""
+    n = len(g.vertices)
+    if not 2 <= k <= n:
+        raise ValueError(f"k must be in [2, {n}], got {k}")
+    labels = first_occurrence(kmeans(embed(g, k).U, k, [seed]), k)[0]
+    return Partition(dict(zip(g.vertices, labels.tolist())), k)
 
 
 def first_occurrence(labels: np.ndarray, k: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 from naive_oracles import hand_object_size, naive_cut, naive_mq, naive_mqw
 from servicecut.cost_model import SizeModel, api_estimate
-from servicecut.feature_graph import AffinityMatrix, FeatureGraph, split_core, to_affinity
+from servicecut.feature_graph import FeatureGraph, split_core, to_affinity
 from servicecut.metrics import cut_value, mq, mqw
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import PipelineInputs, partition_accuracy, sweep
@@ -18,6 +18,7 @@ from servicecut.records import ObjectLayout, PRIMITIVE_SIZES, TypeCatalog, TypeR
 from servicecut.spectral import build_laplacian, embed, extract_candidates
 from servicecut.synth import SynthSpec, generate_system
 from test_metrics import random_instance
+from test_spectral import matrix_graph
 
 SMALL_PARAMS = ("int", "boolean", "short", "byte")
 
@@ -84,11 +85,11 @@ def test_criterion_2_metric_oracle_equivalence(capsys):
             assert mqw(p, g)[2] == pytest.approx(
                 naive_mqw(p.labels, g.edges, p.k), abs=1e-12
             )
-            W = to_affinity(g)
+            W = to_affinity(g).toarray()
             aff = {
-                (W.vertex_ids[i], W.vertex_ids[j]): W.entries[i, j]
-                for i in range(W.n)
-                for j in range(W.n)
+                (u, v): W[i, j]
+                for i, u in enumerate(g.vertices)
+                for j, v in enumerate(g.vertices)
             }
             assert cut_value(p, g) == pytest.approx(
                 naive_cut(p.labels, aff, p.k), abs=1e-12
@@ -117,7 +118,7 @@ def _random_two_component_affinity(rng):
                     W[b, a] += w
         offset += s
     ids = [f"v{i:02d}" for i in range(n)]
-    return AffinityMatrix(W, ids), sizes
+    return matrix_graph(W, ids), sizes
 
 
 def test_criterion_3_spectral_correctness(capsys):
@@ -126,26 +127,24 @@ def test_criterion_3_spectral_correctness(capsys):
         # tolerances on dense random graphs
         for _ in range(20):
             n = int(rng.integers(4, 30))
-            L = build_laplacian(
-                AffinityMatrix(random_symmetric_affinity(rng, n),
-                               [f"v{i}" for i in range(n)])
-            )
-            assert np.abs(L.matrix.sum(axis=1)).max() < 1e-9
+            g = matrix_graph(random_symmetric_affinity(rng, n))
+            L = build_laplacian(g)
+            assert np.abs(L.sum(axis=1)).max() < 1e-9
             k = int(rng.integers(1, n + 1))
-            emb = embed(L, k)
+            emb = embed(g, k)
             for i in range(k):
                 u = emb.U[:, i]
-                residual = np.linalg.norm(L.matrix @ u - emb.eigenvalues[i] * u)
-                assert residual < 1e-6 * max(1.0, np.abs(L.matrix).max())
-            trace = np.trace(emb.U.T @ L.matrix @ emb.U)
+                residual = np.linalg.norm(L @ u - emb.eigenvalues[i] * u)
+                assert residual < 1e-6 * max(1.0, np.abs(L).max())
+            trace = np.trace(emb.U.T @ L @ emb.U)
             assert abs(trace - emb.eigenvalues.sum()) < 1e-6 * max(
                 1.0, abs(emb.eigenvalues.sum())
             )
         # exact recovery of two components, 100/100
         recovered = 0
         for trial in range(100):
-            W, sizes = _random_two_component_affinity(rng)
-            p = extract_candidates(W, 2, seed=trial)
+            g, sizes = _random_two_component_affinity(rng)
+            p = extract_candidates(g, 2, seed=trial)
             groups = sorted(map(sorted, p.candidates()))
             expected = sorted(
                 [
@@ -175,7 +174,7 @@ def test_criterion_4_planted_partition_recovery(capsys):
                 )
                 calls, perf, truth = generate_system(spec)
                 inputs = PipelineInputs(calls, perf, cat)
-                p = extract_candidates(to_affinity(inputs.core), blocks, seed=1000 + seed)
+                p = extract_candidates(inputs.core, blocks, seed=1000 + seed)
                 accuracies.append(partition_accuracy(p.labels, truth))
                 result = sweep(inputs, ("static",), 2, 10, 10, seed)
                 argmax_hits += result.best_k["static"] == blocks
@@ -247,7 +246,7 @@ def test_criterion_7_oracle_dominance(capsys):
             g = FeatureGraph.from_edges(verts, edges)
             core, _ = split_core(g)
             k = int(rng.integers(2, min(5, len(core.vertices)) + 1))
-            p = extract_candidates(to_affinity(core), k, seed=checked)
+            p = extract_candidates(core, k, seed=checked)
             pipeline_value = mqw(p, core)[2]
             _, best_value = brute_force_best(g, k, "mqw")
             assert best_value >= pipeline_value - 1e-12

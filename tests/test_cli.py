@@ -290,6 +290,23 @@ def test_summed_catalog_costs_that_overflow_name_the_catalog(tmp_path, capsys, m
         assert "--type-catalog" in err
 
 
+@pytest.mark.parametrize("command", [["evaluate", "--k", "2", "--out", "{out}"],
+                                     ["build-graph", "--out", "{out}"]])
+def test_an_affinity_that_overflows_is_a_data_error_naming_the_catalog(tmp_path, capsys, command):
+    # each direction of A-B costs 1e308 + 1, finite; the affinity adds them
+    calls = tmp_path / "calls.csv"
+    calls.write_text("f,g,A,B,,Big\ng,f,B,A,,Big\n")
+    catalog = tmp_path / "types.txt"
+    catalog.write_text("Big: opaque 1" + "0" * 308 + "\n")
+    argv = [a.format(out=tmp_path / "o") for a in command]
+    assert run(*argv, "--mode", "static", "--calls", str(calls),
+               "--type-catalog", str(catalog)) == 2
+    err = capsys.readouterr().err
+    assert "affinity of ('A', 'B') overflows float64" in err
+    assert "--type-catalog" in err
+    assert not (tmp_path / "o" / "affinity.csv").exists()
+
+
 def test_repeated_catalog_type_is_data_error_naming_file_and_line(tmp_path, capsys):
     calls = tmp_path / "calls.csv"
     calls.write_text("f,g,A,B,,Order\n")
@@ -386,11 +403,12 @@ _ODD_LINE = st.none() | st.lists(_FIELD, max_size=8).map(",".join) | st.sampled_
 # a type catalog of distinct declarations (the call rows use Foo) and one odd
 # line: a repeated declaration, an opaque size of 1e308 (two such calls on one
 # class pair overflow float64), an indented field outside an object, an
-# unknown kind or a bad name
+# unknown kind, a misspelled opaque or a bad name
 _DECLARATIONS = ["Foo: object\n    int\n    long[]", "Bar: opaque 16",
                  "Baz: object\n    Foo\n    int"]
 _HUGE_FOO = "Foo: opaque 1" + "0" * 308
-_ODD_TYPE_LINE = st.sampled_from(["repeat", _HUGE_FOO, "    int", "Qux: struct", "1Bad: object"])
+_ODD_TYPE_LINE = st.sampled_from(["repeat", _HUGE_FOO, "    int", "Qux: struct", "1Bad: object",
+                                  "Qux: opaquex 16"])
 _CATALOG = st.tuples(st.lists(st.sampled_from(_DECLARATIONS), min_size=1, max_size=3,
                               unique=True),
                      st.tuples(st.integers(0, 8), _ODD_TYPE_LINE))

@@ -3,12 +3,10 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, strategies as st
 
 from naive_oracles import naive_affinity, naive_build_class_graph
 from servicecut.feature_graph import (
-    AffinityMatrix,
     FeatureGraph,
     build_class_graph,
     split_core,
@@ -22,7 +20,7 @@ from servicecut.cost_model import SizeModel, edge_cost
 from servicecut.metrics import mq, score
 from servicecut.pipeline import MODES, PipelineInputs, mode_weights
 from servicecut.records import CallRecord, OpaqueLayout, PerfRecord, TypeCatalog, TypeRef
-from servicecut.spectral import extract_candidates
+from servicecut.spectral import build_laplacian, extract_candidates
 from servicecut.synth import SynthSpec, generate_system
 
 CAT = TypeCatalog()
@@ -227,30 +225,31 @@ def test_mode_graph_keeps_class_graph_vertices_and_edges(mode):
     base, g = inputs.graph, inputs.mode_graph(mode)
     assert g.vertices == base.vertices
     assert list(g.edges) == list(base.edges)
-    p = extract_candidates(to_affinity(split_core(g)[0]), 3, seed=0)
+    p = extract_candidates(split_core(g)[0], 3, seed=0)
     assert score(p, g, mode).mq == mq(p, base)[2]
 
 
 def test_affinity_sums_both_directions():
-    W = to_affinity(_class_graph())
-    i, j = W.vertex_ids.index("A"), W.vertex_ids.index("B")
-    assert W.entries[i, j] == W.entries[j, i] == 10.0
+    g = _class_graph()
+    W = to_affinity(g)
+    i, j = g.vertices.index("A"), g.vertices.index("B")
+    assert W[i, j] == W[j, i] == 10.0
 
 
 def test_affinity_empty_graph_is_zero_matrix():
     W = to_affinity(FeatureGraph.from_edges(["A", "B"], {}))
-    assert not W.entries.toarray().any()
+    assert not W.toarray().any()
 
 
 def test_affinity_single_directed_edge():
     W = to_affinity(FeatureGraph.from_edges(["A", "B"], {("A", "B"): 5.0}))
-    assert W.entries[0, 1] == W.entries[1, 0] == 5.0
+    assert W[0, 1] == W[1, 0] == 5.0
 
 
 def test_affinity_total_is_twice_directed_weight():
     g = _class_graph()
     W = to_affinity(g)
-    assert W.entries.sum() == pytest.approx(2 * g.weight.sum())
+    assert W.sum() == pytest.approx(2 * g.weight.sum())
 
 
 def test_graph_rejects_self_loop_and_nonpositive_weight():
@@ -285,40 +284,26 @@ def _weighted_graph(draw):
 @given(_weighted_graph())
 def test_affinity_equals_edge_loop_bit_for_bit(g):
     W = to_affinity(g)
-    assert W.vertex_ids == g.vertices
-    assert np.array_equal(W.entries.toarray().view(np.int64), naive_affinity(g).view(np.int64))
+    assert W.shape == (len(g.vertices),) * 2
+    assert np.array_equal(W.toarray().view(np.int64), naive_affinity(g).view(np.int64))
 
 
-def test_affinity_matrix_rejects_one_ulp_asymmetry():
-    W = np.array([[0.0, 0.1, 2.0], [0.1, 0.0, 3.0], [2.0, 3.0, 0.0]])
-    W[0, 1] = np.nextafter(W[0, 1], 1.0)
-    with pytest.raises(ValueError, match="symmetric"):
-        AffinityMatrix(W, ["A", "B", "C"])
+@given(_weighted_graph())
+def test_laplacian_is_symmetric_by_construction(g):
+    # the solvers read L as symmetric (the dense one reads one triangle), so
+    # it must be exactly so; off the diagonal it is the edge loop's -W
+    L = build_laplacian(g)
+    assert (L != L.T).nnz == 0
+    off = 0.0 - L.toarray()  # not -L: a negated zero is -0.0, whose bits differ
+    np.fill_diagonal(off, 0.0)
+    assert np.array_equal(off.view(np.int64), naive_affinity(g).view(np.int64))
 
 
-def _one_ulp_off(W):
-    W.data[0] = np.nextafter(W.data[0], 1.0)
-
-
-def _negative(W):
-    W.data[:] = -W.data
-
-
-def _loaded_diagonal(W):
-    W.setdiag([1.0, 0.0, 0.0])
-
-
-@pytest.mark.parametrize("spoil, match", [
-    (_one_ulp_off, "symmetric"),
-    (_negative, "non-negative"),
-    (_loaded_diagonal, "zero diagonal"),
-], ids=["one-ulp-asymmetry", "negative-entry", "nonzero-diagonal"])
-def test_affinity_matrix_rejects_bad_csr_input(spoil, match):
-    W = sp.csr_array(np.array([[0.0, 0.1, 2.0], [0.1, 0.0, 3.0], [2.0, 3.0, 0.0]]))
-    AffinityMatrix(W.copy(), ["A", "B", "C"])
-    spoil(W)
-    with pytest.raises(ValueError, match=match):
-        AffinityMatrix(W, ["A", "B", "C"])
+def test_affinity_of_two_directions_that_overflow_names_the_pair():
+    g = FeatureGraph.from_edges(["A", "B", "C"], {("B", "C"): 1e308, ("C", "B"): 1e308,
+                                                  ("A", "B"): 1.0})
+    with pytest.raises(OverflowError, match=r"affinity of \('B', 'C'\) overflows float64"):
+        to_affinity(g)
 
 
 def test_exports(tmp_path):
@@ -326,7 +311,7 @@ def test_exports(tmp_path):
     g = inputs.graph
     write_edge_list(g, tmp_path / "edges.csv")
     write_graph_json(g, tmp_path / "graph.json", inputs.attrs)
-    write_affinity_csv(to_affinity(g), tmp_path / "aff.csv")
+    write_affinity_csv(g, tmp_path / "aff.csv")
     assert (tmp_path / "edges.csv").read_text().splitlines()[0] == "src,dst,weight"
     doc = json.loads((tmp_path / "graph.json").read_text())
     assert doc["granularity"] == "class"
@@ -338,7 +323,7 @@ def test_exports(tmp_path):
 
 def test_affinity_csv_is_the_dense_matrix(tmp_path):
     # W is sparse; the export still writes all n x n values
-    write_affinity_csv(to_affinity(_class_graph()), tmp_path / "aff.csv")
+    write_affinity_csv(_class_graph(), tmp_path / "aff.csv")
     with open(tmp_path / "aff.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert [row[0] for row in rows] == ["", "A", "B", "C"]
@@ -348,18 +333,12 @@ def test_affinity_csv_is_the_dense_matrix(tmp_path):
 
 def test_affinity_csv_cells_parse_to_the_matrix_bit_for_bit(tmp_path):
     calls, perf, _ = generate_system(SynthSpec(n_classes=12, n_blocks=2, seed=1))
-    W = to_affinity(PipelineInputs(calls, perf, CAT).mode_core("fusion"))
-    write_affinity_csv(W, tmp_path / "aff.csv")
+    g = PipelineInputs(calls, perf, CAT).mode_core("fusion")
+    write_affinity_csv(g, tmp_path / "aff.csv")
     with open(tmp_path / "aff.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     cells = np.array([[float(cell) for cell in row[1:]] for row in rows[1:]])
-    assert cells.tobytes() == W.entries.toarray().tobytes()
-
-
-def test_affinity_rejects_overflowing_degrees():
-    W = np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]])
-    with pytest.raises(OverflowError, match="degrees"):
-        AffinityMatrix(W, ["a", "b", "c"])
+    assert cells.tobytes() == to_affinity(g).toarray().tobytes()
 
 
 def test_split_core_drops_isolated_vertices():
@@ -369,7 +348,7 @@ def test_split_core_drops_isolated_vertices():
     assert core.vertices == ["A", "B"]
     assert core.edges == g.edges
     W = to_affinity(core)
-    assert W.entries[0, 1] == W.entries[1, 0] == 10.0
+    assert W[0, 1] == W[1, 0] == 10.0
 
 
 def test_split_core_keeps_the_edge_order_and_renumbers():

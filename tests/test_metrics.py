@@ -123,11 +123,11 @@ def test_metrics_match_naive_oracle_on_random_graphs():
         g, p = random_instance(rng)
         assert mq(p, g)[2] == pytest.approx(naive_mq(p.labels, g.edges, p.k), abs=1e-12)
         assert mqw(p, g)[2] == pytest.approx(naive_mqw(p.labels, g.edges, p.k), abs=1e-12)
-        W = to_affinity(g)
+        W = to_affinity(g).toarray()
         aff = {
-            (W.vertex_ids[i], W.vertex_ids[j]): W.entries[i, j]
-            for i in range(W.n)
-            for j in range(W.n)
+            (u, v): W[i, j]
+            for i, u in enumerate(g.vertices)
+            for j, v in enumerate(g.vertices)
         }
         assert cut_value(p, g) == pytest.approx(naive_cut(p.labels, aff, p.k), abs=1e-12)
 

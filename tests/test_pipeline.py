@@ -5,7 +5,6 @@ import pytest
 
 from naive_oracles import canonicalize, naive_kmeans
 from servicecut import pipeline
-from servicecut.feature_graph import to_affinity
 from servicecut.metrics import mqw
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import (
@@ -19,7 +18,7 @@ from servicecut.pipeline import (
     write_sweep_outputs,
 )
 from servicecut.records import TypeCatalog, parse_call_log, parse_perf_log
-from servicecut.spectral import build_laplacian, embed, extract_candidates, kmeans
+from servicecut.spectral import embed, extract_candidates, kmeans
 from servicecut.synth import SynthSpec, generate_system, synth_generate
 
 CAT = TypeCatalog()
@@ -70,7 +69,7 @@ def test_ground_truth_recovery_zero_inter_every_seed():
     for seed in range(8):
         calls, perf, truth = generate_system(two_block_spec(seed=seed))
         core = PipelineInputs(calls, perf, CAT).core
-        p = extract_candidates(to_affinity(core), 2, seed=seed)
+        p = extract_candidates(core, 2, seed=seed)
         assert partition_accuracy(p.labels, truth) == 1.0
 
 
@@ -225,6 +224,16 @@ def test_sweep_rejects_no_mode_or_a_repeated_mode(tmp_path, modes):
         sweep(inputs, modes, k_min=2, k_max=3, epochs=1)
 
 
+def test_sweep_rejects_an_unknown_mode_before_sweeping_any(tmp_path, monkeypatch):
+    inputs = inputs_from(two_block_spec(), tmp_path)
+    swept = []
+    monkeypatch.setattr(pipeline, "sweep_graph",
+                        lambda g, mode, *args: swept.append(mode) or {})
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        sweep(inputs, ("static", "bogus"), k_min=2, k_max=3, epochs=1)
+    assert swept == []
+
+
 @pytest.mark.parametrize("kwargs, name", [
     (dict(k_min=3, k_max=2), "k_min"),
     (dict(k_min=1), "k_min"),
@@ -245,14 +254,13 @@ def test_sweep_graph_epoch_values_equal_reference_loop(mode, monkeypatch):
     # epochs of one k share one k-means call
     calls, perf, _ = generate_system(SynthSpec(n_classes=40, n_blocks=4, seed=1))
     core = PipelineInputs(calls, perf, CAT).mode_core(mode)
-    W = to_affinity(core)
-    U = embed(build_laplacian(W), 10).U
+    U = embed(core, 10).U
     expected = {}
     for k in range(2, 11):
         expected[(mode, k)] = []
         for epoch in range(3):
             raw = naive_kmeans(U[:, :k].copy(), k, epoch_seed(11, mode, k, epoch))
-            p = canonicalize(dict(zip(W.vertex_ids, (int(c) for c in raw))), k)
+            p = canonicalize(dict(zip(core.vertices, (int(c) for c in raw))), k)
             expected[(mode, k)].append(mqw(p, core)[2])
     calls = []
     monkeypatch.setattr(pipeline, "kmeans",

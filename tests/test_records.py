@@ -277,6 +277,20 @@ def test_catalog_stray_indent_rejected(tmp_path):
         parse_type_catalog(p)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("Blob: opaquex 12", "unknown layout kind 'opaquex 12'"),
+    ("Blob: opaque 12 junk", "opaque declaration needs an integer size"),
+    ("Blob: opaque", "opaque declaration needs an integer size"),
+    ("Blob: objectx", "unknown layout kind 'objectx'"),
+    ("Blob: object junk", "unknown layout kind 'object junk'"),
+], ids=["opaquex", "opaque-extra-word", "opaque-no-size", "objectx", "object-extra-word"])
+def test_catalog_declaration_must_be_object_or_opaque_n(tmp_path, line, message):
+    p = tmp_path / "types.txt"
+    p.write_text("Order: object\n    int\n" + line + "\n")
+    with pytest.raises(LogParseError, match=f"types.txt:3: {message}$"):
+        parse_type_catalog(p)
+
+
 # --- round-trip property ----------------------------------------------------
 
 _ident = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
@@ -317,3 +331,14 @@ def test_perf_log_round_trip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("rt") / "perf.csv"
     write_perf_log(records, path)
     assert parse_perf_log(path) == records
+
+
+def test_written_logs_open_with_their_header(tmp_path):
+    # the header is written, so a first record that spells it is data
+    spelled = CallRecord(*CALL_HEADER[:4], (TypeRef(CALL_HEADER[4]),), (TypeRef(CALL_HEADER[5]),))
+    records = [spelled, CallRecord("f", "g", "A", "B", (), (TypeRef("int"),))]
+    write_call_log(records, tmp_path / "calls.csv")
+    assert parse_call_log(tmp_path / "calls.csv") == records
+    write_perf_log([PerfRecord("A", 1.5, 2.0)], tmp_path / "perf.csv")
+    lines = [(tmp_path / name).read_text().splitlines()[0] for name in ("calls.csv", "perf.csv")]
+    assert lines == [",".join(CALL_HEADER), ",".join(PERF_HEADER)]

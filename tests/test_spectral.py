@@ -2,13 +2,12 @@ import re
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from naive_oracles import _naive_lloyd_once, canonicalize, naive_kmeans
 from servicecut import spectral
-from servicecut.feature_graph import AffinityMatrix, FeatureGraph, to_affinity
+from servicecut.feature_graph import FeatureGraph, to_affinity
 from servicecut.spectral import (
     NumericError,
     build_laplacian,
@@ -19,10 +18,13 @@ from servicecut.spectral import (
 )
 
 
-def affinity(matrix, ids=None):
-    matrix = np.asarray(matrix, dtype=float)
-    ids = ids or [f"v{i}" for i in range(matrix.shape[0])]
-    return AffinityMatrix(matrix, ids)
+def matrix_graph(matrix, ids=None):
+    """The graph whose affinity is exactly the symmetric ``matrix``: one edge
+    per nonzero entry of its strict upper triangle."""
+    W = np.asarray(matrix, dtype=float)
+    ids = ids or [f"v{i}" for i in range(W.shape[0])]
+    i, j = np.nonzero(np.triu(W, 1))
+    return FeatureGraph(list(ids), i, j, W[i, j])
 
 
 def two_triangles():
@@ -31,31 +33,37 @@ def two_triangles():
     W = np.zeros((6, 6))
     for i, j in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
         W[i, j] = W[j, i] = 1.0
-    return affinity(W, ids)
+    return matrix_graph(W, ids)
 
 
 def test_laplacian_two_vertices():
-    L = build_laplacian(affinity([[0, 1], [1, 0]]))
-    assert np.array_equal(L.matrix.toarray(), [[1, -1], [-1, 1]])
+    L = build_laplacian(matrix_graph([[0, 1], [1, 0]]))
+    assert np.array_equal(L.toarray(), [[1, -1], [-1, 1]])
 
 
 def test_laplacian_zero_affinity():
-    L = build_laplacian(affinity(np.zeros((3, 3))))
-    assert not L.matrix.toarray().any()
-    vals, _ = np.linalg.eigh(L.matrix.toarray())
+    L = build_laplacian(matrix_graph(np.zeros((3, 3))))
+    assert not L.toarray().any()
+    vals, _ = np.linalg.eigh(L.toarray())
     assert np.allclose(vals, 0)
 
 
 def test_laplacian_path_graph():
-    W = affinity([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    L = build_laplacian(W)
-    assert np.array_equal(np.diag(L.matrix.toarray()), [1, 2, 1])
-    assert np.array_equal(L.matrix.toarray(), np.diag([1, 2, 1]) - W.entries.toarray())
+    g = matrix_graph([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    L = build_laplacian(g)
+    assert np.array_equal(np.diag(L.toarray()), [1, 2, 1])
+    assert np.array_equal(L.toarray(), np.diag([1, 2, 1]) - to_affinity(g).toarray())
 
 
 def test_laplacian_empty_graph_error():
     with pytest.raises(ValueError, match="empty graph"):
-        build_laplacian(affinity(np.zeros((0, 0)), ids=[]))
+        build_laplacian(matrix_graph(np.zeros((0, 0)), ids=[]))
+
+
+def test_laplacian_rejects_overflowing_degrees():
+    W = np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]])
+    with pytest.raises(OverflowError, match="affinity degrees overflow float64"):
+        build_laplacian(matrix_graph(W, ["a", "b", "c"]))
 
 
 def test_laplacian_row_sums_vanish():
@@ -63,19 +71,19 @@ def test_laplacian_row_sums_vanish():
     A = rng.random((12, 12)) * 10
     W = np.triu(A, 1)
     W = W + W.T
-    L = build_laplacian(affinity(W))
-    assert np.abs(L.matrix.sum(axis=1)).max() < 1e-9
+    L = build_laplacian(matrix_graph(W))
+    assert np.abs(L.sum(axis=1)).max() < 1e-9
 
 
 def test_embed_k1_constant_vector_for_connected_graph():
-    emb = embed(build_laplacian(affinity([[0, 1, 2], [1, 0, 1], [2, 1, 0]])), 1)
+    emb = embed(matrix_graph([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), 1)
     assert emb.eigenvalues[0] == pytest.approx(0, abs=1e-8)
     assert np.allclose(emb.U[:, 0], emb.U[0, 0])
     assert emb.U[0, 0] > 0  # sign convention
 
 
 def test_embed_two_components_kernel_structure():
-    emb = embed(build_laplacian(two_triangles()), 2)
+    emb = embed(two_triangles(), 2)
     assert np.allclose(emb.eigenvalues, 0, atol=1e-8)
     U = emb.U
     for block in (slice(0, 3), slice(3, 6)):
@@ -84,7 +92,7 @@ def test_embed_two_components_kernel_structure():
 
 
 def test_embed_analytic_two_vertex_eigenvalues():
-    emb = embed(build_laplacian(affinity([[0, 1], [1, 0]])), 2)
+    emb = embed(matrix_graph([[0, 1], [1, 0]]), 2)
     assert np.allclose(emb.eigenvalues, [0.0, 2.0], atol=1e-9)
 
 
@@ -93,7 +101,7 @@ def test_embed_orthonormal_columns():
     A = rng.random((15, 15))
     W = np.triu(A, 1)
     W = W + W.T
-    emb = embed(build_laplacian(affinity(W)), 5)
+    emb = embed(matrix_graph(W), 5)
     gram = emb.U.T @ emb.U
     assert np.abs(gram - np.eye(5)).max() < 1e-6
 
@@ -103,51 +111,53 @@ def test_embed_trace_matches_eigenvalue_sum():
     A = rng.random((20, 20))
     W = np.triu(A, 1)
     W = W + W.T
-    L = build_laplacian(affinity(W))
-    emb = embed(L, 6)
-    trace = np.trace(emb.U.T @ L.matrix @ emb.U)
+    g = matrix_graph(W)
+    L = build_laplacian(g)
+    emb = embed(g, 6)
+    trace = np.trace(emb.U.T @ L @ emb.U)
     assert trace == pytest.approx(emb.eigenvalues.sum(), abs=1e-6)
 
 
 def test_embed_k_bounds():
-    L = build_laplacian(affinity([[0, 1], [1, 0]]))
+    g = matrix_graph([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
-        embed(L, 0)
+        embed(g, 0)
     with pytest.raises(ValueError):
-        embed(L, 3)
+        embed(g, 3)
 
 
 # --- the sparse solve above the dense threshold ----------------------------
 
 
-def planted_affinity(n, blocks, seed):
+def planted_graph(n, blocks, seed):
     """Sparse weighted graph on n vertices with planted blocks."""
     rng = np.random.default_rng(seed)
     block = np.arange(n) * blocks // n
     i, j = np.triu_indices(n, 1)
     keep = rng.random(i.size) < np.where(block[i] == block[j], 0.05, 0.002)
     w = rng.random(int(keep.sum())) * 10 + 0.1
-    A = sp.csr_array((w, (i[keep], j[keep])), shape=(n, n))
-    return AffinityMatrix(A + A.T, [f"v{x:04d}" for x in range(n)])
+    return FeatureGraph([f"v{x:04d}" for x in range(n)], i[keep], j[keep], w)
 
 
 def disjoint_cliques(count, size):
-    W = sp.block_diag([np.ones((size, size)) - np.eye(size)] * count, format="csr")
-    return AffinityMatrix(W, [f"v{x:04d}" for x in range(count * size)])
+    i, j = np.triu_indices(size, 1)
+    offsets = np.repeat(np.arange(count) * size, i.size)
+    return FeatureGraph([f"v{x:04d}" for x in range(count * size)], np.tile(i, count) + offsets,
+                        np.tile(j, count) + offsets, np.ones(count * i.size))
 
 
 @pytest.fixture(scope="module")
-def large_laplacian():
-    L = build_laplacian(planted_affinity(1200, 12, seed=0))
-    assert L.n > spectral._DENSE_MAX_N
-    return L
+def large_graph():
+    g = planted_graph(1200, 12, seed=0)
+    assert len(g.vertices) > spectral._DENSE_MAX_N
+    return g
 
 
-def dense_embed(L, k, monkeypatch):
+def dense_embed(g, k, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(spectral, "_DENSE_MAX_N", L.n)
+        m.setattr(spectral, "_DENSE_MAX_N", len(g.vertices))
         m.setattr(spectral, "eigsh", None)  # must not be reached
-        return embed(L, k)
+        return embed(g, k)
 
 
 @pytest.fixture
@@ -168,33 +178,33 @@ def residual_checks(monkeypatch):
     return outcomes
 
 
-def test_lanczos_agrees_with_dense_eigh(large_laplacian, residual_checks, monkeypatch):
+def test_lanczos_agrees_with_dense_eigh(large_graph, residual_checks, monkeypatch):
     calls = []
     solve = spectral.eigsh
     monkeypatch.setattr(spectral, "eigsh", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
-    sparse = embed(large_laplacian, 12)
+    sparse = embed(large_graph, 12)
     assert calls == [1]
     assert residual_checks == [True]
-    dense = dense_embed(large_laplacian, 12, monkeypatch)
+    dense = dense_embed(large_graph, 12, monkeypatch)
     assert residual_checks == [True, True]
     assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() < 1e-9
     assert np.array_equal(kmeans(sparse.U, 12, [0]), kmeans(dense.U, 12, [0]))
 
 
-def test_lanczos_without_convergence_falls_back_to_dense(large_laplacian, residual_checks,
+def test_lanczos_without_convergence_falls_back_to_dense(large_graph, residual_checks,
                                                          monkeypatch):
     def no_convergence(A, k, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((A.shape[0], 0)))
 
     monkeypatch.setattr(spectral, "eigsh", no_convergence)
-    got = embed(large_laplacian, 5)
+    got = embed(large_graph, 5)
     assert residual_checks == [True]
-    dense = dense_embed(large_laplacian, 5, monkeypatch)
+    dense = dense_embed(large_graph, 5, monkeypatch)
     assert got.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
     assert got.U.tobytes() == dense.U.tobytes()
 
 
-def test_lanczos_failing_the_residual_check_falls_back_to_dense(large_laplacian,
+def test_lanczos_failing_the_residual_check_falls_back_to_dense(large_graph,
                                                                 residual_checks, monkeypatch):
     solve = spectral.eigsh
 
@@ -203,18 +213,18 @@ def test_lanczos_failing_the_residual_check_falls_back_to_dense(large_laplacian,
         return mu, vectors + 1e-3
 
     monkeypatch.setattr(spectral, "eigsh", inexact)
-    got = embed(large_laplacian, 5)
+    got = embed(large_graph, 5)
     assert residual_checks == [False, True]
-    dense = dense_embed(large_laplacian, 5, monkeypatch)
+    dense = dense_embed(large_graph, 5, monkeypatch)
     assert got.U.tobytes() == dense.U.tobytes()
 
 
 def test_many_components_above_the_threshold():
-    W = disjoint_cliques(40, 30)
-    emb = embed(build_laplacian(W), 40)
+    g = disjoint_cliques(40, 30)
+    emb = embed(g, 40)
     assert np.abs(emb.eigenvalues).max() < 1e-8
-    groups = extract_candidates(W, 40, seed=0).candidates()
-    assert sorted(groups) == [W.vertex_ids[30 * c:30 * c + 30] for c in range(40)]
+    groups = extract_candidates(g, 40, seed=0).candidates()
+    assert sorted(groups) == [g.vertices[30 * c:30 * c + 30] for c in range(40)]
 
 
 def test_zero_eigenvalues_lanczos_misses_come_from_the_dense_solve():
@@ -222,8 +232,9 @@ def test_zero_eigenvalues_lanczos_misses_come_from_the_dense_solve():
     # exact eigenpairs but only some of the 60 wanted copies of eigenvalue 0;
     # the kernel check sends the solve to the dense path
     w = np.random.default_rng(0).random(600) * 10 + 0.1
-    A = sp.csr_array((w, (np.arange(0, 1200, 2), np.arange(1, 1200, 2))), shape=(1200, 1200))
-    emb = embed(build_laplacian(AffinityMatrix(A + A.T, [f"v{x:04d}" for x in range(1200)])), 60)
+    g = FeatureGraph([f"v{x:04d}" for x in range(1200)], np.arange(0, 1200, 2),
+                     np.arange(1, 1200, 2), w)
+    emb = embed(g, 60)
     assert np.abs(emb.eigenvalues).max() < 1e-8
 
 
@@ -312,9 +323,10 @@ def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
     pts = rng.standard_normal((n, d))
     if np.unique(pts, axis=0).shape[0] < k:
         return
-    expected = [_naive_lloyd_once(pts, k, np.random.default_rng(seed + r), 300) for r in range(4)]
+    expected = [_naive_lloyd_once(pts, k, np.random.default_rng(seed + r), spectral._MAX_ITER)
+                for r in range(4)]
     inits = spectral._kmeanspp_init(pts, k, [np.random.default_rng(seed + r) for r in range(4)])
-    got = spectral._lloyd(pts, inits, 300)
+    got = spectral._lloyd(pts, inits, spectral._MAX_ITER)
     for (labels, inertia), (labels_ref, inertia_ref) in zip(got, expected):
         assert inertia == inertia_ref
         assert (labels is None) == (labels_ref is None)
@@ -378,7 +390,7 @@ def test_extract_dense_blocks_with_weak_bridge():
     for i, j in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
         W[i, j] = W[j, i] = 10.0
     W[2, 3] = W[3, 2] = 1.0
-    p = extract_candidates(affinity(W), 2, seed=0)
+    p = extract_candidates(matrix_graph(W), 2, seed=0)
     groups = sorted(map(sorted, p.candidates()))
     assert groups == [["v0", "v1", "v2"], ["v3", "v4", "v5"]]
 
@@ -388,8 +400,8 @@ def test_extract_deterministic():
     A = rng.random((14, 14))
     W = np.triu(A, 1)
     W = W + W.T
-    a = extract_candidates(affinity(W), 4, seed=42)
-    b = extract_candidates(affinity(W), 4, seed=42)
+    a = extract_candidates(matrix_graph(W), 4, seed=42)
+    b = extract_candidates(matrix_graph(W), 4, seed=42)
     assert a.labels == b.labels
 
 
@@ -398,8 +410,8 @@ def test_extract_scale_invariance_of_labels():
     A = rng.random((12, 12))
     Wm = np.triu(A, 1)
     Wm = Wm + Wm.T
-    a = extract_candidates(affinity(Wm), 3, seed=5)
-    b = extract_candidates(affinity(Wm * 7.5), 3, seed=5)
+    a = extract_candidates(matrix_graph(Wm), 3, seed=5)
+    b = extract_candidates(matrix_graph(Wm * 7.5), 3, seed=5)
     assert a.labels == b.labels
 
 
@@ -428,8 +440,7 @@ def test_first_occurrence_equals_canonicalize(seed):
 
 def test_residual_check_is_relative_so_huge_weights_pass():
     # the squares of residuals near 1e300 overflow unless they are scaled first
-    W = affinity([[0, 1e300, 0], [1e300, 0, 1e300], [0, 1e300, 0]])
-    emb = embed(build_laplacian(W), 2)
+    emb = embed(matrix_graph([[0, 1e300, 0], [1e300, 0, 1e300], [0, 1e300, 0]]), 2)
     assert abs(emb.eigenvalues[0]) <= 1e-6 * 2e300
 
 
