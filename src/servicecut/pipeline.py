@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .cost_model import SizeModel
 from .feature_graph import FeatureGraph, build_class_graph, split_core
@@ -233,6 +232,10 @@ def write_sweep_outputs(result: SweepResult, out_dir: str | Path) -> None:
 def partition_accuracy(pred: dict[str, int], truth: dict[str, int]) -> float:
     """Fraction of vertices correctly assigned under the best matching of
     predicted clusters to ground-truth blocks."""
+    # imported here: no command calls this, and scipy.optimize is a third of
+    # the CLI's import time
+    from scipy.optimize import linear_sum_assignment
+
     keys = sorted(set(pred) & set(truth))
     if not keys:
         return 0.0

@@ -153,9 +153,10 @@ def _check_kernel(L: sp.csr_array, emb: Embedding, tol: float = 1e-6) -> None:
         raise NumericError(f"{zeros} zero eigenvalues found for {components} components")
 
 
-# Restarts per Lloyd batch, and seeds per k-means++ batch, are capped so the
-# distance pass holds about this many float64 values (1 MiB) in its terms
-# and accumulators; see ``kmeans``.
+# Seeds per k-means++ batch are capped so its column-wise distance pass holds
+# about this many float64 values (1 MiB) in its terms and accumulators, and
+# restarts per Lloyd batch by the same n * k * d product; a Lloyd pass runs
+# its direct-form fallback in chunks of about this many terms. See ``kmeans``.
 _BATCH_VALUES = 2 ** 17
 _RESTARTS = 10  # Lloyd runs kept per seed
 _MAX_ITER = 300  # Lloyd iterations per run
@@ -180,12 +181,15 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     nothing from the RNGs, so each seed's draws, and with them its labels,
     are those of running its restarts one after another.
 
-    Squared distances are summed one coordinate at a time in the order
-    NumPy's pairwise summation adds a row of d terms (see
-    ``_sq_distances``). That keeps them bit-equal to the direct form
-    ``((x - c) ** 2).sum()``, whose argmin ties and inertia bits the labels
-    depend on, without its (R, n, k, d) temporary; the expanded
-    |x|^2 - 2x.c + |c|^2 sums in another order and can move labels."""
+    Labels are those of the direct form ``((x - c) ** 2).sum()``, whose
+    argmin ties and inertia bits they depend on. A Lloyd pass finds them
+    from one matrix product, |c|^2 - 2x.c (``_certified_labels``); that
+    expanded form sums in another order, so a point keeps its argmin only
+    where the gap to every other center exceeds a rounding bound, and the
+    few points without that certificate, exact ties among them, take the
+    direct form (``_assign``). k-means++ seeding keeps the column-wise
+    direct sums of ``_sq_distances`` instead: its d^2 values feed the
+    sampling CDF bit for bit, so no point may skip them."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -304,6 +308,73 @@ def _column_sum(columns: np.ndarray, centers: np.ndarray, lo: int, m: int) -> np
     return acc
 
 
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Far above what underflowing products can add to the compared sums: at most
+# (4d + 8) * 2^-1074, or (4d + 8) * 2^-1022 where subnormal products are
+# flushed to zero, for any d below 2^18.
+_UNDERFLOW_FLOOR = 2.0 ** -1000
+
+
+def _certified_labels(pts: np.ndarray, norms: np.ndarray,
+                      centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, n) argmins of F = |c|^2 - 2x.c, the squared distance less |x|^2,
+    from one matrix product of the (n, d) ``pts`` (of Euclidean ``norms``)
+    and the (R, k, d) ``centers``, and an (R, n) mask of the points whose
+    argmin is certified to be the direct form's (see ``_assign``); the
+    labels of the other points are meaningless.
+
+    With u = 2^-53, g = (d + 2)u / (1 - (d + 2)u) and M = (|x| + max |c|)^2,
+    the computed F of each center is within g * M of the exact one in any
+    summation order, and the direct form's sum within g * D <= g * M of the
+    exact squared distance D (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1). F and D differ by |x|^2 alone, so a center j whose F
+    is lower than every other center's by more than 4g * M is also the
+    direct form's strict minimum. The test
+    doubles that bound, for the rounded norms and the comparison itself, and
+    adds ``_UNDERFLOW_FLOOR``. A point is certified when j is the only
+    center within the bound of the minimum and the bound and all its F are
+    finite, so ties, overflow and NaN are never certified."""
+    R, k, d = centers.shape
+    n = pts.shape[0]
+    m = (d + 2) * _UNIT_ROUNDOFF
+    gamma = m / (1 - m)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail below
+        sq = (centers ** 2).sum(axis=-1)
+        F = ((-2.0 * centers).reshape(R * k, d) @ pts.T).reshape(R, k, n)
+        F += sq[:, :, None]
+        bound = norms + np.sqrt(sq.max(axis=1))[:, None]
+        bound *= 2.0
+        bound *= bound  # 4M: finite only with headroom for every sum above
+        bound *= 2.0 * gamma
+        bound += _UNDERFLOW_FLOOR
+        bound += F.min(axis=1)  # NaN if any F is NaN
+        near = F <= bound[:, None, :]
+        # each center within the bound adds k + j: one center j sums to
+        # k + j, below 2k, and two or more to at least 2k + 1 (exact in float64)
+        code = np.arange(k, 2 * k, dtype=float) @ near
+        certified = (code < 2 * k) & np.isfinite(bound)
+        # a finite bound implies finite F; checked so no label rests on that alone
+        if not np.isfinite(F.max()):
+            certified &= np.isfinite(F).all(axis=1)
+    return code.astype(np.intp) - k, certified
+
+
+def _assign(pts: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(R, n) labels equal to ``_sq_distances(pts, centers).argmin(axis=-1)``:
+    the certified argmins of ``_certified_labels``, and the direct form
+    ``((pts[i][:, None, :] - centers[r]) ** 2).sum(axis=-1)``, which
+    ``_sq_distances`` is bit-equal to, for every other point, in chunks of
+    about ``_BATCH_VALUES`` terms."""
+    labels, certified = _certified_labels(pts, norms, centers)
+    r, i = np.nonzero(~certified)
+    _, k, d = centers.shape
+    step = max(1, _BATCH_VALUES // (k * d))
+    for lo in range(0, r.size, step):
+        rs, ps = r[lo:lo + step], i[lo:lo + step]
+        labels[rs, ps] = ((pts[ps][:, None, :] - centers[rs]) ** 2).sum(axis=-1).argmin(axis=-1)
+    return labels
+
+
 def _lloyd(pts: np.ndarray, centers: np.ndarray,
            max_iter: int) -> list[tuple[np.ndarray | None, float]]:
     """Lloyd iterations of R restarts at once from (R, k, d) ``centers``,
@@ -314,10 +385,12 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray,
     labels = np.full((R, pts.shape[0]), -1)
     collapsed = np.zeros(R, dtype=bool)
     live = np.arange(R)
+    with np.errstate(over="ignore"):  # an overflowed norm fails every certificate
+        norms = np.sqrt((pts ** 2).sum(axis=1))
     for _ in range(max_iter):
         if not live.size:
             break
-        new = _sq_distances(pts, centers[live]).argmin(axis=-1)
+        new = _assign(pts, norms, centers[live])
         counts = np.bincount((new + k * np.arange(live.size)[:, None]).ravel(),
                              minlength=live.size * k).reshape(-1, k)
         empty = (counts == 0).any(axis=1)

@@ -141,6 +141,17 @@ def test_max_depth_255_over_a_doubling_catalog_finishes(tmp_path, fields):
     assert done.returncode == 0, done.stderr
 
 
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # only partition_accuracy needs it, and no command calls that; a fresh
+    # interpreter, because this one has imported it already
+    src = Path(servicecut.__file__).parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, servicecut.cli; sys.exit('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_data_error_exit_code(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("only,three,columns\n")

@@ -282,10 +282,11 @@ def test_kmeans_rejects_overflowing_distances(monkeypatch):
 
 @st.composite
 def _kmeans_case(draw):
-    # d >= 8 reaches the 8-accumulator order of the distance sums
+    # d >= 8 reaches the 8-accumulator order of the distance sums, and
+    # d = k = 30 is the shape of a 30-candidate evaluate
     n = draw(st.integers(1, 60))
-    d = draw(st.integers(1, 12))
-    k = draw(st.integers(1, min(n, 8)))
+    d = draw(st.integers(1, 32))
+    k = draw(st.integers(1, min(n, 32)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.standard_normal((n, d))
     if draw(st.booleans()):
@@ -313,7 +314,7 @@ def test_kmeans_labels_equal_one_restart_at_a_time(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 60), st.integers(1, 12), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 60), st.integers(1, 32), st.integers(1, 32), st.integers(0, 2**32 - 1))
 def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
     # inertia bits move with any change in how distances or means are
     # summed, also where the winning labels do not; d >= 8 reaches NumPy's
@@ -375,6 +376,106 @@ def test_column_wise_distances_equal_the_direct_sum(d):
     got = spectral._sq_distances(pts, centers)
     assert got.shape == (3, 17, 4)
     assert got.tobytes() == ((pts[:, None, :] - centers[:, None]) ** 2).sum(axis=-1).tobytes()
+
+
+_ASSIGN_DIMS = [1, 2, 7, 8, 9, 30, 127, 128, 129, 136]
+
+
+def _assert_assign_matches_direct(pts, centers):
+    with np.errstate(over="ignore"):  # the direct sums may overflow too
+        got = spectral._assign(pts, np.linalg.norm(pts, axis=1), centers)
+        expected = spectral._sq_distances(pts, centers).argmin(axis=-1)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def _expanded_argmin(pts, centers):
+    return ((centers ** 2).sum(axis=-1)[:, :, None] - 2 * centers @ pts.T).argmin(axis=1)
+
+
+@pytest.mark.parametrize("d", _ASSIGN_DIMS)
+def test_assign_breaks_exact_ties_like_the_direct_sum(d):
+    # integer coordinates, so every sum is exact: centers 0 and 1 differ by
+    # 2 in coordinate 0 and the points between them are equally far from
+    # both; center 3 duplicates center 2, and the points at it tie at 0
+    rng = np.random.default_rng(d)
+    centers = rng.integers(-4, 5, (2, 4, d)).astype(float)
+    centers[:, 1] = centers[:, 0]
+    centers[:, 1, 0] += 2
+    centers[:, 3] = centers[:, 2]
+    between = centers[:, 0] + np.eye(d)[0]
+    pts = np.concatenate([between, between + np.eye(d)[d - 1] * (d > 1),
+                          centers[:, 2], rng.integers(-4, 5, (20, d))]).astype(float)
+    dist = spectral._sq_distances(pts, centers)
+    assert ((dist == dist.min(axis=-1, keepdims=True)).sum(axis=-1) > 1).any(axis=1).all()
+    _assert_assign_matches_direct(pts, centers)
+
+
+@pytest.mark.parametrize("d", _ASSIGN_DIMS)
+def test_assign_decides_near_ties_like_the_direct_sum(d):
+    # points a few ulps off the bisector of centers 0 and 1
+    rng = np.random.default_rng(d)
+    centers = rng.standard_normal((2, 4, d))
+    mid = (centers[:, 0] + centers[:, 1]) / 2
+    step = (centers[:, 1] - centers[:, 0]) * 2.0 ** -52
+    pts = np.concatenate([mid + j * step for j in range(-4, 5)])
+    pts = np.concatenate([pts, np.nextafter(pts, np.inf), np.nextafter(pts, -np.inf)])
+    _assert_assign_matches_direct(pts, centers)
+
+
+@pytest.mark.parametrize("d", _ASSIGN_DIMS)
+def test_assign_falls_back_where_cancellation_moves_the_expanded_argmin(d, monkeypatch):
+    # |c|^2 and 2x.c are near 1e16 * d, so their difference loses every bit
+    # of distances near 1e-4: the expanded argmin is wrong at some points,
+    # and none of them may be certified; the direct form runs 7 points at a time
+    monkeypatch.setattr(spectral, "_BATCH_VALUES", 7 * 4 * d)
+    rng = np.random.default_rng(d)
+    pts = 1e8 + 1e-2 * rng.standard_normal((40, d))
+    centers = pts[rng.integers(0, 40, (2, 4))]
+    expected = spectral._sq_distances(pts, centers).argmin(axis=-1)
+    assert (_expanded_argmin(pts, centers) != expected).any()
+    _, certified = spectral._certified_labels(pts, np.linalg.norm(pts, axis=1), centers)
+    assert not certified.any()
+    _assert_assign_matches_direct(pts, centers)
+
+
+@pytest.mark.parametrize("scale, spread, certifies", [
+    (1e150, 1e-3, True),  # the bound still fits, and decides
+    (1e155, 1e-3, False),  # |c|^2 overflows
+    (1e-155, 1e-3, False),  # the squared terms are subnormal, far under the floor
+    (1e-160, 1.0, False),  # ... and some underflow to 0
+])
+@pytest.mark.parametrize("d", _ASSIGN_DIMS)
+def test_assign_at_the_ends_of_the_float_range(d, scale, spread, certifies):
+    rng = np.random.default_rng(d)
+    pts = scale * (1 + spread * rng.standard_normal((40, d)))
+    centers = pts[rng.integers(0, 40, (2, 4))] * (1 + 1e-4 * rng.standard_normal((2, 4, d)))
+    with np.errstate(over="ignore"):
+        _, certified = spectral._certified_labels(pts, np.linalg.norm(pts, axis=1), centers)
+    assert certified.any() == certifies
+    _assert_assign_matches_direct(pts, centers)
+
+
+@pytest.mark.parametrize("d", _ASSIGN_DIMS)
+def test_assign_fails_closed_where_an_expanded_distance_overflows(d):
+    # at x = 1e300 * ones, F is 0 for the center at 0 and -inf for the one
+    # at 1e10 * ones, while both direct distances are inf: a tie, which the
+    # direct form gives to center 0
+    pts = np.concatenate([np.full((1, d), 1e300), np.ones((1, d))])
+    centers = np.stack([np.zeros(d), np.full(d, 1e10)])[None]
+    _assert_assign_matches_direct(pts, centers)
+
+
+@pytest.mark.parametrize("d", _ASSIGN_DIMS)
+def test_assign_certifies_every_point_of_separated_clusters(d):
+    # the fast path is what decides here: no point takes the direct form
+    rng = np.random.default_rng(d)
+    centers = 10 * rng.standard_normal((2, 4, d))
+    pts = (centers[:, rng.integers(0, 4, 30)] + 0.1 * rng.standard_normal((2, 30, d))).reshape(-1, d)
+    labels, certified = spectral._certified_labels(pts, np.linalg.norm(pts, axis=1), centers)
+    assert certified.all()
+    assert labels.tobytes() == spectral._sq_distances(pts, centers).argmin(axis=-1).tobytes()
+    _assert_assign_matches_direct(pts, centers)
 
 
 def test_extract_two_components_recovered():
