@@ -70,32 +70,48 @@ def build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
     Repeated (caller_class, callee_class) pairs accumulate by weight
     summation; intra-class calls add no edge, so a class seen only in them
     becomes an isolated vertex. Self-calls are dropped with a warning.
-    Each distinct callee-parameter tuple is costed once per build; the
-    weights still add one row at a time, in row order, since count x cost
-    rounds differently once the sum passes 2**53."""
+    Each distinct callee-parameter tuple is costed once per build. Classes
+    are numbered as first seen, and ``np.bincount`` adds each pair's costs
+    one row at a time, in row order: count x cost would round differently
+    once the sum passes 2**53."""
     model = model or SizeModel()
-    classes: set[str] = set()
-    edges: dict[tuple[str, str], float] = {}
-    costs: dict[tuple[TypeRef, ...], int] = {}
+    code: dict[str, int] = {}
+    costs: dict[tuple[TypeRef, ...], float] = {}
+    callers: list[int] = []
+    callees: list[int] = []
+    row_costs: list[float] = []
     dropped = 0
-    for r in records:
-        classes.add(r.caller_class)
-        classes.add(r.callee_class)
-        if r.is_self_call:
-            dropped += 1
+    for caller_method, callee_method, caller_class, callee_class, _, params in records:
+        a = code.setdefault(caller_class, len(code))
+        b = code.setdefault(callee_class, len(code))
+        if a == b:
+            dropped += caller_method == callee_method  # a self-call
             continue
-        if r.caller_class == r.callee_class:
-            continue
-        if r.callee_params not in costs:
-            costs[r.callee_params] = edge_cost(r.callee_params, catalog, model)
-        key = (r.caller_class, r.callee_class)
-        edges[key] = edges.get(key, 0.0) + costs[r.callee_params]
+        c = costs.get(params)
+        if c is None:
+            # raises OverflowError for an int cost past the float range
+            c = costs[params] = float(edge_cost(params, catalog, model))
+        callers.append(a)
+        callees.append(b)
+        row_costs.append(c)
     if dropped:
         log.warning("dropped %d self-call record(s)", dropped)
-    for key, w in edges.items():
-        if w == math.inf:
-            raise OverflowError(f"summed weight of {key!r} overflows float64")
-    return FeatureGraph.from_edges(classes, edges, self_calls_dropped=dropped)
+    n = len(code)
+    keys = np.array(callers, dtype=np.int64) * n + np.array(callees, dtype=np.int64)
+    pairs, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # edges in first-seen order
+    pairs = pairs[order]
+    weight = np.bincount(inverse, weights=row_costs, minlength=pairs.size)[order]
+    vertices = sorted(code)
+    index = {v: i for i, v in enumerate(vertices)}
+    rank = np.array([index[v] for v in code], dtype=np.intp)
+    src, dst = rank[pairs // n], rank[pairs % n]
+    overflow = np.isinf(weight)
+    if overflow.any():
+        e = overflow.argmax()
+        key = (vertices[src[e]], vertices[dst[e]])
+        raise OverflowError(f"summed weight of {key!r} overflows float64")
+    return FeatureGraph(vertices, src, dst, weight, self_calls_dropped=dropped)
 
 
 def to_affinity(g: FeatureGraph) -> sp.csr_array:

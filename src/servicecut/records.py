@@ -20,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -85,9 +86,9 @@ class TypeRef:
         return cls(token, rank)
 
 
-@dataclass(frozen=True)
-class CallRecord:
-    """One line of the call-relationship log."""
+class CallRecord(NamedTuple):
+    """One line of the call-relationship log: an immutable, hashable tuple
+    whose fields follow ``CALL_HEADER``."""
 
     caller_method: str
     callee_method: str
@@ -209,14 +210,24 @@ def _numbered_lines(path: str | Path):
 def _read_rows(path: str | Path, header: tuple[str, ...]):
     """Yield (line number, stripped fields) of each data row of a CSV log.
     Blank and ``#`` lines are skipped, each physical line is parsed on its
-    own, and a first data row equal to ``header`` is skipped."""
+    own, and a first data row equal to ``header`` is skipped. A line with no
+    ``"`` is split at its commas: ``_numbered_lines`` ends lines only at
+    ``\r`` and ``\n``, so that gives the fields ``csv`` would. A line with a
+    ``"`` goes through ``csv``, whose errors (a field over
+    ``csv.field_size_limit()``, say) name the line."""
     first = True
     for lineno, raw in _numbered_lines(path):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        head = raw.lstrip()
+        if not head or head.startswith("#"):
             continue
-        (row,) = csv.reader([raw])
-        row = tuple(f.strip() for f in row)
+        if '"' in raw:
+            try:
+                (row,) = csv.reader([raw])
+            except csv.Error as exc:
+                raise LogParseError(str(exc), path, lineno) from None
+        else:
+            row = raw.split(",")
+        row = tuple(map(str.strip, row))
         if len(row) != len(header):
             raise LogParseError(f"expected {len(header)} columns, got {len(row)}", path, lineno)
         if not first or row != header:
@@ -233,14 +244,14 @@ def parse_call_log(path: str | Path) -> list[CallRecord]:
     records = []
     parsed: dict[str, tuple[TypeRef, ...]] = {}
     for lineno, row in _read_rows(path, CALL_HEADER):
-        for label, value in zip(CALL_HEADER, row[:4]):
-            if not value:
-                raise LogParseError(f"empty {label}", path, lineno)
-        for text in row[4:]:
+        caller_method, callee_method, caller_class, callee_class, caller_text, callee_text = row
+        if not (caller_method and callee_method and caller_class and callee_class):
+            raise LogParseError(f"empty {CALL_HEADER[row.index('')]}", path, lineno)
+        for text in (caller_text, callee_text):
             if text not in parsed:
                 parsed[text] = _parse_params(text, path, lineno)
-        # CallRecord's fields follow CALL_HEADER
-        records.append(CallRecord(*row[:4], parsed[row[4]], parsed[row[5]]))
+        records.append(CallRecord(caller_method, callee_method, caller_class, callee_class,
+                                  parsed[caller_text], parsed[callee_text]))
     return records
 
 

@@ -238,10 +238,13 @@ def _kmeanspp_init(pts: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
     """(P, k, d) k-means++ centers, row p drawn from ``rngs[p]`` as
     ``rng.choice(n, p=d2 / d2.sum())`` would draw each center after the
     first, without its checks."""
-    n = pts.shape[0]
-    centers = np.empty((len(rngs), k, pts.shape[1]))
+    n, d = pts.shape
+    centers = np.empty((len(rngs), k, d))
     centers[:, 0] = pts[[rng.integers(n) for rng in rngs]]
-    d2 = _sq_distances(pts, centers[:, :1])[:, :, 0]
+    # the (R, n) squared distances to one center each, as _sq_distances sums
+    # them, from columns laid out once per batch
+    columns = pts.T.copy()
+    d2 = _column_sum(columns, centers[:, :1], 0, d)[:, 0]
     for i in range(1, k):
         total = d2.sum(axis=1)
         with np.errstate(invalid="ignore"):  # rows with total 0 take the fallback
@@ -256,7 +259,7 @@ def _kmeanspp_init(pts: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
             taken = {tuple(c) for c in centers[p, :i]}
             idx[p] = next(j for j in range(n) if tuple(pts[j]) not in taken)
         centers[:, i] = pts[idx]
-        np.minimum(d2, _sq_distances(pts, centers[:, i:i + 1])[:, :, 0], out=d2)
+        np.minimum(d2, _column_sum(columns, centers[:, i:i + 1], 0, d)[:, 0], out=d2)
     return centers
 
 

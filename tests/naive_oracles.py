@@ -4,11 +4,14 @@ These deliberately avoid the library's aggregation code paths: quality
 metrics are computed by enumerating every ordered vertex pair, object sizes
 by a flat hand-layout table and by the cost model's recursion without a memo,
 the class graph by costing every call row anew, the affinity one edge at a
-time, and k-means one restart after another.
+time, k-means one restart after another, and the logs by reading every line
+through its own ``csv.reader`` and parsing every params field anew.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +22,11 @@ from servicecut.metrics import cut_value, mqw
 from servicecut.oracle import MAX_VERTICES, restricted_growth_strings
 from servicecut.records import (
     BOOLEAN_ARRAY_ELEMENT_SIZE,
+    CALL_HEADER,
+    PERF_HEADER,
     CallRecord,
+    LogParseError,
+    PerfRecord,
     PRIMITIVE_SIZES,
     ObjectLayout,
     OpaqueLayout,
@@ -313,3 +320,66 @@ def _naive_lloyd_once(pts, k, rng, max_iter):
             centers[c] = pts[labels == c].mean(axis=0)
     inertia = float(((pts - centers[labels]) ** 2).sum())
     return labels, inertia
+
+
+# log parsing with one csv.reader per physical line: the fields the library's
+# split of quote-free lines must match
+
+
+def _naive_rows(path, header: tuple[str, ...]):
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = list(fh)
+    first = True
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip() or raw.strip().startswith("#"):
+            continue
+        try:
+            (row,) = csv.reader([raw])
+        except csv.Error as exc:
+            raise LogParseError(str(exc), path, lineno) from None
+        row = tuple(f.strip() for f in row)
+        if len(row) != len(header):
+            raise LogParseError(f"expected {len(header)} columns, got {len(row)}", path, lineno)
+        if not (first and row == header):
+            yield lineno, row
+        first = False
+
+
+def naive_parse_call_log(path) -> list[CallRecord]:
+    records = []
+    for lineno, row in _naive_rows(path, CALL_HEADER):
+        for label, value in zip(CALL_HEADER, row[:4]):
+            if not value:
+                raise LogParseError(f"empty {label}", path, lineno)
+        params = []
+        for text in row[4:]:
+            refs = []
+            for token in text.split(";") if text else ():
+                try:
+                    refs.append(TypeRef.parse(token))
+                except ValueError as exc:
+                    raise LogParseError(str(exc), path, lineno) from exc
+            params.append(tuple(refs))
+        records.append(CallRecord(*row[:4], *params))
+    return records
+
+
+def naive_parse_perf_log(path) -> list[PerfRecord]:
+    records = []
+    for lineno, (class_id, cpu_text, retained_text) in _naive_rows(path, PERF_HEADER):
+        if not class_id:
+            raise LogParseError("empty class_id", path, lineno)
+        if any(r.class_id == class_id for r in records):
+            raise LogParseError(f"duplicate class_id {class_id!r}", path, lineno)
+        try:
+            cpu, retained = float(cpu_text), float(retained_text)
+        except ValueError as exc:
+            raise LogParseError(f"non-numeric field: {exc}", path, lineno) from exc
+        if not (math.isfinite(cpu) and math.isfinite(retained)):
+            raise LogParseError("non-finite cpu_time or retained_bytes", path, lineno)
+        if cpu < 0:
+            raise LogParseError("negative cpu_time", path, lineno)
+        if retained < 0:
+            raise LogParseError("negative retained_bytes", path, lineno)
+        records.append(PerfRecord(class_id, cpu, retained))
+    return records

@@ -166,6 +166,13 @@ def test_invalid_utf8_is_data_error_naming_file_and_line(tmp_path, capsys):
     assert "bad.csv:2: not valid UTF-8" in capsys.readouterr().err
 
 
+def test_a_quoted_over_long_field_is_a_data_error_naming_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text('"' + "x" * 140_000 + '",g,A,B,int,int\n')
+    assert run("ingest-check", "--calls", str(bad)) == 2
+    assert "bad.csv:1: field larger than field limit" in capsys.readouterr().err
+
+
 def test_k_too_large_is_data_error(tmp_path):
     sysdir = synth_system(tmp_path)
     assert run("evaluate", "--calls", str(sysdir / "calls.csv"),

@@ -163,7 +163,7 @@ def test_duplicated_call_rows_leave_candidates_unchanged(seed, mode):
 def test_prefixed_class_names_leave_candidates_unchanged(seed, mode):
     inputs = metamorphic_inputs(seed)
     renamed = PipelineInputs(
-        [replace(r, caller_class="x." + r.caller_class, callee_class="x." + r.callee_class)
+        [r._replace(caller_class="x." + r.caller_class, callee_class="x." + r.callee_class)
          for r in inputs.calls],
         [replace(r, class_id="x." + r.class_id) for r in inputs.perf],
         inputs.catalog,

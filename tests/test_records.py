@@ -1,6 +1,9 @@
+import csv
+
 import pytest
 from hypothesis import given, strategies as st
 
+from naive_oracles import naive_parse_call_log, naive_parse_perf_log
 from servicecut.records import (
     CALL_HEADER,
     PERF_HEADER,
@@ -212,6 +215,107 @@ def test_invalid_utf8_names_the_file_and_line(tmp_path, parse, first_line):
     p.write_bytes(first_line + b"\xffB\n")
     with pytest.raises(LogParseError, match=r"log:2: not valid UTF-8 \(byte 0xff\)"):
         parse(p)
+
+
+def test_call_record_is_a_hashable_immutable_value():
+    # perfbench counts distinct rows with set(calls)
+    a = CallRecord("f", "g", "A", "B", (), (TypeRef("int"),))
+    b = CallRecord("f", "g", "A", "B", (), (TypeRef("int"),))
+    assert len({a, b}) == 1
+    with pytest.raises(AttributeError):
+        a.caller_class = "C"
+    assert a.caller_class == "A"
+
+
+# --- splitting rows ---------------------------------------------------------
+
+_LONG = "x" * (csv.field_size_limit() + 10_000)
+
+
+def test_a_quoted_field_over_the_csv_limit_is_a_data_error_naming_its_line(tmp_path):
+    p = tmp_path / "calls.csv"
+    p.write_text(f'f,g,A,B,,int\n"{_LONG}",g,A,B,,\n')
+    with pytest.raises(LogParseError, match=r"calls.csv:2: field larger than field limit"):
+        parse_call_log(p)
+
+
+def test_an_unquoted_field_over_the_csv_limit_parses(tmp_path):
+    p = tmp_path / "calls.csv"
+    p.write_text(f"{_LONG},g,A,B,,\n")
+    (rec,) = parse_call_log(p)
+    assert rec.caller_method == _LONG
+
+
+# whitespace that str.strip removes, and line ends that end a row
+_PAD = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x85\xa0\u3000"), max_size=2)
+_END = st.sampled_from(["\n", "\r", "\r\n"])
+
+
+@st.composite
+def _field(draw, values):
+    value = draw(_PAD) + draw(st.sampled_from(values)) + draw(_PAD)
+    if draw(st.booleans()):
+        # quoted, inner quotes doubled; csv reads quotes after padding as text
+        value = '"' + value.replace('"', '""') + '"'
+        if draw(st.integers(0, 3)) == 0:
+            value = draw(_PAD) + value + draw(_PAD)
+    return value
+
+
+def _log_text(columns, header):
+    """A log of data rows (some a column short or over), comment and blank
+    lines and header rows, each line with its own line end and the last one
+    maybe without."""
+    other = st.sampled_from(["", " ", "\t", '# comment, "quoted"', "  #x", ",".join(header),
+                             " " + ",".join(f'"{h}"' for h in header)])
+
+    @st.composite
+    def text(draw):
+        lines, end = [], ""
+        for _ in range(draw(st.integers(0, 8))):
+            kind = draw(st.sampled_from(["row"] * 5 + ["short", "over", "other", "other"]))
+            fields = [draw(_field(values)) for values in columns]
+            if kind == "short":
+                fields.pop()
+            elif kind == "over":
+                fields.append(fields[-1])
+            end = draw(_END)
+            lines.append((draw(other) if kind == "other" else ",".join(fields)) + end)
+        text = "".join(lines)
+        if draw(st.booleans()):  # no final line end
+            text = text[:len(text) - len(end)]
+        return text
+
+    return text()
+
+
+# each column's values: mostly valid, then the ones that fail or split the row
+_CALL_COLUMNS = (["f", "g", 'm"x', ""], ["f", "g", "h"], ["A", "B", "ns::C", ""],
+                 ["A", "B", "x,y"], ["", "int", "long[];int", "int;9x", "a,b"],
+                 ["", "int", "Foo[][]", "long", 'in"t'])
+_PERF_COLUMNS = ([*"ABCDEFGH", "", "C,D"], ["0", "1.5", "3e2", "7", "-1", "nan", '1"'],
+                 ["0", "2048", "1e3", ""])
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except LogParseError as exc:
+        return exc.line, str(exc)
+
+
+@given(_log_text(_CALL_COLUMNS, CALL_HEADER))
+def test_call_log_splits_like_one_csv_reader_per_line(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("split") / "calls.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(parse_call_log, path) == _outcome(naive_parse_call_log, path)
+
+
+@given(_log_text(_PERF_COLUMNS, PERF_HEADER))
+def test_perf_log_splits_like_one_csv_reader_per_line(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("split") / "perf.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(parse_perf_log, path) == _outcome(naive_parse_perf_log, path)
 
 
 # --- type catalog -----------------------------------------------------------
