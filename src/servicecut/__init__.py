@@ -3,7 +3,7 @@ partitioning of fused call/performance feature graphs."""
 
 from .cost_model import SizeModel, api_estimate, edge_cost
 from .feature_graph import FeatureGraph, build_class_graph, to_affinity
-from .metrics import QualityReport, cut_value, mq, mqw, score
+from .metrics import QualityReport, score
 from .oracle import brute_force_best
 from .pipeline import PipelineInputs, SweepResult, partition_accuracy, run_pipeline, sweep
 from .records import (
@@ -48,14 +48,11 @@ __all__ = [
     "brute_force_best",
     "build_class_graph",
     "build_laplacian",
-    "cut_value",
     "edge_cost",
     "embed",
     "extract_candidates",
     "generate_system",
     "kmeans",
-    "mq",
-    "mqw",
     "parse_call_log",
     "parse_perf_log",
     "parse_type_catalog",

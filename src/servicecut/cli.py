@@ -34,8 +34,8 @@ EXIT_NUMERIC = 3
 
 _SIZE_MODEL_FIELDS = {f.name for f in dataclasses.fields(SizeModel)}
 
-#: Every command's --seed: NumPy seeds its generators from non-negative
-#: integers only.
+#: The --seed of evaluate and synth: NumPy seeds its generators from
+#: non-negative integers only. sweep's derived epoch seeds keep 63 bits.
 _SEED = click.IntRange(min=0)
 
 
@@ -153,7 +153,8 @@ def evaluate(calls_path, perf_path, catalog_path, size_model, raw_attrs,
 @click.option("--k-min", type=click.IntRange(min=2), default=2, show_default=True)
 @click.option("--k-max", type=click.IntRange(min=2), default=10, show_default=True)
 @click.option("--epochs", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--seed", "base_seed", type=_SEED, default=0, show_default=True)
+@click.option("--seed", "base_seed", type=click.IntRange(0, 2 ** 63 - 1), default=0,
+              show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
               modes, k_min, k_max, epochs, base_seed, out_dir):

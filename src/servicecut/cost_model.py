@@ -90,7 +90,7 @@ def _estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel,
             elem_size = _estimate(element, catalog, model, depth + 1, visiting, memo)
         return model.align(model.header_array + model.assumed_array_len * elem_size)
 
-    layout = catalog.lookup(t.name)
+    layout = catalog.layouts.get(t.name)
     if layout is None:
         return model.default_unknown
     if isinstance(layout, PrimitiveLayout):

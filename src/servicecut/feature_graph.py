@@ -85,7 +85,9 @@ def build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
         a = code.setdefault(caller_class, len(code))
         b = code.setdefault(callee_class, len(code))
         if a == b:
-            dropped += caller_method == callee_method  # a self-call
+            # a self-call; the fields are compared, as ids joined as
+            # class::method would confuse ns::A/m with ns/A::m
+            dropped += caller_method == callee_method
             continue
         c = costs.get(params)
         if c is None:

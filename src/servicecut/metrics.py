@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import attrgetter
 
 import numpy as np
 
@@ -154,22 +153,6 @@ def score(p: Partition, g: FeatureGraph, mode: str) -> QualityReport:
         coh_w=coh_w[0].tolist(), cop_w=dict(zip(pairs, cop_w[0].tolist())),
         mqw=float(mqw_value[0]), cut=float(cut[0]), k=p.k, mode=mode,
     )
-
-
-def mq(p: Partition, g: FeatureGraph) -> tuple[list[float], dict[tuple[int, int], float], float]:
-    """Unweighted modularity quality: mean cohesion minus mean pairwise
-    coupling. coh_i = u_i / N_i^2, cop_ij = sigma_ij / (2 N_i N_j)."""
-    return attrgetter("coh", "cop", "mq")(score(p, g, ""))
-
-
-def mqw(p: Partition, g: FeatureGraph) -> tuple[list[float], dict[tuple[int, int], float], float]:
-    """Weighted modularity quality; collapses exactly to MQ on unit weights."""
-    return attrgetter("coh_w", "cop_w", "mqw")(score(p, g, ""))
-
-
-def cut_value(p: Partition, g: FeatureGraph) -> float:
-    """Summed weight of the directed edges between candidates, in edge order."""
-    return score(p, g, "").cut
 
 
 def report_to_json_str(report: QualityReport) -> str:

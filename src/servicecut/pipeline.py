@@ -34,7 +34,8 @@ DEFAULT_MODES = ("static", "fusion")  # dynamic-only is behind a flag
 
 def epoch_seed(base_seed: int, mode: str, k: int, epoch: int) -> int:
     """Derived (not sequential) seeding: stable under reordering and
-    parallelism of (mode, k, epoch) triples."""
+    parallelism of (mode, k, epoch) triples. Only the low 63 bits of
+    ``base_seed`` count, so ``sweep`` takes base seeds below 2**63."""
     digest = hashlib.blake2b(f"{mode}:{k}:{epoch}".encode(), digest_size=8).digest()
     return (base_seed ^ int.from_bytes(digest, "big")) & 0x7FFF_FFFF_FFFF_FFFF
 
@@ -211,8 +212,8 @@ def sweep(
         raise ValueError(f"k_min={k_min} must be in [2, k_max={k_max}]")
     if epochs < 1:
         raise ValueError(f"epochs={epochs} must be at least 1")
-    if base_seed < 0:
-        raise ValueError(f"base_seed={base_seed} must be non-negative")
+    if not 0 <= base_seed < 2 ** 63:
+        raise ValueError(f"base_seed={base_seed} must be in [0, 2**63)")
     inputs.check_k(k_max, "k_max")
     result = SweepResult(tuple(modes), (k_min, k_max), epochs, base_seed)
     for mode in modes:

@@ -97,12 +97,6 @@ class CallRecord(NamedTuple):
     caller_params: tuple[TypeRef, ...]
     callee_params: tuple[TypeRef, ...]
 
-    @property
-    def is_self_call(self) -> bool:
-        # compare the fields: ids joined as class::method would confuse
-        # ns::A/m with ns/A::m
-        return (self.caller_class, self.caller_method) == (self.callee_class, self.callee_method)
-
 
 @dataclass(frozen=True)
 class PerfRecord:
@@ -145,9 +139,6 @@ class TypeCatalog:
     def __post_init__(self):
         for kind in PRIMITIVE_SIZES:
             self.layouts.setdefault(kind, PrimitiveLayout(kind))
-
-    def lookup(self, name: str) -> TypeLayout | None:
-        return self.layouts.get(name)
 
     def declare(self, name: str, layout: TypeLayout) -> None:
         if name in PRIMITIVE_SIZES:
@@ -192,10 +183,11 @@ def _parse_params(text: str, path, lineno) -> tuple[TypeRef, ...]:
 
 
 def _numbered_lines(path: str | Path):
-    """Yield (line number, text) of each line of a UTF-8 text file; a line
-    that is not valid UTF-8 raises LogParseError naming it."""
+    """Yield (line number, text) of each line of a UTF-8 text file, less a
+    leading byte-order mark; a line that is not valid UTF-8 raises
+    LogParseError naming it."""
     # undecodable bytes are read as lone surrogates, which do not encode
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.isascii():
                 try:

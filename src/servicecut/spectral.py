@@ -187,9 +187,9 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     expanded form sums in another order, so a point keeps its argmin only
     where the gap to every other center exceeds a rounding bound, and the
     few points without that certificate, exact ties among them, take the
-    direct form (``_assign``). k-means++ seeding keeps the column-wise
-    direct sums of ``_sq_distances`` instead: its d^2 values feed the
-    sampling CDF bit for bit, so no point may skip them."""
+    direct form (``_assign``). k-means++ seeding sums the direct form's
+    terms column by column instead (``_column_sum``): its d^2 values feed
+    the sampling CDF bit for bit, so no point may skip them."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -241,10 +241,10 @@ def _kmeanspp_init(pts: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
     n, d = pts.shape
     centers = np.empty((len(rngs), k, d))
     centers[:, 0] = pts[[rng.integers(n) for rng in rngs]]
-    # the (R, n) squared distances to one center each, as _sq_distances sums
-    # them, from columns laid out once per batch
+    # the (R, n) squared distances to one center each, from columns laid out
+    # once per batch
     columns = pts.T.copy()
-    d2 = _column_sum(columns, centers[:, :1], 0, d)[:, 0]
+    d2 = _column_sum(columns, centers[:, 0], 0, d)
     for i in range(1, k):
         total = d2.sum(axis=1)
         with np.errstate(invalid="ignore"):  # rows with total 0 take the fallback
@@ -259,7 +259,7 @@ def _kmeanspp_init(pts: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
             taken = {tuple(c) for c in centers[p, :i]}
             idx[p] = next(j for j in range(n) if tuple(pts[j]) not in taken)
         centers[:, i] = pts[idx]
-        np.minimum(d2, _column_sum(columns, centers[:, i:i + 1], 0, d)[:, 0], out=d2)
+        np.minimum(d2, _column_sum(columns, centers[:, i], 0, d), out=d2)
     return centers
 
 
@@ -269,23 +269,18 @@ def _kmeanspp_init(pts: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
 _PAIRWISE_BLOCK = 128
 
 
-def _sq_distances(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(R, n, k) squared distances from the (n, d) ``pts`` to the (R, k, d)
-    ``centers``, bit-equal to ``((pts[:, None, :] - centers[:, None]) ** 2)
-    .sum(axis=-1)``: the coordinate terms are added in place, one column at
-    a time, in the order that sum adds them."""
-    return _column_sum(pts.T.copy(), centers, 0, pts.shape[1]).transpose(0, 2, 1)
-
-
 def _column_sum(columns: np.ndarray, centers: np.ndarray, lo: int, m: int) -> np.ndarray:
-    """(R, k, n) sum over j in [lo, lo + m) of the squared terms
-    ``(centers[:, :, j, None] - columns[j]) ** 2``, so the innermost loop runs
-    over the n points. Recursive at module level: a recursive closure is a
+    """(R, n) sum over j in [lo, lo + m) of the squared terms
+    ``(centers[:, j, None] - columns[j]) ** 2`` of the (R, d) ``centers`` and
+    the (d, n) ``columns`` of the points, so the innermost loop runs over the
+    n points. The terms are added in place, in the order that the direct form
+    ``((pts - centers[:, None]) ** 2).sum(axis=-1)`` adds them, so the sums
+    are bit-equal to it. Recursive at module level: a recursive closure is a
     reference cycle, which would hold each call's arrays until the garbage
     collector runs."""
 
     def term(j: int) -> np.ndarray:
-        t = centers[:, :, j, None] - columns[j]
+        t = centers[:, j, None] - columns[j]
         return np.square(t, out=t)
 
     if m < 8:
@@ -363,11 +358,10 @@ def _certified_labels(pts: np.ndarray, norms: np.ndarray,
 
 
 def _assign(pts: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(R, n) labels equal to ``_sq_distances(pts, centers).argmin(axis=-1)``:
-    the certified argmins of ``_certified_labels``, and the direct form
-    ``((pts[i][:, None, :] - centers[r]) ** 2).sum(axis=-1)``, which
-    ``_sq_distances`` is bit-equal to, for every other point, in chunks of
-    about ``_BATCH_VALUES`` terms."""
+    """(R, n) labels equal to the argmin over k of the direct form
+    ``((pts[:, None, :] - centers[:, None]) ** 2).sum(axis=-1)``: the
+    certified argmins of ``_certified_labels``, and that direct form for
+    every other point, in chunks of about ``_BATCH_VALUES`` terms."""
     labels, certified = _certified_labels(pts, norms, centers)
     r, i = np.nonzero(~certified)
     _, k, d = centers.shape

@@ -16,6 +16,9 @@ import numpy as np
 from .records import CallRecord, PerfRecord, TypeRef, write_call_log, write_perf_log
 
 DEFAULT_PARAM_POOL = ("int", "long", "double", "boolean", "String", "int[]", "byte[]")
+METHODS_PER_CLASS = 3
+CPU_RANGE = (10.0, 500.0)  # ms
+RETAINED_RANGE = (16_384.0, 8_388_608.0)  # bytes
 
 
 @dataclass(frozen=True)
@@ -24,11 +27,8 @@ class SynthSpec:
     n_blocks: int
     intra_call_prob: float = 0.3
     inter_call_prob: float = 0.02
-    methods_per_class: int = 3
     param_pool: tuple[str, ...] = DEFAULT_PARAM_POOL
     max_params: int = 3
-    cpu_range: tuple[float, float] = (10.0, 500.0)
-    retained_range: tuple[float, float] = (16_384.0, 8_388_608.0)
     block_correlated_perf: bool = False
     seed: int = 0
 
@@ -37,8 +37,6 @@ class SynthSpec:
             raise ValueError("call probabilities must be in [0, 1]")
         if not 1 <= self.n_blocks <= self.n_classes:
             raise ValueError("need 1 <= n_blocks <= n_classes")
-        if self.methods_per_class < 1:
-            raise ValueError("methods_per_class must be >= 1")
 
 
 def class_name(i: int) -> str:
@@ -69,8 +67,8 @@ def generate_system(spec: SynthSpec) -> tuple[list[CallRecord], list[PerfRecord]
         )
 
     def make_call(ci: str, cj: str) -> CallRecord:
-        mi = f"m{int(rng.integers(spec.methods_per_class))}"
-        mj = f"m{int(rng.integers(spec.methods_per_class))}"
+        mi = f"m{int(rng.integers(METHODS_PER_CLASS))}"
+        mj = f"m{int(rng.integers(METHODS_PER_CLASS))}"
         return CallRecord(mi, mj, ci, cj, random_params(rng), random_params(rng))
 
     calls: list[CallRecord] = []
@@ -95,8 +93,8 @@ def generate_system(spec: SynthSpec) -> tuple[list[CallRecord], list[PerfRecord]
                 calls.append(make_call(ci, cj))
 
     perf: list[PerfRecord] = []
-    cpu_lo, cpu_hi = spec.cpu_range
-    ret_lo, ret_hi = spec.retained_range
+    cpu_lo, cpu_hi = CPU_RANGE
+    ret_lo, ret_hi = RETAINED_RANGE
     for c in classes:
         if spec.block_correlated_perf:
             # all classes of a block share a level, plus mild noise; levels

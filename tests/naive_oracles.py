@@ -18,7 +18,7 @@ import numpy as np
 
 from servicecut.cost_model import SizeModel, edge_cost
 from servicecut.feature_graph import FeatureGraph, split_core
-from servicecut.metrics import cut_value, mqw
+from servicecut.metrics import score
 from servicecut.oracle import MAX_VERTICES, restricted_growth_strings
 from servicecut.records import (
     BOOLEAN_ARRAY_ELEMENT_SIZE,
@@ -167,11 +167,12 @@ def naive_brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Par
     best_p, best_v = None, None
     for labels in restricted_growth_strings(n, k):
         p = canonicalize(dict(zip(verts, labels)), k)
+        r = score(p, core, "")
         if objective == "mqw":
-            value = mqw(p, core)[2]
+            value = r.mqw
             better = best_v is None or value > best_v
         else:
-            value = cut_value(p, core)
+            value = r.cut
             better = best_v is None or value < best_v
         if better:
             best_p, best_v = p, value
@@ -190,7 +191,7 @@ def naive_build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
     for r in records:
         classes.add(r.caller_class)
         classes.add(r.callee_class)
-        if r.is_self_call:
+        if (r.caller_class, r.caller_method) == (r.callee_class, r.callee_method):
             dropped += 1
             continue
         if r.caller_class == r.callee_class:
@@ -237,7 +238,7 @@ def _naive_estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel,
             elem_size = _naive_estimate(element, catalog, model, depth + 1, visiting)
         return model.align(model.header_array + model.assumed_array_len * elem_size)
 
-    layout = catalog.lookup(t.name)
+    layout = catalog.layouts.get(t.name)
     if layout is None:
         return model.default_unknown
     if isinstance(layout, PrimitiveLayout):

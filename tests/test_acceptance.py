@@ -11,7 +11,7 @@ import pytest
 from naive_oracles import hand_object_size, naive_cut, naive_mq, naive_mqw
 from servicecut.cost_model import SizeModel, api_estimate
 from servicecut.feature_graph import FeatureGraph, split_core, to_affinity
-from servicecut.metrics import cut_value, mq, mqw
+from servicecut.metrics import score
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import PipelineInputs, partition_accuracy, sweep
 from servicecut.records import ObjectLayout, PRIMITIVE_SIZES, TypeCatalog, TypeRef
@@ -79,10 +79,11 @@ def test_criterion_2_metric_oracle_equivalence(capsys):
         rng = np.random.default_rng(77)
         for _ in range(500):
             g, p = random_instance(rng, max_n=8)
-            assert mq(p, g)[2] == pytest.approx(
+            r = score(p, g, "")
+            assert r.mq == pytest.approx(
                 naive_mq(p.labels, g.edges, p.k), abs=1e-12
             )
-            assert mqw(p, g)[2] == pytest.approx(
+            assert r.mqw == pytest.approx(
                 naive_mqw(p.labels, g.edges, p.k), abs=1e-12
             )
             W = to_affinity(g).toarray()
@@ -91,11 +92,12 @@ def test_criterion_2_metric_oracle_equivalence(capsys):
                 for i, u in enumerate(g.vertices)
                 for j, v in enumerate(g.vertices)
             }
-            assert cut_value(p, g) == pytest.approx(
+            assert r.cut == pytest.approx(
                 naive_cut(p.labels, aff, p.k), abs=1e-12
             )
             unit = FeatureGraph.from_edges(list(g.vertices), {e: 1.0 for e in g.edges})
-            assert mqw(p, unit)[2] == pytest.approx(mq(p, unit)[2], abs=1e-12)
+            r = score(p, unit, "")
+            assert r.mqw == pytest.approx(r.mq, abs=1e-12)
         assert time.perf_counter() - start < 30.0
 
 
@@ -247,7 +249,7 @@ def test_criterion_7_oracle_dominance(capsys):
             core, _ = split_core(g)
             k = int(rng.integers(2, min(5, len(core.vertices)) + 1))
             p = extract_candidates(core, k, seed=checked)
-            pipeline_value = mqw(p, core)[2]
+            pipeline_value = score(p, core, "").mqw
             _, best_value = brute_force_best(g, k, "mqw")
             assert best_value >= pipeline_value - 1e-12
             checked += 1

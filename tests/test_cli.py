@@ -247,14 +247,16 @@ def test_ingest_check_rejects_bad_size_model(tmp_path, capsys):
     (["sweep", "--modes", "static,static"], "--modes"),
     (["evaluate", "--k", "2", "--seed", "-1"], "--seed"),
     (["sweep", "--seed", "-1"], "--seed"),
+    (["sweep", "--seed", str(2 ** 63)], "--seed"),
     (["evaluate", "--k", "2", "--size-model", "default_unknown=-100"], "--size-model"),
     (["evaluate", "--k", "2", "--size-model", "assumed_array_len=-5"], "--size-model"),
     (["sweep", "--size-model", "ref_slot=-1"], "--size-model"),
     (["evaluate", "--k", "2", "--size-model", "max_depth=600"], "--size-model"),
 ], ids=["k-1", "k-min-1", "k-min-above-k-max", "epochs-0", "size-model-not-int",
         "size-model-rejected", "modes-empty", "modes-repeated", "evaluate-seed-negative",
-        "sweep-seed-negative", "size-model-negative-default", "size-model-negative-array-len",
-        "size-model-negative-ref-slot", "size-model-max-depth-600"])
+        "sweep-seed-negative", "sweep-seed-2**63", "size-model-negative-default",
+        "size-model-negative-array-len", "size-model-negative-ref-slot",
+        "size-model-max-depth-600"])
 def test_bad_flag_is_usage_error_naming_the_flag(tmp_path, capsys, args, flag):
     sysdir = synth_system(tmp_path)
     capsys.readouterr()  # discard synth output
@@ -472,6 +474,7 @@ def _invocations(draw):
     mode = ("--mode", ["static", "fusion", "dynamic"])
     k = ["1", "2", "2", "3", "x"]
     seed = ("--seed", ["0", "3", "-1"])
+    sweep_seed = ("--seed", seed[1] + [str(2 ** 63)])  # evaluate takes any size
     command = draw(st.sampled_from(["ingest-check", "build-graph", "evaluate", "sweep",
                                     "oracle"]))
     models = ["ref_slot=8", "alignment=3", "max_depth=255"] + _BAD_MODELS
@@ -486,7 +489,7 @@ def _invocations(draw):
         argv += ["--out", "{out}"]
     elif command == "sweep":
         argv += _flags(draw, ("--modes", ["static", "fusion,dynamic", "static,bogus"]),
-                       ("--k-min", k), ("--k-max", k), seed) + ["--epochs", "2"]
+                       ("--k-min", k), ("--k-max", k), sweep_seed) + ["--epochs", "2"]
         argv += ["--out", "{out}"]
     elif command == "oracle":
         argv += ["--k", draw(st.sampled_from(k))] + _flags(draw, mode,
@@ -523,7 +526,7 @@ def test_fuzzed_logs_and_flags_keep_the_exit_code_contract(calls, odd_call, perf
     assert "Traceback" not in message
     assert code or not invalid_catalog, argv
     assert code or odd_call is None or odd_call[1] != _DEEP_ROW, argv
-    if any(a in _BAD_MODELS for a in argv):
+    if any(a in _BAD_MODELS for a in argv) or str(2 ** 63) in argv:
         assert code == 1, (argv, message)
     if code:
         assert re.search(r"\.(csv|txt):\d+|--[a-z]", message), (argv, message)

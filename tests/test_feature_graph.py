@@ -17,7 +17,7 @@ from servicecut.feature_graph import (
 )
 from servicecut import feature_graph
 from servicecut.cost_model import SizeModel, edge_cost
-from servicecut.metrics import mq, score
+from servicecut.metrics import score
 from servicecut.pipeline import MODES, PipelineInputs, mode_weights
 from servicecut.records import CallRecord, OpaqueLayout, PerfRecord, TypeCatalog, TypeRef
 from servicecut.spectral import build_laplacian, extract_candidates
@@ -226,7 +226,7 @@ def test_mode_graph_keeps_class_graph_vertices_and_edges(mode):
     assert g.vertices == base.vertices
     assert list(g.edges) == list(base.edges)
     p = extract_candidates(split_core(g)[0], 3, seed=0)
-    assert score(p, g, mode).mq == mq(p, base)[2]
+    assert score(p, g, mode).mq == score(p, base, "").mq
 
 
 def test_affinity_sums_both_directions():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from naive_oracles import naive_cluster_stats, naive_cut, naive_mq, naive_mqw
 from servicecut.feature_graph import FeatureGraph, to_affinity
-from servicecut.metrics import cut_value, label_stats, mq, mqw
+from servicecut.metrics import label_stats, score
 from servicecut.spectral import Partition
 
 
@@ -16,7 +16,8 @@ def test_mq_two_cohesive_pairs():
     # each cluster: 2 vertices with both directed edges inside, no inter edges
     g = graph("abcd", {("a", "b"): 1, ("b", "a"): 1, ("c", "d"): 1, ("d", "c"): 1})
     p = Partition({"a": 0, "b": 0, "c": 1, "d": 1}, 2)
-    coh, cop, value = mq(p, g)
+    r = score(p, g, "")
+    coh, cop, value = r.coh, r.cop, r.mq
     assert coh == [0.5, 0.5]
     assert cop == {(0, 1): 0.0}
     assert value == 0.5
@@ -25,14 +26,15 @@ def test_mq_two_cohesive_pairs():
 def test_mq_single_cluster_cycle():
     g = graph("abc", {("a", "b"): 1, ("b", "c"): 1, ("c", "a"): 1})
     p = Partition({"a": 0, "b": 0, "c": 0}, 1)
-    _, _, value = mq(p, g)
+    value = score(p, g, "").mq
     assert value == pytest.approx(1 / 3)
 
 
 def test_mq_two_singletons_one_edge():
     g = graph("ab", {("a", "b"): 1})
     p = Partition({"a": 0, "b": 1}, 2)
-    coh, cop, value = mq(p, g)
+    r = score(p, g, "")
+    coh, cop, value = r.coh, r.cop, r.mq
     assert coh == [0.0, 0.0]
     assert cop == {(0, 1): 0.5}
     assert value == -0.5
@@ -41,13 +43,15 @@ def test_mq_two_singletons_one_edge():
 def test_mqw_equals_mq_on_unit_weights():
     g = graph("abcd", {("a", "b"): 1.0, ("b", "c"): 1.0, ("d", "a"): 1.0})
     p = Partition({"a": 0, "b": 0, "c": 1, "d": 1}, 2)
-    assert mqw(p, g)[2] == pytest.approx(mq(p, g)[2], abs=1e-15)
+    r = score(p, g, "")
+    assert r.mqw == pytest.approx(r.mq, abs=1e-15)
 
 
 def test_mqw_weighted_pair_example():
     g = graph("ab", {("a", "b"): 12.0})
     p = Partition({"a": 0, "b": 0}, 1)
-    coh, _, value = mqw(p, g)
+    r = score(p, g, "")
+    coh, value = r.coh_w, r.mqw
     assert coh == [pytest.approx(12 / 15)]
     assert value == pytest.approx(0.8)
 
@@ -56,33 +60,33 @@ def test_mqw_cohesion_saturates_toward_one():
     previous = 0.0
     for w in (1, 10, 100, 1000, 10000):
         g = graph("ab", {("a", "b"): float(w)})
-        value = mqw(Partition({"a": 0, "b": 0}, 1), g)[2]
+        value = score(Partition({"a": 0, "b": 0}, 1), g, "").mqw
         assert previous < value < 1.0
         previous = value
 
 
 def test_cut_zero_for_components_and_single_cluster():
     g = graph("abcd", {("a", "b"): 3.0, ("c", "d"): 2.0})
-    assert cut_value(Partition({"a": 0, "b": 0, "c": 1, "d": 1}, 2), g) == 0.0
-    assert cut_value(Partition({"a": 0, "b": 0, "c": 0, "d": 0}, 1), g) == 0.0
+    assert score(Partition({"a": 0, "b": 0, "c": 1, "d": 1}, 2), g, "").cut == 0.0
+    assert score(Partition({"a": 0, "b": 0, "c": 0, "d": 0}, 1), g, "").cut == 0.0
 
 
 def test_cut_two_singletons():
     g = graph("ab", {("a", "b"): 4.0, ("b", "a"): 6.0})
-    assert cut_value(Partition({"a": 0, "b": 1}, 2), g) == 10.0
+    assert score(Partition({"a": 0, "b": 1}, 2), g, "").cut == 10.0
 
 
 def test_cut_invariant_under_relabeling():
     g = graph("abcde", {("a", "b"): 1, ("b", "c"): 2, ("c", "d"): 3, ("d", "e"): 4})
     p1 = Partition({"a": 0, "b": 0, "c": 1, "d": 2, "e": 2}, 3)
     p2 = Partition({"a": 2, "b": 2, "c": 0, "d": 1, "e": 1}, 3)
-    assert cut_value(p1, g) == cut_value(p2, g)
+    assert score(p1, g, "").cut == score(p2, g, "").cut
 
 
 def test_partition_vertex_missing_from_graph():
     g = graph("ab", {("a", "b"): 1})
     with pytest.raises(ValueError, match="absent"):
-        mq(Partition({"a": 0, "z": 1}, 2), g)
+        score(Partition({"a": 0, "z": 1}, 2), g, "")
 
 
 # --- randomized oracle equality ---------------------------------------------
@@ -121,15 +125,16 @@ def test_metrics_match_naive_oracle_on_random_graphs():
     rng = np.random.default_rng(2024)
     for _ in range(200):
         g, p = random_instance(rng)
-        assert mq(p, g)[2] == pytest.approx(naive_mq(p.labels, g.edges, p.k), abs=1e-12)
-        assert mqw(p, g)[2] == pytest.approx(naive_mqw(p.labels, g.edges, p.k), abs=1e-12)
+        r = score(p, g, "")
+        assert r.mq == pytest.approx(naive_mq(p.labels, g.edges, p.k), abs=1e-12)
+        assert r.mqw == pytest.approx(naive_mqw(p.labels, g.edges, p.k), abs=1e-12)
         W = to_affinity(g).toarray()
         aff = {
             (u, v): W[i, j]
             for i, u in enumerate(g.vertices)
             for j, v in enumerate(g.vertices)
         }
-        assert cut_value(p, g) == pytest.approx(naive_cut(p.labels, aff, p.k), abs=1e-12)
+        assert r.cut == pytest.approx(naive_cut(p.labels, aff, p.k), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,8 +142,9 @@ def test_metrics_match_naive_oracle_on_random_graphs():
 def test_bounds_and_unit_weight_equivalence(seed):
     rng = np.random.default_rng(seed)
     g, p = random_instance(rng)
-    coh, cop, value = mq(p, g)
-    coh_w, cop_w, value_w = mqw(p, g)
+    r = score(p, g, "")
+    coh, cop, value = r.coh, r.cop, r.mq
+    coh_w, cop_w, value_w = r.coh_w, r.cop_w, r.mqw
     for x in coh + coh_w:
         assert 0.0 <= x <= 1.0
     for x in list(cop.values()) + list(cop_w.values()):
@@ -146,7 +152,8 @@ def test_bounds_and_unit_weight_equivalence(seed):
     assert -1.0 <= value <= 1.0
     assert -1.0 <= value_w <= 1.0
     unit = FeatureGraph.from_edges(list(g.vertices), {e: 1.0 for e in g.edges})
-    assert mqw(p, unit)[2] == pytest.approx(mq(p, unit)[2], abs=1e-15)
+    r = score(p, unit, "")
+    assert r.mqw == pytest.approx(r.mq, abs=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -170,5 +177,5 @@ def test_cluster_stats_equal_edge_loop_bit_for_bit(seed, unassigned):
     assert {pair: sigmaw[0][pair] for pair in crossing} == sigmaw_e
     assert not sigma[0][sigmaw[0] == 0].any()
     assert cut[0] == cut_e  # the crossing weights in edge order
-    assert cut_value(p, g) == cut_e
+    assert score(p, g, "").cut == cut_e
 

@@ -5,7 +5,7 @@ import pytest
 
 from naive_oracles import canonicalize, naive_kmeans
 from servicecut import pipeline
-from servicecut.metrics import mqw
+from servicecut.metrics import score
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import (
     MODES,
@@ -101,7 +101,7 @@ def test_pipeline_recovers_two_blocks_static(tmp_path):
     calls, _, truth = generate_system(two_block_spec())
     assert partition_accuracy(partition.labels, truth) == 1.0
     # reported MQw equals the metric module applied to the same partition
-    assert report.mqw == pytest.approx(mqw(partition, inputs.core)[2])
+    assert report.mqw == pytest.approx(score(partition, inputs.core, "").mqw)
     assert report.cut == 0.0
 
 
@@ -184,6 +184,9 @@ def test_epoch_seed_is_stable_and_spread():
     others = {epoch_seed(42, m, k, e) for m in ("static", "fusion")
               for k in (2, 3) for e in range(5)}
     assert len(others) == 20
+    # only the low 63 bits of the base seed count: why sweep takes base
+    # seeds below 2**63
+    assert epoch_seed(2 ** 63, "static", 3, 7) == epoch_seed(0, "static", 3, 7)
 
 
 def test_sweep_single_epoch_median_is_the_value(tmp_path):
@@ -239,7 +242,8 @@ def test_sweep_rejects_an_unknown_mode_before_sweeping_any(tmp_path, monkeypatch
     (dict(k_min=1), "k_min"),
     (dict(epochs=0), "epochs"),
     (dict(base_seed=-1), "base_seed"),
-], ids=["k-min-above-k-max", "k-min-1", "epochs-0", "base-seed-negative"])
+    (dict(base_seed=2 ** 63), "base_seed"),
+], ids=["k-min-above-k-max", "k-min-1", "epochs-0", "base-seed-negative", "base-seed-2**63"])
 def test_sweep_rejects_the_arguments_the_cli_rejects(tmp_path, kwargs, name):
     inputs = inputs_from(two_block_spec(), tmp_path)
     args = dict(k_min=2, k_max=3, epochs=1, base_seed=0) | kwargs
@@ -261,7 +265,7 @@ def test_sweep_graph_epoch_values_equal_reference_loop(mode, monkeypatch):
         for epoch in range(3):
             raw = naive_kmeans(U[:, :k].copy(), k, epoch_seed(11, mode, k, epoch))
             p = canonicalize(dict(zip(core.vertices, (int(c) for c in raw))), k)
-            expected[(mode, k)].append(mqw(p, core)[2])
+            expected[(mode, k)].append(score(p, core, "").mqw)
     calls = []
     monkeypatch.setattr(pipeline, "kmeans",
                         lambda *args: calls.append(len(args[2])) or kmeans(*args))

@@ -217,6 +217,20 @@ def test_invalid_utf8_names_the_file_and_line(tmp_path, parse, first_line):
         parse(p)
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_call_log, ",".join(CALL_HEADER) + "\n" + _CALL_ROWS),
+    (parse_perf_log, ",".join(PERF_HEADER) + "\n" + _PERF_ROWS),
+    (parse_type_catalog, "Order: object\n    int\nBlob: opaque 16\n"),
+], ids=["calls", "perf", "catalog"])
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, parse, text):
+    # as spreadsheet tools write "CSV UTF-8": the mark would join the header's
+    # first field, or the first type name
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert parse(marked) == parse(plain)
+
+
 def test_call_record_is_a_hashable_immutable_value():
     # perfbench counts distinct rows with set(calls)
     a = CallRecord("f", "g", "A", "B", (), (TypeRef("int"),))
@@ -336,8 +350,8 @@ def test_catalog_object_and_opaque(tmp_path):
         "Blob: opaque 128\n"
     )
     catalog = parse_type_catalog(p)
-    assert catalog.lookup("Account") == ObjectLayout((TypeRef("int"), TypeRef("long")))
-    assert catalog.lookup("Blob") == OpaqueLayout(128)
+    assert catalog.layouts.get("Account") == ObjectLayout((TypeRef("int"), TypeRef("long")))
+    assert catalog.layouts.get("Blob") == OpaqueLayout(128)
 
 
 def test_catalog_redefine_primitive_rejected(tmp_path):
@@ -363,7 +377,7 @@ def test_catalog_cyclic_definitions_accepted(tmp_path):
     p = tmp_path / "types.txt"
     p.write_text("Node: object\n    Node\n    int\n")
     catalog = parse_type_catalog(p)
-    assert catalog.lookup("Node") == ObjectLayout((TypeRef("Node"), TypeRef("int")))
+    assert catalog.layouts.get("Node") == ObjectLayout((TypeRef("Node"), TypeRef("int")))
 
 
 def test_catalog_with_crlf_line_ends(tmp_path):

@@ -372,19 +372,25 @@ def test_column_wise_distances_equal_the_direct_sum(d):
     # the scales spread the terms' magnitudes so a change of order shows
     rng = np.random.default_rng(d)
     pts = rng.standard_normal((17, d)) * rng.choice([1e-3, 1.0, 1e5], size=d)
-    centers = rng.standard_normal((3, 4, d))
-    got = spectral._sq_distances(pts, centers)
-    assert got.shape == (3, 17, 4)
-    assert got.tobytes() == ((pts[:, None, :] - centers[:, None]) ** 2).sum(axis=-1).tobytes()
+    centers = rng.standard_normal((12, d))
+    got = spectral._column_sum(pts.T.copy(), centers, 0, d)
+    assert got.shape == (12, 17)
+    assert got.tobytes() == ((pts - centers[:, None]) ** 2).sum(axis=-1).tobytes()
 
 
 _ASSIGN_DIMS = [1, 2, 7, 8, 9, 30, 127, 128, 129, 136]
 
 
+def _direct(pts, centers):
+    """(R, n, k) squared distances from the (n, d) ``pts`` to the (R, k, d)
+    ``centers`` in the direct form, which k-means labels must equal."""
+    return ((pts[:, None, :] - centers[:, None]) ** 2).sum(axis=-1)
+
+
 def _assert_assign_matches_direct(pts, centers):
     with np.errstate(over="ignore"):  # the direct sums may overflow too
         got = spectral._assign(pts, np.linalg.norm(pts, axis=1), centers)
-        expected = spectral._sq_distances(pts, centers).argmin(axis=-1)
+        expected = _direct(pts, centers).argmin(axis=-1)
     assert got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
 
@@ -406,7 +412,7 @@ def test_assign_breaks_exact_ties_like_the_direct_sum(d):
     between = centers[:, 0] + np.eye(d)[0]
     pts = np.concatenate([between, between + np.eye(d)[d - 1] * (d > 1),
                           centers[:, 2], rng.integers(-4, 5, (20, d))]).astype(float)
-    dist = spectral._sq_distances(pts, centers)
+    dist = _direct(pts, centers)
     assert ((dist == dist.min(axis=-1, keepdims=True)).sum(axis=-1) > 1).any(axis=1).all()
     _assert_assign_matches_direct(pts, centers)
 
@@ -432,7 +438,7 @@ def test_assign_falls_back_where_cancellation_moves_the_expanded_argmin(d, monke
     rng = np.random.default_rng(d)
     pts = 1e8 + 1e-2 * rng.standard_normal((40, d))
     centers = pts[rng.integers(0, 40, (2, 4))]
-    expected = spectral._sq_distances(pts, centers).argmin(axis=-1)
+    expected = _direct(pts, centers).argmin(axis=-1)
     assert (_expanded_argmin(pts, centers) != expected).any()
     _, certified = spectral._certified_labels(pts, np.linalg.norm(pts, axis=1), centers)
     assert not certified.any()
@@ -474,7 +480,7 @@ def test_assign_certifies_every_point_of_separated_clusters(d):
     pts = (centers[:, rng.integers(0, 4, 30)] + 0.1 * rng.standard_normal((2, 30, d))).reshape(-1, d)
     labels, certified = spectral._certified_labels(pts, np.linalg.norm(pts, axis=1), centers)
     assert certified.all()
-    assert labels.tobytes() == spectral._sq_distances(pts, centers).argmin(axis=-1).tobytes()
+    assert labels.tobytes() == _direct(pts, centers).argmin(axis=-1).tobytes()
     _assert_assign_matches_direct(pts, centers)
 
 
