@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .pipeline import (
     sweep,
     write_sweep_outputs,
 )
+from .records import ArgumentError
 from .spectral import NumericError
 from .synth import SynthSpec, synth_generate
 
@@ -37,13 +37,6 @@ _SIZE_MODEL_FIELDS = {f.name for f in dataclasses.fields(SizeModel)}
 #: The --seed of evaluate and synth: NumPy seeds its generators from
 #: non-negative integers only. sweep's derived epoch seeds keep 63 bits.
 _SEED = click.IntRange(min=0)
-
-
-def _not_nan(ctx, param, value: float) -> float:
-    # NaN compares false with both bounds, so FloatRange lets it through
-    if math.isnan(value):
-        raise click.BadParameter(f"{value!r} is not a number", ctx, param)
-    return value
 
 
 def _parse_size_model(pairs: tuple[str, ...]) -> SizeModel:
@@ -160,15 +153,6 @@ def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
               modes, k_min, k_max, epochs, base_seed, out_dir):
     """Run the k-sweep / epoch / median protocol and write sweep tables."""
     mode_list = tuple(m.strip() for m in modes.split(",") if m.strip())
-    if not mode_list:
-        raise click.UsageError(f"--modes names no mode; choose from {','.join(MODES)}")
-    for m in mode_list:
-        if m not in MODES:
-            raise click.UsageError(f"--modes: unknown mode {m!r}")
-    if len(set(mode_list)) < len(mode_list):
-        raise click.UsageError(f"--modes names a mode twice: {modes!r}")
-    if k_min > k_max:
-        raise click.UsageError(f"--k-min {k_min} exceeds --k-max {k_max}")
     inputs = _load(calls_path, perf_path, catalog_path, size_model, raw_attrs)
     inputs.check_k(k_max, "--k-max")
     result = sweep(inputs, mode_list, k_min, k_max, epochs, base_seed)
@@ -181,9 +165,9 @@ def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
 @click.option("--n-classes", type=click.IntRange(min=1), required=True)
 @click.option("--n-blocks", type=click.IntRange(min=1), required=True)
 @click.option("--intra", "intra_call_prob", type=click.FloatRange(0, 1), default=0.3,
-              show_default=True, callback=_not_nan)
+              show_default=True)
 @click.option("--inter", "inter_call_prob", type=click.FloatRange(0, 1), default=0.02,
-              show_default=True, callback=_not_nan)
+              show_default=True)
 @click.option("--block-correlated-perf", is_flag=True,
               help="Make perf attributes correlate with the planted blocks.")
 @click.option("--seed", type=_SEED, default=0, show_default=True)
@@ -191,8 +175,6 @@ def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
 def synth(n_classes, n_blocks, intra_call_prob, inter_call_prob,
           block_correlated_perf, seed, out_dir):
     """Generate a synthetic legacy system with a planted block structure."""
-    if n_blocks > n_classes:
-        raise click.UsageError(f"--n-blocks {n_blocks} exceeds --n-classes {n_classes}")
     spec = SynthSpec(
         n_classes=n_classes,
         n_blocks=n_blocks,
@@ -222,6 +204,10 @@ def oracle_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
                            **partition.to_json()}, sort_keys=True))
 
 
+#: library parameter name -> the flag that sets it, to name in an ArgumentError
+_FLAGS = {p.name: p.opts[0] for c in cli.commands.values() for p in c.params}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         cli.main(args=argv, prog_name="servicecut", standalone_mode=False)
@@ -231,10 +217,13 @@ def main(argv: list[str] | None = None) -> int:
     except click.Abort:
         return EXIT_USAGE
     except OverflowError as exc:
-        # only raw perf values or catalog sizes make weights this large
-        click.echo(f"data error: {exc}; the weights come from the --type-catalog sizes and, "
-                   "with --raw-attrs, the --perf values", err=True)
+        # only raw perf values or catalog and size-model sizes make weights this large
+        click.echo(f"data error: {exc}; the weights come from the --type-catalog and "
+                   "--size-model sizes and, with --raw-attrs, the --perf values", err=True)
         return EXIT_DATA
+    except ArgumentError as exc:
+        click.echo(f"Error: {_FLAGS.get(exc.param, exc.param)}: {exc}", err=True)
+        return EXIT_USAGE
     except (OSError, ValueError) as exc:
         click.echo(f"data error: {exc}", err=True)
         return EXIT_DATA

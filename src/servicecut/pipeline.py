@@ -17,6 +17,7 @@ from .cost_model import SizeModel
 from .feature_graph import FeatureGraph, build_class_graph, split_core
 from .metrics import QualityReport, batch_scores, score
 from .records import (
+    ArgumentError,
     CallRecord,
     PerfRecord,
     TypeCatalog,
@@ -203,17 +204,17 @@ def sweep(
     base_seed: int = 0,
 ) -> SweepResult:
     if not modes:
-        raise ValueError("modes names no mode")
+        raise ArgumentError("modes names no mode", "modes")
     if len(set(modes)) < len(modes):
-        raise ValueError(f"modes names a mode twice: {modes!r}")
+        raise ArgumentError(f"modes names a mode twice: {modes!r}", "modes")
     if unknown := set(modes) - set(MODES):
-        raise ValueError(f"unknown mode {min(unknown)!r}; expected one of {MODES}")
+        raise ArgumentError(f"unknown mode {min(unknown)!r}; expected one of {MODES}", "modes")
     if not 2 <= k_min <= k_max:
-        raise ValueError(f"k_min={k_min} must be in [2, k_max={k_max}]")
+        raise ArgumentError(f"k_min={k_min} must be in [2, k_max={k_max}]", "k_min")
     if epochs < 1:
-        raise ValueError(f"epochs={epochs} must be at least 1")
+        raise ArgumentError(f"epochs={epochs} must be at least 1", "epochs")
     if not 0 <= base_seed < 2 ** 63:
-        raise ValueError(f"base_seed={base_seed} must be in [0, 2**63)")
+        raise ArgumentError(f"base_seed={base_seed} must be in [0, 2**63)", "base_seed")
     inputs.check_k(k_max, "k_max")
     result = SweepResult(tuple(modes), (k_min, k_max), epochs, base_seed)
     for mode in modes:

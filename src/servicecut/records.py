@@ -57,6 +57,15 @@ class LogParseError(ValueError):
         super().__init__(message)
 
 
+class ArgumentError(ValueError):
+    """An argument outside its documented values; carries ``param``, the
+    name of the library parameter at fault, for a caller to name its flag."""
+
+    def __init__(self, message: str, param: str):
+        self.param = param
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class TypeRef:
     """A type name plus array rank (0 = scalar)."""

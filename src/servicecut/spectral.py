@@ -163,8 +163,8 @@ _MAX_ITER = 300  # Lloyd iterations per run
 
 
 def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
-    """Lloyd's algorithm with distance-weighted seeding, run once per seed:
-    returns (len(seeds), n) labels, row i deterministic given ``seeds[i]``.
+    """Lloyd's algorithm with distance-weighted seeding on (n, d >= 2) points
+    for 2 <= k <= n, run once per seed: (len(seeds), n) labels, row i fixed by ``seeds[i]``.
     Each seed keeps the best of ``_RESTARTS`` (10) runs by inertia (the
     first strictly lowest, in its attempt order), each of at most
     ``_MAX_ITER`` (300) Lloyd iterations; runs that collapse to an empty
@@ -191,11 +191,10 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     terms column by column instead (``_column_sum``): its d^2 values feed
     the sampling CDF bit for bit, so no point may skip them."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] < 2 or not 2 <= k <= pts.shape[0]:
+        raise ValueError(f"k-means takes (n, d >= 2) points and 2 <= k <= n, "
+                         f"got shape {pts.shape} and k={k}")
     n, d = pts.shape
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
     if not np.isfinite(pts).all():
         raise NumericError("k-means points contain NaN or inf")
     with np.errstate(over="ignore"):
@@ -406,19 +405,13 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray,
 
 def _centroids(pts: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """(R, k, d) cluster means for (R, n) labels whose clusters are all
-    non-empty, each bit-identical to ``pts[labels[r] == c].mean(axis=0)``.
-    That mean sums rows in row order, as ``np.bincount`` does; a one-column
-    mean instead sums its contiguous column pairwise, as ``ndarray.sum``."""
+    non-empty, each bit-identical to ``pts[labels[r] == c].mean(axis=0)``,
+    which sums rows in row order, as ``np.bincount`` does, for d >= 2."""
     R, k = counts.shape
     n, d = pts.shape
     keys = (labels + k * np.arange(R)[:, None]).ravel()
-    if d == 1:
-        column = np.tile(pts[:, 0], R)[np.argsort(keys, kind="stable")]
-        ends = np.cumsum(counts.ravel())
-        sums = np.array([column[e - c:e].sum() for e, c in zip(ends, counts.ravel())])
-    else:
-        sums = np.bincount((keys[:, None] * d + np.arange(d)).ravel(),
-                           weights=np.tile(pts.ravel(), R), minlength=R * k * d)
+    sums = np.bincount((keys[:, None] * d + np.arange(d)).ravel(),
+                       weights=np.tile(pts.ravel(), R), minlength=R * k * d)
     return sums.reshape(R, k, d) / counts[:, :, None]
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import CallRecord, PerfRecord, TypeRef, write_call_log, write_perf_log
+from .records import ArgumentError, CallRecord, PerfRecord, TypeRef, write_call_log, write_perf_log
 
 DEFAULT_PARAM_POOL = ("int", "long", "double", "boolean", "String", "int[]", "byte[]")
 METHODS_PER_CLASS = 3
@@ -33,10 +33,12 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.intra_call_prob <= 1 or not 0 <= self.inter_call_prob <= 1:
-            raise ValueError("call probabilities must be in [0, 1]")
+        for name in ("intra_call_prob", "inter_call_prob"):
+            if not 0 <= (p := getattr(self, name)) <= 1:  # NaN fails it too
+                raise ArgumentError(f"{name}={p!r} must be in [0, 1]", name)
         if not 1 <= self.n_blocks <= self.n_classes:
-            raise ValueError("need 1 <= n_blocks <= n_classes")
+            raise ArgumentError(f"n_blocks={self.n_blocks} must be in "
+                                f"[1, n_classes={self.n_classes}]", "n_blocks")
 
 
 def class_name(i: int) -> str:

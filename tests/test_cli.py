@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import servicecut
-from servicecut import feature_graph, pipeline
+from servicecut import cli, feature_graph, pipeline
 from servicecut.cli import main
+from servicecut.records import ArgumentError
+from servicecut.synth import SynthSpec
 
 
 def run(*args):
@@ -278,6 +281,31 @@ def test_k_beyond_the_classes_is_data_error_naming_the_flag(tmp_path, capsys, ar
     assert flag in capsys.readouterr().err
 
 
+def test_every_argument_the_library_rejects_names_a_cli_flag():
+    # renaming a library parameter must not drop its flag from the message:
+    # the faults below reach each `raise ArgumentError` in the package, and
+    # the parameter each names is a key of the CLI's flag map
+    sites = {(str(path), node.lineno)
+             for path in Path(servicecut.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and getattr(node.exc.func, "id", None) == "ArgumentError"}
+    reached = set()
+    for fault in [lambda: pipeline.sweep(None, ()),
+                  lambda: pipeline.sweep(None, ("static", "static")),
+                  lambda: pipeline.sweep(None, ("bogus",)),
+                  lambda: pipeline.sweep(None, k_min=1),
+                  lambda: pipeline.sweep(None, epochs=0),
+                  lambda: pipeline.sweep(None, base_seed=-1),
+                  lambda: SynthSpec(n_classes=2, n_blocks=3),
+                  lambda: SynthSpec(n_classes=2, n_blocks=1, inter_call_prob=2.0)]:
+        with pytest.raises(ArgumentError) as excinfo:
+            fault()
+        assert excinfo.value.param in cli._FLAGS, excinfo.value.param
+        reached.add((str(excinfo.traceback[-1].path), excinfo.traceback[-1].lineno + 1))
+    assert reached == sites
+
+
 def test_overflowing_weights_are_data_errors_naming_their_sources(tmp_path, capsys):
     calls = tmp_path / "calls.csv"
     calls.write_text("f,g,A,B,,Blob\ng,f,B,A,,\n")
@@ -292,6 +320,15 @@ def test_overflowing_weights_are_data_errors_naming_their_sources(tmp_path, caps
     assert run("build-graph", "--calls", str(calls), "--type-catalog", str(catalog),
                "--out", str(tmp_path / "g")) == 2
     assert "--type-catalog" in capsys.readouterr().err
+
+
+def test_an_unknown_type_cost_that_overflows_names_the_size_model(tmp_path, capsys):
+    # Foo is in no catalog, so it costs default_unknown, past the float range
+    calls = tmp_path / "calls.csv"
+    calls.write_text("f,g,A,B,,Foo\n")
+    assert run("ingest-check", "--calls", str(calls),
+               "--size-model", "default_unknown=1" + "0" * 400) == 2
+    assert "--size-model" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["static", "fusion", "dynamic"])
@@ -458,6 +495,9 @@ def _log(rows, odd):
 
 # size-model overrides outside their ranges: each is a usage error
 _BAD_MODELS = ["ref_slot=-1", "default_unknown=-100", "assumed_array_len=-5", "max_depth=600"]
+# in range, but a type no catalog declares then costs more than float64 holds
+_HUGE_MODEL = "default_unknown=1" + "0" * 400
+_UNDECLARED_ROW = "f,g,A,B,,Qux"
 
 
 def _flags(draw, *pairs):
@@ -476,8 +516,14 @@ def _invocations(draw):
     seed = ("--seed", ["0", "3", "-1"])
     sweep_seed = ("--seed", seed[1] + [str(2 ** 63)])  # evaluate takes any size
     command = draw(st.sampled_from(["ingest-check", "build-graph", "evaluate", "sweep",
-                                    "oracle"]))
-    models = ["ref_slot=8", "alignment=3", "max_depth=255"] + _BAD_MODELS
+                                    "oracle", "synth"]))
+    if command == "synth":  # at most 6 classes; valid, out-of-range and NaN values
+        probability = ["0", "0.5", "1", "-0.1", "1.5", "nan"]
+        return (["synth", "--n-classes", draw(st.sampled_from(["1", "4", "6", "0", "nan"])),
+                 "--n-blocks", draw(st.sampled_from(["1", "2", "6", "7", "0", "nan"]))]
+                + _flags(draw, ("--intra", probability), ("--inter", probability), seed)
+                + ["--out", "{out}"])
+    models = ["ref_slot=8", "alignment=3", "max_depth=255", _HUGE_MODEL] + _BAD_MODELS
     argv = [command] + _flags(draw, ("--size-model", models))
     if draw(st.booleans()):
         argv.append("--raw-attrs")
@@ -488,7 +534,8 @@ def _invocations(draw):
                                                            ("--format", ["json", "csv"]))
         argv += ["--out", "{out}"]
     elif command == "sweep":
-        argv += _flags(draw, ("--modes", ["static", "fusion,dynamic", "static,bogus"]),
+        argv += _flags(draw, ("--modes", ["static", "fusion,dynamic", "static,bogus",
+                                          "static,static"]),
                        ("--k-min", k), ("--k-max", k), sweep_seed) + ["--epochs", "2"]
         argv += ["--out", "{out}"]
     elif command == "oracle":
@@ -506,27 +553,39 @@ def test_fuzzed_logs_and_flags_keep_the_exit_code_contract(calls, odd_call, perf
                                                             catalog, argv):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        (root / "calls.csv").write_bytes(_log(calls, odd_call))
-        argv = [a.format(out=root / "out") for a in argv] + ["--calls", str(root / "calls.csv")]
-        if perf is not None:
-            (root / "perf.csv").write_bytes(_log(perf, odd_perf))
-            argv += ["--perf", str(root / "perf.csv")]
-        invalid_catalog = False
-        if catalog is not None:
-            (root / "types.txt").write_text(_catalog(*catalog))
-            argv += ["--type-catalog", str(root / "types.txt")]
-            # each odd line is invalid, but the huge Foo only when it repeats Foo
-            declarations, odd = catalog
-            invalid_catalog = odd[1] != _HUGE_FOO or _DECLARATIONS[0] in declarations
+        argv = [a.format(out=root / "out") for a in argv]
+        invalid_catalog = deep_row = False
+        if argv[0] != "synth":  # every other command reads the logs
+            if _HUGE_MODEL in argv:
+                calls = calls + [_UNDECLARED_ROW]
+            (root / "calls.csv").write_bytes(_log(calls, odd_call))
+            argv += ["--calls", str(root / "calls.csv")]
+            deep_row = odd_call is not None and odd_call[1] == _DEEP_ROW
+            if perf is not None:
+                (root / "perf.csv").write_bytes(_log(perf, odd_perf))
+                argv += ["--perf", str(root / "perf.csv")]
+            if catalog is not None:
+                (root / "types.txt").write_text(_catalog(*catalog))
+                argv += ["--type-catalog", str(root / "types.txt")]
+                # each odd line is invalid, but the huge Foo only when it repeats Foo
+                declarations, odd = catalog
+                invalid_catalog = odd[1] != _HUGE_FOO or _DECLARATIONS[0] in declarations
         err = io.StringIO()
         with redirect_stderr(err), redirect_stdout(io.StringIO()):
             code = main(argv)
+        wrote = (root / "out").exists()
     message = err.getvalue()
     assert code in (0, 1, 2, 3), message
     assert "Traceback" not in message
     assert code or not invalid_catalog, argv
-    assert code or odd_call is None or odd_call[1] != _DEEP_ROW, argv
+    assert code or not deep_row, argv
     if any(a in _BAD_MODELS for a in argv) or str(2 ** 63) in argv:
         assert code == 1, (argv, message)
+    if argv[0] == "synth":
+        assert code in (0, 1), (argv, message)
+        assert not (code and wrote), argv
+    if _HUGE_MODEL in argv and code != 1:
+        # the undeclared Qux row overflows, unless an input fails first
+        assert code == 2 and re.search(r"\.(csv|txt):\d+|--size-model", message), (argv, message)
     if code:
         assert re.search(r"\.(csv|txt):\d+|--[a-z]", message), (argv, message)

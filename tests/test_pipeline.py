@@ -17,7 +17,7 @@ from servicecut.pipeline import (
     sweep_graph,
     write_sweep_outputs,
 )
-from servicecut.records import TypeCatalog, parse_call_log, parse_perf_log
+from servicecut.records import ArgumentError, TypeCatalog, parse_call_log, parse_perf_log
 from servicecut.spectral import embed, extract_candidates, kmeans
 from servicecut.synth import SynthSpec, generate_system, synth_generate
 
@@ -86,10 +86,13 @@ def test_block_correlated_perf_levels_differ():
 
 
 def test_synth_spec_validation():
-    with pytest.raises(ValueError):
-        SynthSpec(n_classes=4, n_blocks=5)
-    with pytest.raises(ValueError):
-        SynthSpec(n_classes=4, n_blocks=2, intra_call_prob=1.5)
+    # each check names its field; the chained comparisons reject NaN too
+    for param, value in [("n_blocks", 5), ("n_blocks", 0), ("intra_call_prob", 1.5),
+                         ("inter_call_prob", -0.1), ("intra_call_prob", float("nan")),
+                         ("inter_call_prob", float("nan"))]:
+        with pytest.raises(ArgumentError, match=f"^{param}=") as excinfo:
+            SynthSpec(**{"n_classes": 4, "n_blocks": 2, param: value})
+        assert excinfo.value.param == param
 
 
 # --- run_pipeline -----------------------------------------------------------
@@ -223,8 +226,9 @@ def test_sweep_two_block_best_k_is_two(tmp_path):
 @pytest.mark.parametrize("modes", [(), ("static", "static")])
 def test_sweep_rejects_no_mode_or_a_repeated_mode(tmp_path, modes):
     inputs = inputs_from(two_block_spec(), tmp_path)
-    with pytest.raises(ValueError, match="modes names"):
+    with pytest.raises(ArgumentError, match="modes names") as excinfo:
         sweep(inputs, modes, k_min=2, k_max=3, epochs=1)
+    assert excinfo.value.param == "modes"
 
 
 def test_sweep_rejects_an_unknown_mode_before_sweeping_any(tmp_path, monkeypatch):
@@ -232,8 +236,9 @@ def test_sweep_rejects_an_unknown_mode_before_sweeping_any(tmp_path, monkeypatch
     swept = []
     monkeypatch.setattr(pipeline, "sweep_graph",
                         lambda g, mode, *args: swept.append(mode) or {})
-    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+    with pytest.raises(ArgumentError, match="unknown mode 'bogus'") as excinfo:
         sweep(inputs, ("static", "bogus"), k_min=2, k_max=3, epochs=1)
+    assert excinfo.value.param == "modes"
     assert swept == []
 
 
@@ -247,8 +252,9 @@ def test_sweep_rejects_an_unknown_mode_before_sweeping_any(tmp_path, monkeypatch
 def test_sweep_rejects_the_arguments_the_cli_rejects(tmp_path, kwargs, name):
     inputs = inputs_from(two_block_spec(), tmp_path)
     args = dict(k_min=2, k_max=3, epochs=1, base_seed=0) | kwargs
-    with pytest.raises(ValueError, match=f"^{name}="):
+    with pytest.raises(ArgumentError, match=f"^{name}=") as excinfo:
         sweep(inputs, ("static",), **args)
+    assert excinfo.value.param == name
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -247,8 +247,12 @@ def test_kmeans_separated_clusters():
 
 
 def test_kmeans_k1_and_kn():
-    pts = np.array([[0.0], [1.0], [2.0]])
-    assert set(kmeans(pts, 1, [0])[0]) == {0}
+    # every command clusters d = k >= 2 columns: k = 1, one column, 1-D
+    # points and k > n are rejected, naming the shape and k
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    for bad, k in [(pts, 1), (pts[:, :1], 2), (pts[:, 0], 2), (pts, 4)]:
+        with pytest.raises(ValueError, match=re.escape(f"got shape {bad.shape} and k={k}")):
+            kmeans(bad, k, [0])
     assert sorted(kmeans(pts, 3, [0])[0]) == [0, 1, 2]
 
 
@@ -269,7 +273,7 @@ def test_kmeans_too_few_distinct_points():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_kmeans_rejects_non_finite_points(bad, monkeypatch):
     monkeypatch.setattr(spectral, "_kmeanspp_init", None)  # must not be reached
-    pts = np.array([[0.0], [bad], [1.0]])
+    pts = np.array([[0.0, 0.0], [bad, 0.0], [1.0, 0.0]])
     with pytest.raises(NumericError, match="NaN or inf"):
         kmeans(pts, 2, [0])
 
@@ -277,16 +281,16 @@ def test_kmeans_rejects_non_finite_points(bad, monkeypatch):
 def test_kmeans_rejects_overflowing_distances(monkeypatch):
     monkeypatch.setattr(spectral, "_kmeanspp_init", None)  # must not be reached
     with pytest.raises(NumericError, match="overflow"):
-        kmeans(np.array([[0.0], [1e200], [2e200]]), 2, [0])
+        kmeans(np.array([[0.0, 0.0], [1e200, 0.0], [2e200, 0.0]]), 2, [0])
 
 
 @st.composite
 def _kmeans_case(draw):
     # d >= 8 reaches the 8-accumulator order of the distance sums, and
     # d = k = 30 is the shape of a 30-candidate evaluate
-    n = draw(st.integers(1, 60))
-    d = draw(st.integers(1, 32))
-    k = draw(st.integers(1, min(n, 32)))
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(2, 32))
+    k = draw(st.integers(2, min(n, 32)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.standard_normal((n, d))
     if draw(st.booleans()):
@@ -314,7 +318,7 @@ def test_kmeans_labels_equal_one_restart_at_a_time(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 60), st.integers(1, 32), st.integers(1, 32), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 60), st.integers(2, 32), st.integers(1, 32), st.integers(0, 2**32 - 1))
 def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
     # inertia bits move with any change in how distances or means are
     # summed, also where the winning labels do not; d >= 8 reaches NumPy's
@@ -338,7 +342,7 @@ def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
 def test_kmeans_retries_collapsed_restarts_like_the_reference(monkeypatch):
     # with seed 0, two restarts on these points lose a cluster mid-Lloyd;
     # seeds 1 and 2 lose none, so only seed 0 draws in the second round
-    pts = np.array([[0.0], [6.0], [22.0], [24.0], [25.0], [39.0]])
+    pts = np.array([[0.0, 0], [6, 0], [22, 0], [24, 0], [25, 0], [39, 0]])
     lloyd = spectral._lloyd
     for seeds in ([0], [0, 1, 2]):
         collapsed, batches = [], []
@@ -355,14 +359,14 @@ def test_kmeans_retries_collapsed_restarts_like_the_reference(monkeypatch):
         assert batches == [10 * len(seeds), 2]  # one Lloyd pass per round
 
 
-@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("k", range(2, 6))
 @pytest.mark.parametrize("seeds", [[0], [1], [2], [0, 1, 2]], ids=["0", "1", "2", "0,1,2"])
 def test_kmeans_underflow_fallback_like_the_reference(k, seeds):
     # the squared distances among 0, 1e-200 and 2e-200 underflow to 0: once
     # one of them, 1 and 2 are centers, every d2 is 0 and the next center
     # comes from the fallback without a draw; at k >= 4 every restart then
     # collapses on the tied distances and both give up
-    pts = np.array([[0.0], [1e-200], [2e-200], [1.0], [2.0]])
+    pts = np.array([[0.0, 0], [1e-200, 0], [2e-200, 0], [1, 0], [2, 0]])
     _assert_kmeans_matches_naive(pts, k, seeds)
 
 
