@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -14,7 +15,6 @@ import click
 
 from . import feature_graph as fg
 from .cost_model import SizeModel
-from .metrics import report_to_json_str
 from .oracle import MAX_VERTICES, brute_force_best
 from .pipeline import (
     DEFAULT_MODES,
@@ -24,7 +24,7 @@ from .pipeline import (
     sweep,
     write_sweep_outputs,
 )
-from .records import ArgumentError
+from .records import ArgumentError, write_json
 from .spectral import NumericError
 from .synth import SynthSpec, synth_generate
 
@@ -59,13 +59,17 @@ def _parse_size_model(pairs: tuple[str, ...]) -> SizeModel:
         raise click.UsageError(f"--size-model: {exc}") from exc
 
 
-def _load(calls_path, perf_path, catalog_path, size_model, raw_attrs) -> PipelineInputs:
-    """The inputs the common options name."""
-    return PipelineInputs.load(calls_path, perf_path, catalog_path,
-                               _parse_size_model(size_model), not raw_attrs)
+def _inputs(command):
+    """Give ``command`` the five input options; it receives the
+    ``PipelineInputs`` they name as ``inputs``. --size-model is parsed
+    first, so a bad model is a usage error before any log is read."""
 
+    @functools.wraps(command)
+    def fn(calls_path, perf_path, catalog_path, size_model, raw_attrs, **kwargs):
+        model = _parse_size_model(size_model)
+        return command(PipelineInputs.load(calls_path, perf_path, catalog_path, model,
+                                           not raw_attrs), **kwargs)
 
-def _common_options(fn):
     fn = click.option("--calls", "calls_path", required=True,
                       type=click.Path(dir_okay=False), help="Call log CSV.")(fn)
     fn = click.option("--perf", "perf_path", default=None,
@@ -86,10 +90,9 @@ def cli():
 
 
 @cli.command("ingest-check")
-@_common_options
-def ingest_check(calls_path, perf_path, catalog_path, size_model, raw_attrs):
+@_inputs
+def ingest_check(inputs):
     """Parse inputs and report counts; fail loudly on malformed data."""
-    inputs = _load(calls_path, perf_path, catalog_path, size_model, raw_attrs)
     click.echo(f"call records: {len(inputs.calls)} ({inputs.graph.self_calls_dropped} self-call)")
     click.echo(f"perf records: {len(inputs.perf)}")
     click.echo(f"classes:      {len(inputs.graph.vertices)}")
@@ -97,50 +100,46 @@ def ingest_check(calls_path, perf_path, catalog_path, size_model, raw_attrs):
 
 
 @cli.command("build-graph")
-@_common_options
+@_inputs
 @click.option("--mode", type=click.Choice(MODES), default="fusion", show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def build_graph(calls_path, perf_path, catalog_path, size_model, raw_attrs, mode, out_dir):
+def build_graph(inputs, mode, out_dir):
     """Build the class-level feature graph and export it."""
-    inputs = _load(calls_path, perf_path, catalog_path, size_model, raw_attrs)
     g = inputs.mode_graph(mode)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fg.write_edge_list(g, out / "graph_edges.csv")
-    fg.write_graph_json(g, out / "graph.json", None if mode == "static" else inputs.attrs)
+    write_json(fg.graph_to_json(g, None if mode == "static" else inputs.attrs),
+               out / "graph.json")
     if inputs.core.vertices:
         fg.write_affinity_csv(inputs.mode_core(mode), out / "affinity.csv")
     click.echo(f"wrote graph exports to {out}")
 
 
 @cli.command("evaluate")
-@_common_options
+@_inputs
 @click.option("--mode", type=click.Choice(MODES), default="fusion", show_default=True)
 @click.option("--k", type=click.IntRange(min=2), required=True)
 @click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
-def evaluate(calls_path, perf_path, catalog_path, size_model, raw_attrs,
-             mode, k, seed, out_dir, fmt):
+def evaluate(inputs, mode, k, seed, out_dir, fmt):
     """Cluster and score: writes partition plus a quality report."""
-    inputs = _load(calls_path, perf_path, catalog_path, size_model, raw_attrs)
     inputs.check_k(k, "--k")
     partition, report = run_pipeline(inputs, mode, k, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "partition.json").write_text(json.dumps(partition.to_json(seed=seed), indent=2,
-                                                   sort_keys=True) + "\n", encoding="utf-8")
+    write_json({**partition.to_json(), "seed": seed}, out / "partition.json")
     if fmt == "csv":
-        (out / "report.csv").write_text(
-            report.csv_header() + "\n" + report.to_csv_row() + "\n", encoding="utf-8")
+        (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     else:
-        (out / "report.json").write_text(report_to_json_str(report), encoding="utf-8")
+        write_json(report.to_json(), out / "report.json")
     click.echo(f"MQ={report.mq:.4f} MQw={report.mqw:.4f} cut={report.cut:.2f}")
 
 
 @cli.command("sweep")
-@_common_options
+@_inputs
 @click.option("--modes", default=",".join(DEFAULT_MODES), show_default=True,
               help="Comma-separated subset of static,fusion,dynamic.")
 @click.option("--k-min", type=click.IntRange(min=2), default=2, show_default=True)
@@ -149,11 +148,9 @@ def evaluate(calls_path, perf_path, catalog_path, size_model, raw_attrs,
 @click.option("--seed", "base_seed", type=click.IntRange(0, 2 ** 63 - 1), default=0,
               show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
-              modes, k_min, k_max, epochs, base_seed, out_dir):
+def sweep_cmd(inputs, modes, k_min, k_max, epochs, base_seed, out_dir):
     """Run the k-sweep / epoch / median protocol and write sweep tables."""
     mode_list = tuple(m.strip() for m in modes.split(",") if m.strip())
-    inputs = _load(calls_path, perf_path, catalog_path, size_model, raw_attrs)
     inputs.check_k(k_max, "--k-max")
     result = sweep(inputs, mode_list, k_min, k_max, epochs, base_seed)
     write_sweep_outputs(result, out_dir)
@@ -172,31 +169,20 @@ def sweep_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
               help="Make perf attributes correlate with the planted blocks.")
 @click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def synth(n_classes, n_blocks, intra_call_prob, inter_call_prob,
-          block_correlated_perf, seed, out_dir):
+def synth(out_dir, **spec):
     """Generate a synthetic legacy system with a planted block structure."""
-    spec = SynthSpec(
-        n_classes=n_classes,
-        n_blocks=n_blocks,
-        intra_call_prob=intra_call_prob,
-        inter_call_prob=inter_call_prob,
-        block_correlated_perf=block_correlated_perf,
-        seed=seed,
-    )
-    calls_path, perf_path, truth_path = synth_generate(spec, out_dir)
+    calls_path, perf_path, truth_path = synth_generate(SynthSpec(**spec), out_dir)
     click.echo(f"wrote {calls_path}, {perf_path}, {truth_path}")
 
 
 @cli.command("oracle")
-@_common_options
+@_inputs
 @click.option("--mode", type=click.Choice(MODES), default="static", show_default=True)
 @click.option("--k", type=click.IntRange(min=1), required=True)
 @click.option("--objective", type=click.Choice(["mqw", "cut"]), default="mqw",
               show_default=True)
-def oracle_cmd(calls_path, perf_path, catalog_path, size_model, raw_attrs,
-               mode, k, objective):
+def oracle_cmd(inputs, mode, k, objective):
     """Exhaustive best partition of a small system (<= 10 classes)."""
-    inputs = _load(calls_path, perf_path, catalog_path, size_model, raw_attrs)
     if inputs.check_k(k, "--k") > MAX_VERTICES:
         raise ValueError(f"--calls: more than {MAX_VERTICES} non-isolated classes for the oracle")
     partition, value = brute_force_best(inputs.mode_graph(mode), k, objective)

@@ -5,7 +5,6 @@ the clusterer builds its Laplacian."""
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -169,11 +168,6 @@ def graph_to_json(g: FeatureGraph, attrs: np.ndarray | None = None) -> dict:
             v: {"cpu_time": t, "retained": r} for v, (t, r) in zip(g.vertices, attrs.tolist())
         }
     return doc
-
-
-def write_graph_json(g: FeatureGraph, path: str | Path, attrs: np.ndarray | None = None) -> None:
-    Path(path).write_text(json.dumps(graph_to_json(g, attrs), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 def write_affinity_csv(g: FeatureGraph, path: str | Path) -> None:

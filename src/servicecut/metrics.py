@@ -14,7 +14,6 @@ Unassigned (isolated) vertices are excluded from scoring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -37,14 +36,6 @@ class QualityReport:
     k: int
     mode: str
 
-    @property
-    def mean_coh_w(self) -> float:
-        return sum(self.coh_w) / len(self.coh_w)
-
-    @property
-    def mean_cop_w(self) -> float:
-        return sum(self.cop_w.values()) / len(self.cop_w) if self.cop_w else 0.0
-
     def to_json(self) -> dict:
         return {
             "k": self.k,
@@ -58,15 +49,13 @@ class QualityReport:
             "cut": self.cut,
         }
 
-    def to_csv_row(self) -> str:
-        return ",".join(
-            [self.mode, str(self.k)]
-            + [repr(x) for x in (self.mean_coh_w, self.mean_cop_w, self.mqw, self.mq, self.cut)]
-        )
-
-    @staticmethod
-    def csv_header() -> str:
-        return "mode,k,coh_w,cop_w,MQw,MQ,cut"
+    def to_csv(self) -> str:
+        """The header and one row: the mean weighted cohesion and coupling,
+        MQw, MQ and the cut."""
+        coh_w = sum(self.coh_w) / len(self.coh_w)
+        cop_w = sum(self.cop_w.values()) / len(self.cop_w) if self.cop_w else 0.0
+        values = ",".join(repr(x) for x in (coh_w, cop_w, self.mqw, self.mq, self.cut))
+        return f"mode,k,coh_w,cop_w,MQw,MQ,cut\n{self.mode},{self.k},{values}\n"
 
 
 def label_stats(labels: np.ndarray, k: int, g: FeatureGraph):
@@ -153,7 +142,3 @@ def score(p: Partition, g: FeatureGraph, mode: str) -> QualityReport:
         coh_w=coh_w[0].tolist(), cop_w=dict(zip(pairs, cop_w[0].tolist())),
         mqw=float(mqw_value[0]), cut=float(cut[0]), k=p.k, mode=mode,
     )
-
-
-def report_to_json_str(report: QualityReport) -> str:
-    return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"

@@ -5,7 +5,6 @@ seeding so epochs can run in any order with unchanged results."""
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import statistics
 from dataclasses import dataclass, field, replace
@@ -24,6 +23,7 @@ from .records import (
     parse_call_log,
     parse_perf_log,
     parse_type_catalog,
+    write_json,
 )
 from .spectral import Partition, embed, extract_candidates, first_occurrence, kmeans
 
@@ -227,8 +227,7 @@ def write_sweep_outputs(result: SweepResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(result.to_csv(), encoding="utf-8")
-    (out / "sweep.json").write_text(
-        json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(result.to_json(), out / "sweep.json")
 
 
 def partition_accuracy(pred: dict[str, int], truth: dict[str, int]) -> float:

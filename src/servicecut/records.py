@@ -1,4 +1,5 @@
-"""Parsing of call-relationship logs, performance logs, and type catalogs.
+"""Parsing of call-relationship logs, performance logs, and type catalogs;
+writing of the two logs and of every JSON output file.
 
 Call log: CSV with columns
     caller_method,callee_method,caller_class,callee_class,caller_params,callee_params
@@ -15,6 +16,7 @@ Type catalog: an indented tree format, see :func:`parse_type_catalog`.
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import math
 import re
@@ -350,7 +352,7 @@ def parse_type_catalog(path: str | Path | None) -> TypeCatalog:
     return catalog
 
 
-# --- serialization (round-trip support, used by the synthetic generator) ----
+# --- serialization: the logs (round-trip support) and every JSON output file
 
 
 def format_params(params: tuple[TypeRef, ...]) -> str:
@@ -373,3 +375,9 @@ def write_perf_log(records: list[PerfRecord], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(PERF_HEADER)
         writer.writerows([r.class_id, repr(r.cpu_time), repr(r.retained_bytes)] for r in records)
+
+
+def write_json(doc: dict, path: str | Path) -> None:
+    """Write ``doc`` as every JSON output file is written: UTF-8, sorted keys,
+    two-space indent and one final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -46,15 +46,12 @@ class Partition:
             groups[self.labels[v]].append(v)
         return groups
 
-    def to_json(self, seed: int | None = None) -> dict:
-        doc = {
+    def to_json(self) -> dict:
+        return {
             "k": self.k,
             "candidates": self.candidates(),
             "unassigned": sorted(self.unassigned),
         }
-        if seed is not None:
-            doc["seed"] = seed
-        return doc
 
 
 def build_laplacian(g: FeatureGraph) -> sp.csr_array:

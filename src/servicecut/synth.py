@@ -7,13 +7,20 @@ connected; extra intra- and inter-block calls are sampled independently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .records import ArgumentError, CallRecord, PerfRecord, TypeRef, write_call_log, write_perf_log
+from .records import (
+    ArgumentError,
+    CallRecord,
+    PerfRecord,
+    TypeRef,
+    write_call_log,
+    write_json,
+    write_perf_log,
+)
 
 DEFAULT_PARAM_POOL = ("int", "long", "double", "boolean", "String", "int[]", "byte[]")
 METHODS_PER_CLASS = 3
@@ -128,6 +135,5 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> tuple[Path, Path, Pa
     blocks: list[list[str]] = [[] for _ in range(spec.n_blocks)]
     for c in sorted(truth):
         blocks[truth[c]].append(c)
-    truth_path.write_text(json.dumps({"n_blocks": spec.n_blocks, "blocks": blocks}, indent=2,
-                                     sort_keys=True) + "\n", encoding="utf-8")
+    write_json({"n_blocks": spec.n_blocks, "blocks": blocks}, truth_path)
     return calls_path, perf_path, truth_path

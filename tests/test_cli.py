@@ -306,6 +306,23 @@ def test_every_argument_the_library_rejects_names_a_cli_flag():
     assert reached == sites
 
 
+_INPUTS = ["--raw-attrs", "--size-model", "--type-catalog", "--perf", "--calls"]
+
+
+def test_each_command_declares_its_options_in_the_published_order():
+    # the order --help lists them in; every log-reading command takes the
+    # five input options first, and synth none of them
+    assert {name: [p.opts[0] for p in c.params] for name, c in cli.cli.commands.items()} == {
+        "ingest-check": _INPUTS,
+        "build-graph": _INPUTS + ["--mode", "--out"],
+        "evaluate": _INPUTS + ["--mode", "--k", "--seed", "--out", "--format"],
+        "sweep": _INPUTS + ["--modes", "--k-min", "--k-max", "--epochs", "--seed", "--out"],
+        "synth": ["--n-classes", "--n-blocks", "--intra", "--inter", "--block-correlated-perf",
+                  "--seed", "--out"],
+        "oracle": _INPUTS + ["--mode", "--k", "--objective"],
+    }
+
+
 def test_overflowing_weights_are_data_errors_naming_their_sources(tmp_path, capsys):
     calls = tmp_path / "calls.csv"
     calls.write_text("f,g,A,B,,Blob\ng,f,B,A,,\n")

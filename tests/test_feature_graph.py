@@ -9,17 +9,24 @@ from naive_oracles import naive_affinity, naive_build_class_graph
 from servicecut.feature_graph import (
     FeatureGraph,
     build_class_graph,
+    graph_to_json,
     split_core,
     to_affinity,
     write_affinity_csv,
     write_edge_list,
-    write_graph_json,
 )
 from servicecut import feature_graph
 from servicecut.cost_model import SizeModel, edge_cost
 from servicecut.metrics import score
 from servicecut.pipeline import MODES, PipelineInputs, mode_weights
-from servicecut.records import CallRecord, OpaqueLayout, PerfRecord, TypeCatalog, TypeRef
+from servicecut.records import (
+    CallRecord,
+    OpaqueLayout,
+    PerfRecord,
+    TypeCatalog,
+    TypeRef,
+    write_json,
+)
 from servicecut.spectral import build_laplacian, extract_candidates
 from servicecut.synth import SynthSpec, generate_system
 
@@ -310,7 +317,7 @@ def test_exports(tmp_path):
     inputs = _class_inputs([PerfRecord("A", 10, 20)])
     g = inputs.graph
     write_edge_list(g, tmp_path / "edges.csv")
-    write_graph_json(g, tmp_path / "graph.json", inputs.attrs)
+    write_json(graph_to_json(g, inputs.attrs), tmp_path / "graph.json")
     write_affinity_csv(g, tmp_path / "aff.csv")
     assert (tmp_path / "edges.csv").read_text().splitlines()[0] == "src,dst,weight"
     doc = json.loads((tmp_path / "graph.json").read_text())

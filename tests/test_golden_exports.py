@@ -1,10 +1,15 @@
-"""Golden ``build-graph`` exports of a hand-written five-class system.
+"""Golden ``build-graph``, ``evaluate`` and ``sweep`` outputs of a
+hand-written five-class system.
 
 ``Audit`` only calls itself, so it is an isolated vertex: it is listed in
 ``graph.json`` (and, with its CPU time, sets the normalization maximum) but has
-no row in ``affinity.csv``. ``Stock`` has no perf row. The catalog declares one
-``object`` type, whose ``String`` field falls back to the default cost, and one
-``opaque`` type. Every weight is written as a plain float literal.
+no row in ``affinity.csv`` and is ``unassigned`` in ``partition.json``.
+``Stock`` has no perf row. The catalog declares one ``object`` type, whose
+``String`` field falls back to the default cost, and one ``opaque`` type.
+Every weight is written as a plain float literal. The core is a weighted path
+Mailer - Payment - Order - Stock, whose Laplacian is an irreducible
+tridiagonal matrix in path order, so its eigenvalues are distinct and
+the candidates do not depend on the eigensolver's choice of basis.
 """
 
 import pytest
@@ -233,15 +238,145 @@ Stock,0.0,3.5,0.0,0.0\r\n\
 }
 
 
-@pytest.mark.parametrize("mode", sorted(EXPECTED))
-def test_build_graph_exports_equal_the_golden_text(tmp_path, mode):
+#: evaluate --mode fusion --k 2 --seed 0 (report.csv with --format csv)
+EVALUATE = {
+    "partition.json": """\
+{
+  "candidates": [
+    [
+      "Mailer",
+      "Payment"
+    ],
+    [
+      "Order",
+      "Stock"
+    ]
+  ],
+  "k": 2,
+  "seed": 0,
+  "unassigned": [
+    "Audit"
+  ]
+}
+""",
+    "report.json": """\
+{
+  "MQ": 0.25,
+  "MQw": 0.07373817448614428,
+  "coh": [
+    0.25,
+    0.5
+  ],
+  "coh_w": [
+    0.974960876369327,
+    0.9835390946502057
+  ],
+  "cop": {
+    "0,1": 0.125
+  },
+  "cop_w": {
+    "0,1": 0.9055118110236221
+  },
+  "cut": 67.08333333333334,
+  "k": 2,
+  "mode": "fusion"
+}
+""",
+    "report.csv": """\
+mode,k,coh_w,cop_w,MQw,MQ,cut
+fusion,2,0.9792499855097664,0.9055118110236221,0.07373817448614428,0.25,67.08333333333334
+""",
+}
+
+#: sweep --k-max 3 --epochs 3
+SWEEP = {
+    "sweep.json": """\
+{
+  "base_seed": 0,
+  "best_k": {
+    "fusion": 2,
+    "static": 2
+  },
+  "epoch_values": {
+    "fusion,2": [
+      0.07373817448614428,
+      0.07373817448614428,
+      0.07373817448614428
+    ],
+    "fusion,3": [
+      -0.3337687180449572,
+      -0.3337687180449572,
+      -0.3337687180449572
+    ],
+    "static,2": [
+      0.10151991614255762,
+      0.10151991614255762,
+      0.10151991614255762
+    ],
+    "static,3": [
+      -0.3221844293272865,
+      -0.3221844293272865,
+      -0.3221844293272865
+    ]
+  },
+  "epochs": 3,
+  "k_max": 3,
+  "k_min": 2,
+  "medians": {
+    "fusion,2": 0.07373817448614428,
+    "fusion,3": -0.3337687180449572,
+    "static,2": 0.10151991614255762,
+    "static,3": -0.3221844293272865
+  },
+  "modes": [
+    "static",
+    "fusion"
+  ]
+}
+""",
+    "sweep.csv": """\
+mode,k,median_mqw
+fusion,2,0.07373817448614428
+fusion,3,-0.3337687180449572
+static,2,0.10151991614255762
+static,3,-0.3221844293272865
+""",
+}
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """The --calls, --perf and --type-catalog arguments of the system."""
     (tmp_path / "calls.csv").write_text(CALLS)
     (tmp_path / "perf.csv").write_text(PERF)
     (tmp_path / "types.txt").write_text(CATALOG)
-    out = tmp_path / "out"
-    assert main(["build-graph", "--calls", str(tmp_path / "calls.csv"),
-                 "--perf", str(tmp_path / "perf.csv"),
-                 "--type-catalog", str(tmp_path / "types.txt"),
-                 "--mode", mode, "--out", str(out)]) == 0
-    for name, text in EXPECTED[mode].items():
+    return ["--calls", str(tmp_path / "calls.csv"), "--perf", str(tmp_path / "perf.csv"),
+            "--type-catalog", str(tmp_path / "types.txt")]
+
+
+def assert_golden(out, expected):
+    for name, text in expected.items():
         assert (out / name).read_bytes().decode() == text, name
+
+
+@pytest.mark.parametrize("mode", sorted(EXPECTED))
+def test_build_graph_exports_equal_the_golden_text(tmp_path, inputs, mode):
+    out = tmp_path / "out"
+    assert main(["build-graph", *inputs, "--mode", mode, "--out", str(out)]) == 0
+    assert_golden(out, EXPECTED[mode])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_evaluate_outputs_equal_the_golden_text(tmp_path, inputs, fmt):
+    out = tmp_path / "out"
+    assert main(["evaluate", *inputs, "--mode", "fusion", "--k", "2", "--seed", "0",
+                 "--format", fmt, "--out", str(out)]) == 0
+    report = "report.csv" if fmt == "csv" else "report.json"
+    assert_golden(out, {name: EVALUATE[name] for name in ("partition.json", report)})
+    assert not (out / ("report.json" if fmt == "csv" else "report.csv")).exists()
+
+
+def test_sweep_outputs_equal_the_golden_text(tmp_path, inputs):
+    out = tmp_path / "out"
+    assert main(["sweep", *inputs, "--k-max", "3", "--epochs", "3", "--out", str(out)]) == 0
+    assert_golden(out, SWEEP)
