@@ -55,20 +55,18 @@ class SizeModel:
         return -(-size // self.alignment) * self.alignment
 
 
-def api_estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel | None = None) -> int:
+def api_estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel = SizeModel()) -> int:
     """Estimated serialized size, in bytes, of one parameter of type ``t``.
 
     Unknown type names cost ``default_unknown`` rather than failing, so an
     incomplete catalog degrades gracefully.
     """
-    model = model or SizeModel()
     return _estimate(t, catalog, model, depth=0, visiting=frozenset(), memo={})
 
 
 def edge_cost(callee_params: list[TypeRef] | tuple[TypeRef, ...], catalog: TypeCatalog,
-              model: SizeModel | None = None) -> int:
+              model: SizeModel = SizeModel()) -> int:
     """Weight of one method-call edge: total parameter overhead plus one."""
-    model = model or SizeModel()
     return sum(api_estimate(p, catalog, model) for p in callee_params) + 1
 
 

@@ -64,7 +64,7 @@ class FeatureGraph:
 
 
 def build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
-                      model: SizeModel | None = None) -> FeatureGraph:
+                      model: SizeModel = SizeModel()) -> FeatureGraph:
     """Build the class-level digraph keyed on the records' class fields.
     Repeated (caller_class, callee_class) pairs accumulate by weight
     summation; intra-class calls add no edge, so a class seen only in them
@@ -73,7 +73,6 @@ def build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
     are numbered as first seen, and ``np.bincount`` adds each pair's costs
     one row at a time, in row order: count x cost would round differently
     once the sum passes 2**53."""
-    model = model or SizeModel()
     code: dict[str, int] = {}
     costs: dict[tuple[TypeRef, ...], float] = {}
     callers: list[int] = []

@@ -69,7 +69,7 @@ class PipelineInputs:
     calls: list[CallRecord]
     perf: list[PerfRecord]
     catalog: TypeCatalog
-    model: SizeModel | None = None
+    model: SizeModel = SizeModel()
     normalize: bool = True
     graph: FeatureGraph = field(init=False)
     core: FeatureGraph = field(init=False)
@@ -93,7 +93,7 @@ class PipelineInputs:
 
     @classmethod
     def load(cls, calls_path, perf_path=None, catalog_path=None,
-             model: SizeModel | None = None, normalize: bool = True) -> "PipelineInputs":
+             model: SizeModel = SizeModel(), normalize: bool = True) -> "PipelineInputs":
         return cls(
             calls=parse_call_log(calls_path),
             perf=parse_perf_log(perf_path) if perf_path else [],

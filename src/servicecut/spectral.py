@@ -75,8 +75,7 @@ _DENSE_MAX_N = 1000
 
 def embed(g: FeatureGraph, k: int) -> Embedding:
     """Eigenpairs of the k smallest eigenvalues of the Laplacian of ``g``,
-    ascending, with a deterministic sign convention (first nonzero
-    coordinate positive); row i belongs to ``g.vertices[i]``.
+    ascending; row i belongs to ``g.vertices[i]``.
 
     Graphs above ``_DENSE_MAX_N`` vertices are solved by Lanczos; if it does
     not converge, or its eigenpairs fail the residual or kernel check, the
@@ -88,7 +87,7 @@ def embed(g: FeatureGraph, k: int) -> Embedding:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if n > _DENSE_MAX_N and k + 1 < n:
         try:
-            emb = _signed(*_lanczos(L, k))
+            emb = _lanczos(L, k)
             _check_residuals(L, emb)
             _check_kernel(L, emb)
             return emb
@@ -98,12 +97,13 @@ def embed(g: FeatureGraph, k: int) -> Embedding:
         eigenvalues, vectors = np.linalg.eigh(L.toarray())
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    emb = _signed(eigenvalues[:k], vectors[:, :k])
+    # a copy of the k columns releases the dense n x n eigenvectors
+    emb = Embedding(vectors[:, :k].copy(), eigenvalues[:k])
     _check_residuals(L, emb)
     return emb
 
 
-def _lanczos(L: sp.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _lanczos(L: sp.csr_array, k: int) -> Embedding:
     """The k smallest eigenpairs of L, ascending, as the k largest of
     c*I - L with c = 2 * max degree, which bounds L's spectrum (Gershgorin),
     so the wanted end is the largest and no factorization is needed."""
@@ -115,17 +115,8 @@ def _lanczos(L: sp.csr_array, k: int) -> tuple[np.ndarray, np.ndarray]:
     v0 = np.random.default_rng(0).standard_normal(n)
     mu, vectors = eigsh(sp.eye_array(n, format="csr") * c - L, k=k, which="LA",
                         tol=1e-12, v0=v0)
-    return (c - mu)[::-1], vectors[:, ::-1]
-
-
-def _signed(eigenvalues: np.ndarray, vectors: np.ndarray) -> Embedding:
-    U = vectors.copy()
-    for col in range(U.shape[1]):
-        v = U[:, col]
-        nonzero = np.flatnonzero(np.abs(v) > 1e-12 * max(1.0, np.abs(v).max()))
-        if nonzero.size and v[nonzero[0]] < 0:
-            U[:, col] = -v
-    return Embedding(U, eigenvalues.copy())
+    # contiguous rows for k-means
+    return Embedding(vectors[:, ::-1].copy(), (c - mu)[::-1])
 
 
 def _scale(L: sp.csr_array) -> float:
@@ -218,7 +209,7 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
             for group in drawers for lo in range(0, group.size, seeding)])
         attempts += pending
         for lo in range(0, owner.size, batch):
-            results = _lloyd(pts, centers[lo:lo + batch], _MAX_ITER)
+            results = _lloyd(pts, centers[lo:lo + batch])
             for s, (labels, inertia) in zip(owner[lo:lo + batch], results):
                 if labels is None:
                     continue  # empty-cluster collapse; retried in the next round
@@ -368,19 +359,18 @@ def _assign(pts: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarr
     return labels
 
 
-def _lloyd(pts: np.ndarray, centers: np.ndarray,
-           max_iter: int) -> list[tuple[np.ndarray | None, float]]:
+def _lloyd(pts: np.ndarray, centers: np.ndarray) -> list[tuple[np.ndarray | None, float]]:
     """Lloyd iterations of R restarts at once from (R, k, d) ``centers``,
     which are updated in place. A restart stops when its labels stop
     changing, when a cluster goes empty (its labels are then None) or at
-    ``max_iter``. Returns (labels, inertia) per restart."""
+    ``_MAX_ITER``. Returns (labels, inertia) per restart."""
     R, k, _ = centers.shape
     labels = np.full((R, pts.shape[0]), -1)
     collapsed = np.zeros(R, dtype=bool)
     live = np.arange(R)
     with np.errstate(over="ignore"):  # an overflowed norm fails every certificate
         norms = np.sqrt((pts ** 2).sum(axis=1))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if not live.size:
             break
         new = _assign(pts, norms, centers[live])
@@ -415,10 +405,8 @@ def _centroids(pts: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.nd
 def extract_candidates(g: FeatureGraph, k: int, seed: int) -> Partition:
     """End-to-end on a graph without isolated vertices: smallest-k embedding,
     k-means, canonical relabeling (clusters renumbered by smallest contained
-    vertex id)."""
-    n = len(g.vertices)
-    if not 2 <= k <= n:
-        raise ValueError(f"k must be in [2, {n}], got {k}")
+    vertex id). A k outside [2, n] is a ValueError from ``embed`` or
+    ``kmeans``."""
     labels = first_occurrence(kmeans(embed(g, k).U, k, [seed]), k)[0]
     return Partition(dict(zip(g.vertices, labels.tolist())), k)
 

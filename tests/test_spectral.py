@@ -79,7 +79,6 @@ def test_embed_k1_constant_vector_for_connected_graph():
     emb = embed(matrix_graph([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), 1)
     assert emb.eigenvalues[0] == pytest.approx(0, abs=1e-8)
     assert np.allclose(emb.U[:, 0], emb.U[0, 0])
-    assert emb.U[0, 0] > 0  # sign convention
 
 
 def test_embed_two_components_kernel_structure():
@@ -331,7 +330,7 @@ def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
     expected = [_naive_lloyd_once(pts, k, np.random.default_rng(seed + r), spectral._MAX_ITER)
                 for r in range(4)]
     inits = spectral._kmeanspp_init(pts, k, [np.random.default_rng(seed + r) for r in range(4)])
-    got = spectral._lloyd(pts, inits, spectral._MAX_ITER)
+    got = spectral._lloyd(pts, inits)
     for (labels, inertia), (labels_ref, inertia_ref) in zip(got, expected):
         assert inertia == inertia_ref
         assert (labels is None) == (labels_ref is None)
@@ -357,6 +356,58 @@ def test_kmeans_retries_collapsed_restarts_like_the_reference(monkeypatch):
         _assert_kmeans_matches_naive(pts, 3, seeds)
         assert sum(collapsed) == 2
         assert batches == [10 * len(seeds), 2]  # one Lloyd pass per round
+
+
+def _points_with_zeros(d, grid):
+    """40 points in d dimensions with exact zeros and an all-zero column;
+    on a small integer ``grid``, distances tie exactly."""
+    rng = np.random.default_rng(d)
+    pts = rng.integers(-2, 3, (40, d)).astype(float) if grid else rng.standard_normal((40, d))
+    pts[rng.random((40, d)) < 0.2] = 0.0
+    pts[:, 1] = 0.0
+    return pts
+
+
+_SIGN_CASES = {
+    # d < 8, 8 <= d <= 128 and d > 128: the three summation orders of
+    # _column_sum; grid points reach _assign's direct-form fallback
+    **{f"d{d}-{kind}": (_points_with_zeros(d, kind == "grid"), 5, kind == "grid", False)
+       for d in (3, 30, 140) for kind in ("normal", "grid")},
+    "collapsing": (np.array([[0.0, 0], [6, 0], [22, 0], [24, 0], [25, 0], [39, 0]]), 3,
+                   False, True),
+}
+
+
+@pytest.mark.parametrize("case", _SIGN_CASES.values(), ids=_SIGN_CASES.keys())
+def test_kmeans_labels_ignore_column_signs(case, monkeypatch):
+    # embed fixes no eigenvector sign: negating a column negates its
+    # differences exactly and leaves every square, every product of two
+    # negated factors and every sum of them bit-equal, so the seeding CDF,
+    # the certified and direct-form argmins, the inertia and the labels
+    # do not change
+    pts, k, ties, collapses = case
+    uncertified, collapsed = [], []
+    certify, lloyd = spectral._certified_labels, spectral._lloyd
+
+    def counting_certify(*args):
+        labels, certified = certify(*args)
+        uncertified.append(int((~certified).sum()))
+        return labels, certified
+
+    def counting_lloyd(*args):
+        results = lloyd(*args)
+        collapsed.extend(labels is None for labels, _ in results)
+        return results
+
+    monkeypatch.setattr(spectral, "_certified_labels", counting_certify)
+    monkeypatch.setattr(spectral, "_lloyd", counting_lloyd)
+    seeds = [0, 1, 2]
+    expected = kmeans(pts, k, seeds)
+    rng = np.random.default_rng(0)
+    for signs in [-np.ones(pts.shape[1]), *rng.choice([-1.0, 1.0], (4, pts.shape[1]))]:
+        assert kmeans(pts * signs, k, seeds).tobytes() == expected.tobytes()
+    assert (sum(uncertified) > 0) == ties
+    assert any(collapsed) == collapses
 
 
 @pytest.mark.parametrize("k", range(2, 6))
