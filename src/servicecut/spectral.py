@@ -3,7 +3,7 @@ smallest-k eigenvector embedding, seeded k-means on the embedded rows."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,10 +141,14 @@ def _check_kernel(L: sp.csr_array, emb: Embedding, tol: float = 1e-6) -> None:
         raise NumericError(f"{zeros} zero eigenvalues found for {components} components")
 
 
-# Seeds per k-means++ batch are capped so its column-wise distance pass holds
-# about this many float64 values (1 MiB) in its terms and accumulators, and
-# restarts per Lloyd batch by the same n * k * d product; a Lloyd pass runs
-# its direct-form fallback in chunks of about this many terms. See ``kmeans``.
+# About this many float64 values (1 MiB) bound each batch of ``kmeans``: the
+# point-distance table exists only when its n * n values fit, and seeds per
+# k-means++ batch, like the table's chunks, are capped so a column-wise
+# distance pass holds about this many in its terms and accumulators. A Lloyd
+# pass of R restarts holds F and its float mask, (R, k, n) each, at once, and
+# (R, n, d) arrays for its means and inertia, so restarts per Lloyd batch are
+# capped at half of it over n * max(k, d); a pass runs its direct-form
+# fallback in chunks of about this many terms.
 _BATCH_VALUES = 2 ** 17
 _RESTARTS = 10  # Lloyd runs kept per seed
 _MAX_ITER = 300  # Lloyd iterations per run
@@ -164,10 +168,17 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     restarts collapse draws its retries in the next round. The k-means++
     centers of one attempt index are drawn for all seeds at once, up to
     ``_BATCH_VALUES // (n * d)`` seeds per batch, and the round's Lloyd
-    iterations run up to ``_BATCH_VALUES // (n * k * d)`` restarts (at least
-    1) as one array operation, each restart stopping on its own. Lloyd draws
-    nothing from the RNGs, so each seed's draws, and with them its labels,
-    are those of running its restarts one after another.
+    iterations run up to ``_BATCH_VALUES // (2 * n * max(k, d))`` restarts
+    (at least 1) as one array operation, each restart stopping on its own.
+    Lloyd draws nothing from the RNGs, so each seed's draws, and with them
+    its labels, are those of running its restarts one after another.
+
+    Every k-means++ center is one of the points, so seeding reads the
+    squared distances from a center to all points as rows of the points'
+    own distances (``_point_rows``): an (n, n) table built once per call
+    when its n * n values fit in ``_BATCH_VALUES``, else the row of each
+    drawn point summed when it is drawn. Either way a row adds the same
+    terms in the same order, so the draws do not depend on which.
 
     Labels are those of the direct form ``((x - c) ** 2).sum()``, whose
     argmin ties and inertia bits they depend on. A Lloyd pass finds them
@@ -198,14 +209,15 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     runs = np.zeros(len(rngs), dtype=int)
     attempts = np.zeros(len(rngs), dtype=int)
     seeding = max(1, _BATCH_VALUES // (n * d))
-    batch = max(1, _BATCH_VALUES // (n * k * d))
+    rows = _point_rows(pts, seeding)
+    batch = max(1, _BATCH_VALUES // (2 * n * max(k, d)))
     while (pending := np.minimum(_RESTARTS - runs, 4 * _RESTARTS - attempts)).any():
         # the seeds with a j-th pending restart, for j = 0, 1, ...: one row
         # per restart, each seed's rows in its attempt order
         drawers = [np.flatnonzero(pending > j) for j in range(pending.max())]
         owner = np.concatenate(drawers)
         centers = np.concatenate([
-            _kmeanspp_init(pts, k, [rngs[s] for s in group[lo:lo + seeding]])
+            _kmeanspp_init(pts, k, [rngs[s] for s in group[lo:lo + seeding]], rows)
             for group in drawers for lo in range(0, group.size, seeding)])
         attempts += pending
         for lo in range(0, owner.size, batch):
@@ -221,17 +233,32 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     return best_labels
 
 
-def _kmeanspp_init(pts: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
+def _point_rows(pts: np.ndarray, chunk: int) -> Callable[[np.ndarray], np.ndarray]:
+    """idx -> the (P, n) squared distances from the points ``pts[idx]`` to
+    all n points, each row as ``_column_sum`` sums it. Rows come from an
+    (n, n) table built in chunks of ``chunk`` rows when its n * n values fit
+    in ``_BATCH_VALUES``, and are summed per call otherwise."""
+    n, d = pts.shape
+    columns = pts.T.copy()
+    if n * n > _BATCH_VALUES:
+        return lambda idx: _column_sum(columns, pts[idx], 0, d)
+    table = np.empty((n, n))
+    for lo in range(0, n, chunk):
+        table[lo:lo + chunk] = _column_sum(columns, pts[lo:lo + chunk], 0, d)
+    return table.__getitem__
+
+
+def _kmeanspp_init(pts: np.ndarray, k: int, rngs: list[np.random.Generator],
+                   rows: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """(P, k, d) k-means++ centers, row p drawn from ``rngs[p]`` as
     ``rng.choice(n, p=d2 / d2.sum())`` would draw each center after the
-    first, without its checks."""
+    first, without its checks; ``rows`` maps (P,) point indices to their
+    (P, n) squared distances to all points (see ``_point_rows``)."""
     n, d = pts.shape
     centers = np.empty((len(rngs), k, d))
-    centers[:, 0] = pts[[rng.integers(n) for rng in rngs]]
-    # the (R, n) squared distances to one center each, from columns laid out
-    # once per batch
-    columns = pts.T.copy()
-    d2 = _column_sum(columns, centers[:, 0], 0, d)
+    idx = np.array([rng.integers(n) for rng in rngs])
+    centers[:, 0] = pts[idx]
+    d2 = rows(idx)  # a fresh array: updated in place below
     for i in range(1, k):
         total = d2.sum(axis=1)
         with np.errstate(invalid="ignore"):  # rows with total 0 take the fallback
@@ -246,7 +273,7 @@ def _kmeanspp_init(pts: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
             taken = {tuple(c) for c in centers[p, :i]}
             idx[p] = next(j for j in range(n) if tuple(pts[j]) not in taken)
         centers[:, i] = pts[idx]
-        np.minimum(d2, _column_sum(columns, centers[:, i], 0, d), out=d2)
+        np.minimum(d2, rows(idx), out=d2)
     return centers
 
 

@@ -316,6 +316,82 @@ def test_kmeans_labels_equal_one_restart_at_a_time(case):
     _assert_kmeans_matches_naive(*case)
 
 
+def _column_sum_rows(pts):
+    """The rows of ``_point_rows`` without its table: each drawn point's
+    squared distances summed when it is drawn."""
+    return lambda idx: spectral._column_sum(pts.T.copy(), pts[idx], 0, pts.shape[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kmeans_case())
+def test_kmeans_labels_without_the_point_table_equal_one_restart_at_a_time(case):
+    # every case has n <= 60, so n * n fits the default budget and seeding
+    # reads the table; a budget below n * n sums each drawn row instead
+    pts, k, seeds = case
+    tables = []
+    init = spectral._kmeanspp_init
+
+    def recording(pts, k, rngs, rows):
+        tables.append(isinstance(getattr(rows, "__self__", None), np.ndarray))
+        return init(pts, k, rngs, rows)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectral, "_BATCH_VALUES", pts.shape[0] ** 2 - 1)
+        m.setattr(spectral, "_kmeanspp_init", recording)
+        _assert_kmeans_matches_naive(pts, k, seeds)
+    assert not any(tables)
+
+
+@pytest.mark.parametrize("d", [3, 30, 140])
+def test_seeding_from_the_point_table_equals_seeding_from_column_sums(d, monkeypatch):
+    # d < 8, 8 <= d <= 128 and d > 128: the three summation orders of
+    # _column_sum; a budget of n * n values builds the table in chunks of
+    # n // d rows (at least 1); duplicated rows tie distances exactly
+    n, k = 45, 12
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e5], size=d)
+    pts = pts[rng.integers(0, 15, n)]
+    chunks = []
+    column_sum = spectral._column_sum
+
+    def recording(columns, centers, lo, m):
+        if m == d:
+            chunks.append(centers.shape[0])
+        return column_sum(columns, centers, lo, m)
+
+    monkeypatch.setattr(spectral, "_BATCH_VALUES", n * n)
+    monkeypatch.setattr(spectral, "_column_sum", recording)
+    rows = spectral._point_rows(pts, max(1, n * n // (n * d)))
+    assert rows.__self__.shape == (n, n)
+    assert len(chunks) > 1 and sum(chunks) == n
+    seeds = range(20)
+    got = spectral._kmeanspp_init(pts, k, [np.random.default_rng(s) for s in seeds], rows)
+    expected = spectral._kmeanspp_init(pts, k, [np.random.default_rng(s) for s in seeds],
+                                       _column_sum_rows(pts))
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n, k, d, seeds", [(139, 10, 10, 100), (139, 2, 2, 30),
+                                            (60, 3, 30, 20), (400, 4, 4, 20)])
+def test_lloyd_batches_hold_what_a_pass_holds(n, k, d, seeds, monkeypatch):
+    # a pass holds F and its float mask, each (R, k, n), in _certified_labels,
+    # and (R, n, d) arrays in _centroids and the inertia
+    shapes = []
+    lloyd = spectral._lloyd
+
+    def recording(pts, centers):
+        shapes.append(centers.shape)
+        return lloyd(pts, centers)
+
+    monkeypatch.setattr(spectral, "_lloyd", recording)
+    pts = np.random.default_rng(n).standard_normal((n, d))
+    kmeans(pts, k, range(seeds))
+    for R, _, _ in shapes:
+        assert R == 1 or 2 * R * n * max(k, d) <= spectral._BATCH_VALUES
+    if (n, k, d) == (139, 10, 10):
+        assert max(R for R, _, _ in shapes) == 47
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 60), st.integers(2, 32), st.integers(1, 32), st.integers(0, 2**32 - 1))
 def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
@@ -329,7 +405,8 @@ def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
         return
     expected = [_naive_lloyd_once(pts, k, np.random.default_rng(seed + r), spectral._MAX_ITER)
                 for r in range(4)]
-    inits = spectral._kmeanspp_init(pts, k, [np.random.default_rng(seed + r) for r in range(4)])
+    inits = spectral._kmeanspp_init(pts, k, [np.random.default_rng(seed + r) for r in range(4)],
+                                    _column_sum_rows(pts))
     got = spectral._lloyd(pts, inits)
     for (labels, inertia), (labels_ref, inertia_ref) in zip(got, expected):
         assert inertia == inertia_ref
