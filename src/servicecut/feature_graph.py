@@ -21,11 +21,11 @@ log = logging.getLogger(__name__)
 
 @dataclass(eq=False)
 class FeatureGraph:
-    """Directed weighted graph over the sorted, distinct class ``vertices``
-    (``from_edges`` sorts them). The edges are three arrays in first-seen
-    order: ``src`` and ``dst`` index into ``vertices`` and ``weight`` is
-    positive and finite. A (src, dst) pair appears at most once and never as
-    a self-loop. The modes share the edges and differ only in ``weight``."""
+    """Directed weighted graph over the sorted, distinct class ``vertices``.
+    The edges are three arrays in first-seen order: ``src`` and ``dst``
+    index into ``vertices`` and ``weight`` is positive and finite. A
+    (src, dst) pair appears at most once and never as a self-loop. The modes
+    share the edges and differ only in ``weight``."""
 
     vertices: list[str]
     src: np.ndarray
@@ -42,16 +42,6 @@ class FeatureGraph:
             e = bad.argmax()
             raise ValueError(f"non-positive or non-finite weight {float(self.weight[e])!r} "
                              f"on {self.pair(e)!r}")
-
-    @classmethod
-    def from_edges(cls, vertices, edges: dict[tuple[str, str], float],
-                   **kwargs) -> FeatureGraph:
-        """The graph of ``{(src, dst): weight}`` over ``vertices``, any order."""
-        vertices = sorted(vertices)
-        index = {v: i for i, v in enumerate(vertices)}
-        src = np.array([index[s] for s, _ in edges], dtype=np.intp)
-        dst = np.array([index[d] for _, d in edges], dtype=np.intp)
-        return cls(vertices, src, dst, np.array(list(edges.values()), dtype=float), **kwargs)
 
     @property
     def edges(self) -> dict[tuple[str, str], float]:

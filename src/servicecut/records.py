@@ -20,8 +20,10 @@ import json
 import logging
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 log = logging.getLogger(__name__)
@@ -49,14 +51,13 @@ MAX_ARRAY_RANK = 255
 
 
 class LogParseError(ValueError):
-    """Malformed log or catalog input; carries the file path and line number."""
+    """Malformed log or catalog input; carries the file path and line number,
+    and its message starts with ``path:line: ``."""
 
-    def __init__(self, message: str, path: str | Path | None = None, line: int | None = None):
-        self.path = str(path) if path is not None else None
+    def __init__(self, message: str, path: str | Path, line: int):
+        self.path = str(path)
         self.line = line
-        if self.path is not None:
-            message = f"{self.path}:" + (f"{line}:" if line is not None else "") + " " + message
-        super().__init__(message)
+        super().__init__(f"{self.path}:{line}: {message}")
 
 
 class ArgumentError(ValueError):
@@ -139,27 +140,26 @@ class OpaqueLayout:
 TypeLayout = PrimitiveLayout | ObjectLayout | OpaqueLayout
 
 
-@dataclass
+@dataclass(frozen=True)
 class TypeCatalog:
-    """Declared type layouts; the eight JVM primitives are always present."""
+    """Read-only type layouts: the eight JVM primitives plus the declared
+    ``layouts``, which may not name a primitive. The caller's mapping is
+    copied, never changed."""
 
-    layouts: dict[str, TypeLayout] = field(default_factory=dict)
+    layouts: Mapping[str, TypeLayout] = field(default_factory=dict)
     _reachable: dict[str, frozenset[str]] = field(default_factory=dict, init=False,
                                                   repr=False, compare=False)
 
     def __post_init__(self):
-        for kind in PRIMITIVE_SIZES:
-            self.layouts.setdefault(kind, PrimitiveLayout(kind))
-
-    def declare(self, name: str, layout: TypeLayout) -> None:
-        if name in PRIMITIVE_SIZES:
-            raise LogParseError(f"cannot redefine primitive type {name!r}")
-        self.layouts[name] = layout
-        self._reachable.clear()
+        for name in self.layouts:
+            if name in PRIMITIVE_SIZES:
+                raise ValueError(f"cannot redefine primitive type {name!r}")
+        primitives = {kind: PrimitiveLayout(kind) for kind in PRIMITIVE_SIZES}
+        object.__setattr__(self, "layouts", MappingProxyType({**primitives, **self.layouts}))
 
     def reachable(self, name: str) -> frozenset[str]:
         """``name`` and every type name its object fields lead to, at any
-        depth; computed once per name until the next ``declare``."""
+        depth; computed once per name."""
         if name not in self._reachable:
             seen, stack = {name}, [name]
             while stack:
@@ -301,32 +301,24 @@ def parse_type_catalog(path: str | Path | None) -> TypeCatalog:
     accepted (the cost model bounds recursion). ``path=None`` yields the
     primitives-only catalog.
     """
-    catalog = TypeCatalog()
     if path is None:
-        return catalog
-    current_fields: list[TypeRef] | None = None
-    current_name: str | None = None
-
-    def flush():
-        nonlocal current_fields, current_name
-        if current_name is not None:
-            catalog.declare(current_name, ObjectLayout(tuple(current_fields or ())))
-        current_name, current_fields = None, None
-
+        return TypeCatalog()
+    layouts: dict[str, OpaqueLayout | list[TypeRef]] = {}  # an object as its field list
+    fields: list[TypeRef] | None = None  # the list that indented lines add to
     for lineno, raw in _numbered_lines(path):
         stripped = raw.split("#", 1)[0].rstrip()
         if not stripped.strip():
             continue
         indented = stripped[0] in (" ", "\t")
         if indented:
-            if current_name is None:
+            if fields is None:
                 raise LogParseError("indented field outside an object declaration", path, lineno)
             try:
-                current_fields.append(TypeRef.parse(stripped.strip()))
+                fields.append(TypeRef.parse(stripped.strip()))
             except ValueError as exc:
                 raise LogParseError(str(exc), path, lineno) from exc
             continue
-        flush()
+        fields = None
         if ":" not in stripped:
             raise LogParseError("expected 'Name: object' or 'Name: opaque N'", path, lineno)
         name, decl = (part.strip() for part in stripped.split(":", 1))
@@ -334,10 +326,10 @@ def parse_type_catalog(path: str | Path | None) -> TypeCatalog:
             raise LogParseError(f"invalid type name {name!r}", path, lineno)
         if name in PRIMITIVE_SIZES:
             raise LogParseError(f"cannot redefine primitive type {name!r}", path, lineno)
-        if name in catalog.layouts:
+        if name in layouts:
             raise LogParseError(f"type {name!r} declared twice", path, lineno)
         if decl == "object":
-            current_name, current_fields = name, []
+            fields = layouts[name] = []
         elif decl.split()[:1] == ["opaque"]:
             try:
                 (size,) = map(int, decl.split()[1:])
@@ -345,11 +337,11 @@ def parse_type_catalog(path: str | Path | None) -> TypeCatalog:
                 raise LogParseError("opaque declaration needs an integer size", path, lineno) from exc
             if size < 0:
                 raise LogParseError("opaque size must be >= 0", path, lineno)
-            catalog.declare(name, OpaqueLayout(size))
+            layouts[name] = OpaqueLayout(size)
         else:
             raise LogParseError(f"unknown layout kind {decl!r}", path, lineno)
-    flush()
-    return catalog
+    return TypeCatalog({name: ObjectLayout(tuple(layout)) if isinstance(layout, list) else layout
+                        for name, layout in layouts.items()})
 
 
 # --- serialization: the logs (round-trip support) and every JSON output file

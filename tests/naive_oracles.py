@@ -6,6 +6,8 @@ by a flat hand-layout table and by the cost model's recursion without a memo,
 the class graph by costing every call row anew, the affinity one edge at a
 time, k-means one restart after another, and the logs by reading every line
 through its own ``csv.reader`` and parsing every params field anew.
+``graph_from_edges`` builds the ``FeatureGraph`` of an edge dict for them and
+for the tests.
 """
 
 from __future__ import annotations
@@ -180,6 +182,15 @@ def naive_brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Par
     return best_p, best_v
 
 
+def graph_from_edges(vertices, edges: dict[tuple[str, str], float], **kwargs) -> FeatureGraph:
+    """The graph of ``{(src, dst): weight}`` over ``vertices``, any order."""
+    vertices = sorted(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    src = np.array([index[s] for s, _ in edges], dtype=np.intp)
+    dst = np.array([index[d] for _, d in edges], dtype=np.intp)
+    return FeatureGraph(vertices, src, dst, np.array(list(edges.values()), dtype=float), **kwargs)
+
+
 def naive_build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
                             model: SizeModel | None = None) -> FeatureGraph:
     """``build_class_graph`` with no cost memo: ``edge_cost`` runs for every
@@ -198,7 +209,7 @@ def naive_build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
             continue
         key = (r.caller_class, r.callee_class)
         edges[key] = edges.get(key, 0.0) + edge_cost(r.callee_params, catalog, model)
-    return FeatureGraph.from_edges(classes, edges, self_calls_dropped=dropped)
+    return graph_from_edges(classes, edges, self_calls_dropped=dropped)
 
 
 def naive_affinity(g) -> np.ndarray:

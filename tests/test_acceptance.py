@@ -8,9 +8,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from naive_oracles import hand_object_size, naive_cut, naive_mq, naive_mqw
+from naive_oracles import graph_from_edges, hand_object_size, naive_cut, naive_mq, naive_mqw
 from servicecut.cost_model import SizeModel, api_estimate
-from servicecut.feature_graph import FeatureGraph, split_core, to_affinity
+from servicecut.feature_graph import split_core, to_affinity
 from servicecut.metrics import score
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import PipelineInputs, partition_accuracy, sweep
@@ -63,8 +63,7 @@ def test_criterion_1_cost_model_table(capsys):
                 TypeRef(prim_names[int(rng.integers(len(prim_names)))])
                 for _ in range(int(rng.integers(0, 15)))
             )
-            c = TypeCatalog()
-            c.declare("T", ObjectLayout(fields))
+            c = TypeCatalog({"T": ObjectLayout(fields)})
             size = api_estimate(TypeRef("T"), c)
             assert size % 8 == 0
             assert size == hand_object_size(
@@ -95,7 +94,7 @@ def test_criterion_2_metric_oracle_equivalence(capsys):
             assert r.cut == pytest.approx(
                 naive_cut(p.labels, aff, p.k), abs=1e-12
             )
-            unit = FeatureGraph.from_edges(list(g.vertices), {e: 1.0 for e in g.edges})
+            unit = graph_from_edges(list(g.vertices), {e: 1.0 for e in g.edges})
             r = score(p, unit, "")
             assert r.mqw == pytest.approx(r.mq, abs=1e-12)
         assert time.perf_counter() - start < 30.0
@@ -245,7 +244,7 @@ def test_criterion_7_oracle_dominance(capsys):
                 for b in verts:
                     if a != b and rng.random() < 0.25:
                         edges[(a, b)] = float(np.round(rng.random() * 9 + 1, 3))
-            g = FeatureGraph.from_edges(verts, edges)
+            g = graph_from_edges(verts, edges)
             core, _ = split_core(g)
             k = int(rng.integers(2, min(5, len(core.vertices)) + 1))
             p = extract_candidates(core, k, seed=checked)

@@ -32,14 +32,12 @@ def test_boolean_scalar_vs_array_element():
 
 
 def test_object_single_int_field():
-    cat = TypeCatalog()
-    cat.declare("Holder", ObjectLayout((TypeRef("int"),)))
+    cat = TypeCatalog({"Holder": ObjectLayout((TypeRef("int"),))})
     assert api_estimate(TypeRef("Holder"), cat) == 16  # 12 + 4
 
 
 def test_object_single_long_field_padded():
-    cat = TypeCatalog()
-    cat.declare("Holder", ObjectLayout((TypeRef("long"),)))
+    cat = TypeCatalog({"Holder": ObjectLayout((TypeRef("long"),))})
     assert api_estimate(TypeRef("Holder"), cat) == 24  # 12 + 8 -> pad to 24
 
 
@@ -53,31 +51,26 @@ def test_unknown_type_default():
 
 
 def test_opaque_passthrough():
-    cat = TypeCatalog()
-    cat.declare("Blob", OpaqueLayout(128))
+    cat = TypeCatalog({"Blob": OpaqueLayout(128)})
     assert api_estimate(TypeRef("Blob"), cat) == 128
 
 
 def test_nested_object_costed_deeply():
-    cat = TypeCatalog()
-    cat.declare("Inner", ObjectLayout((TypeRef("int"),)))          # 16
-    cat.declare("Outer", ObjectLayout((TypeRef("Inner"), TypeRef("int"))))
+    cat = TypeCatalog({"Inner": ObjectLayout((TypeRef("int"),)),          # 16
+                       "Outer": ObjectLayout((TypeRef("Inner"), TypeRef("int")))})
     assert api_estimate(TypeRef("Outer"), cat) == 32  # 12 + 16 + 4 -> 32
 
 
 def test_cyclic_type_terminates():
-    cat = TypeCatalog()
-    cat.declare("Node", ObjectLayout((TypeRef("Node"), TypeRef("int"))))
+    cat = TypeCatalog({"Node": ObjectLayout((TypeRef("Node"), TypeRef("int")))})
     size = api_estimate(TypeRef("Node"), cat)
     # inner self-reference collapses to one ref slot: 12 + 4 + 4 -> 24
     assert size == 24
 
 
 def test_depth_limit():
-    cat = TypeCatalog()
-    cat.declare("L0", ObjectLayout((TypeRef("int"),)))
-    for i in range(1, 12):
-        cat.declare(f"L{i}", ObjectLayout((TypeRef(f"L{i-1}"),)))
+    cat = TypeCatalog({"L0": ObjectLayout((TypeRef("int"),)),
+                       **{f"L{i}": ObjectLayout((TypeRef(f"L{i-1}"),)) for i in range(1, 12)}})
     shallow = api_estimate(TypeRef("L11"), cat, SizeModel(max_depth=1))
     deep = api_estimate(TypeRef("L11"), cat, SizeModel(max_depth=12))
     assert shallow < deep
@@ -87,8 +80,7 @@ def test_depth_limit():
 def test_edge_cost_examples():
     assert edge_cost([], CAT) == 1
     assert edge_cost([TypeRef("int"), TypeRef("double")], CAT) == 13
-    cat = TypeCatalog()
-    cat.declare("Holder", ObjectLayout((TypeRef("int"),)))
+    cat = TypeCatalog({"Holder": ObjectLayout((TypeRef("int"),))})
     assert edge_cost([TypeRef("Holder")], cat) == 17
 
 
@@ -115,8 +107,7 @@ _fields = st.lists(st.builds(TypeRef, name=_prim, array_rank=st.just(0)), max_si
 
 @given(_fields)
 def test_object_size_is_aligned_and_matches_hand_layout(fields):
-    cat = TypeCatalog()
-    cat.declare("T", ObjectLayout(tuple(fields)))
+    cat = TypeCatalog({"T": ObjectLayout(tuple(fields))})
     size = api_estimate(TypeRef("T"), cat)
     assert size % 8 == 0
     assert size == hand_object_size([PRIMITIVE_SIZES[f.name] for f in fields])
@@ -124,9 +115,8 @@ def test_object_size_is_aligned_and_matches_hand_layout(fields):
 
 @given(_fields, st.builds(TypeRef, name=_prim, array_rank=st.just(0)))
 def test_adding_a_field_never_decreases_size(fields, extra):
-    cat = TypeCatalog()
-    cat.declare("T", ObjectLayout(tuple(fields)))
-    cat.declare("T2", ObjectLayout(tuple(fields) + (extra,)))
+    cat = TypeCatalog({"T": ObjectLayout(tuple(fields)),
+                       "T2": ObjectLayout(tuple(fields) + (extra,))})
     assert api_estimate(TypeRef("T2"), cat) >= api_estimate(TypeRef("T"), cat)
 
 
@@ -140,12 +130,12 @@ def _doubling_chain(fields):
     field per entry of ``fields``, naming level i - 1, and an int at level 0.
     ("D", "D") is the binary chain; ("D", "E") also meets 2^depth distinct
     sets of visited types."""
-    cat = TypeCatalog()
+    layouts = {}
     for name in dict.fromkeys(fields):
-        cat.declare(f"{name}0", ObjectLayout((TypeRef("int"),)))
+        layouts[f"{name}0"] = ObjectLayout((TypeRef("int"),))
         for i in range(1, 40):
-            cat.declare(f"{name}{i}", ObjectLayout(tuple(TypeRef(f"{m}{i - 1}") for m in fields)))
-    return cat
+            layouts[f"{name}{i}"] = ObjectLayout(tuple(TypeRef(f"{m}{i - 1}") for m in fields))
+    return TypeCatalog(layouts)
 
 
 @pytest.mark.parametrize("fields", [("D", "D"), ("D", "E")], ids=["binary-chain", "two-types"])
@@ -190,19 +180,14 @@ def test_estimate_equals_the_unmemoized_reference_on_cyclic_catalogs(layouts, ma
     # fields may name any of the types, the type itself included, so most
     # catalogs have cycles; array lengths above 0 make arrays cost their
     # elements
-    cat = TypeCatalog()
-    for name, layout in zip(_NAMES, layouts):
-        cat.declare(name, layout)
+    cat = TypeCatalog(dict(zip(_NAMES, layouts)))
     model = SizeModel(max_depth=max_depth, assumed_array_len=array_len)
     for t in [TypeRef(name, rank) for name in _NAMES for rank in (0, 1)]:
         assert api_estimate(t, cat, model) == naive_api_estimate(t, cat, model)
 
 
-def test_reachable_names_follow_object_fields_and_reset_on_declare():
-    cat = TypeCatalog()
-    cat.declare("A", ObjectLayout((TypeRef("B", 1), TypeRef("int"))))
-    cat.declare("B", ObjectLayout((TypeRef("A"),)))
+def test_reachable_names_follow_object_fields():
+    cat = TypeCatalog({"A": ObjectLayout((TypeRef("B", 1), TypeRef("int"))),
+                       "B": ObjectLayout((TypeRef("A"),))})
     assert cat.reachable("A") == {"A", "B", "int"}
     assert cat.reachable("int") == {"int"}
-    cat.declare("B", ObjectLayout((TypeRef("C"),)))
-    assert cat.reachable("A") == {"A", "B", "C", "int"}

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from naive_oracles import naive_affinity, naive_build_class_graph
+from naive_oracles import graph_from_edges, naive_affinity, naive_build_class_graph
 from servicecut.feature_graph import (
-    FeatureGraph,
     build_class_graph,
     graph_to_json,
     split_core,
@@ -155,7 +154,7 @@ def test_class_graph_costs_each_callee_tuple_once(monkeypatch):
 
 
 def _class_graph():
-    return FeatureGraph.from_edges(["A", "B", "C"], {("A", "B"): 8.0, ("B", "A"): 2.0})
+    return graph_from_edges(["A", "B", "C"], {("A", "B"): 8.0, ("B", "A"): 2.0})
 
 
 def _class_inputs(perf, **kwargs):
@@ -197,7 +196,7 @@ def test_fuse_identity_with_zero_attrs():
 
 
 def test_fuse_same_factor_for_all_in_edges():
-    g = FeatureGraph.from_edges(["A", "B", "C"], {("A", "C"): 2.0, ("B", "C"): 6.0})
+    g = graph_from_edges(["A", "B", "C"], {("A", "C"): 2.0, ("B", "C"): 6.0})
     fused = mode_weights(g, np.array([[0, 0], [0, 0], [0.5, 0.5]]), "fusion")
     assert fused[0] / 2.0 == fused[1] / 6.0 == 2.0
 
@@ -244,12 +243,12 @@ def test_affinity_sums_both_directions():
 
 
 def test_affinity_empty_graph_is_zero_matrix():
-    W = to_affinity(FeatureGraph.from_edges(["A", "B"], {}))
+    W = to_affinity(graph_from_edges(["A", "B"], {}))
     assert not W.toarray().any()
 
 
 def test_affinity_single_directed_edge():
-    W = to_affinity(FeatureGraph.from_edges(["A", "B"], {("A", "B"): 5.0}))
+    W = to_affinity(graph_from_edges(["A", "B"], {("A", "B"): 5.0}))
     assert W[0, 1] == W[1, 0] == 5.0
 
 
@@ -261,15 +260,15 @@ def test_affinity_total_is_twice_directed_weight():
 
 def test_graph_rejects_self_loop_and_nonpositive_weight():
     with pytest.raises(ValueError):
-        FeatureGraph.from_edges(["A"], {("A", "A"): 1.0})
+        graph_from_edges(["A"], {("A", "A"): 1.0})
     with pytest.raises(ValueError):
-        FeatureGraph.from_edges(["A", "B"], {("A", "B"): 0.0})
+        graph_from_edges(["A", "B"], {("A", "B"): 0.0})
 
 
 @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf"), -1.0])
 def test_graph_rejects_non_finite_weight(w):
     with pytest.raises(ValueError, match="non-positive or non-finite"):
-        FeatureGraph.from_edges(["A", "B"], {("A", "B"): w})
+        graph_from_edges(["A", "B"], {("A", "B"): w})
 
 
 @st.composite
@@ -285,7 +284,7 @@ def _weighted_graph(draw):
             for key in draw(st.sampled_from([(), ((i, j),), ((j, i),), ((i, j), (j, i))])):
                 edges[(verts[key[0]], verts[key[1]])] = draw(weight)
     order = draw(st.permutations(list(edges)))
-    return FeatureGraph.from_edges(verts, {e: edges[e] for e in order})
+    return graph_from_edges(verts, {e: edges[e] for e in order})
 
 
 @given(_weighted_graph())
@@ -307,7 +306,7 @@ def test_laplacian_is_symmetric_by_construction(g):
 
 
 def test_affinity_of_two_directions_that_overflow_names_the_pair():
-    g = FeatureGraph.from_edges(["A", "B", "C"], {("B", "C"): 1e308, ("C", "B"): 1e308,
+    g = graph_from_edges(["A", "B", "C"], {("B", "C"): 1e308, ("C", "B"): 1e308,
                                                   ("A", "B"): 1.0})
     with pytest.raises(OverflowError, match=r"affinity of \('B', 'C'\) overflows float64"):
         to_affinity(g)
@@ -359,7 +358,7 @@ def test_split_core_drops_isolated_vertices():
 
 
 def test_split_core_keeps_the_edge_order_and_renumbers():
-    g = FeatureGraph.from_edges(["a", "b", "c", "d"], {("d", "b"): 1.0, ("b", "d"): 2.0})
+    g = graph_from_edges(["a", "b", "c", "d"], {("d", "b"): 1.0, ("b", "d"): 2.0})
     core, isolated = split_core(g)
     assert isolated == {"a", "c"}
     assert (core.src.tolist(), core.dst.tolist()) == ([1, 0], [0, 1])

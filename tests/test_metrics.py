@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from naive_oracles import naive_cluster_stats, naive_cut, naive_mq, naive_mqw
-from servicecut.feature_graph import FeatureGraph, to_affinity
+from naive_oracles import graph_from_edges, naive_cluster_stats, naive_cut, naive_mq, naive_mqw
+from servicecut.feature_graph import to_affinity
 from servicecut.metrics import label_stats, score
 from servicecut.spectral import Partition
 
 
 def graph(vertices, edges):
-    return FeatureGraph.from_edges(list(vertices), dict(edges))
+    return graph_from_edges(list(vertices), dict(edges))
 
 
 def test_mq_two_cohesive_pairs():
@@ -151,7 +151,7 @@ def test_bounds_and_unit_weight_equivalence(seed):
         assert 0.0 <= x <= 1.0
     assert -1.0 <= value <= 1.0
     assert -1.0 <= value_w <= 1.0
-    unit = FeatureGraph.from_edges(list(g.vertices), {e: 1.0 for e in g.edges})
+    unit = graph_from_edges(list(g.vertices), {e: 1.0 for e in g.edges})
     r = score(p, unit, "")
     assert r.mqw == pytest.approx(r.mq, abs=1e-15)
 
@@ -162,7 +162,7 @@ def test_cluster_stats_equal_edge_loop_bit_for_bit(seed, unassigned):
     # fractional weights, so a changed summation order would show in the bits
     rng = np.random.default_rng(seed)
     g, p = random_instance(rng, max_n=12)
-    g = FeatureGraph.from_edges(list(g.vertices), {e: w / 3.0 for e, w in g.edges.items()})
+    g = graph_from_edges(list(g.vertices), {e: w / 3.0 for e, w in g.edges.items()})
     labels = dict(p.labels)
     for v in g.vertices[:unassigned]:
         if list(labels.values()).count(labels[v]) > 1:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from naive_oracles import naive_brute_force_best
+from naive_oracles import graph_from_edges, naive_brute_force_best
 from servicecut import feature_graph
-from servicecut.feature_graph import FeatureGraph, split_core
+from servicecut.feature_graph import split_core
 from servicecut.oracle import brute_force_best, restricted_growth_strings
 from servicecut.spectral import first_occurrence
 
@@ -14,7 +14,7 @@ def triangle_pair():
     for a, b in [("a0", "a1"), ("a1", "a2"), ("a0", "a2"),
                  ("b0", "b1"), ("b1", "b2"), ("b0", "b2")]:
         edges[(a, b)] = 1.0
-    return FeatureGraph.from_edges(["a0", "a1", "a2", "b0", "b1", "b2"], edges)
+    return graph_from_edges(["a0", "a1", "a2", "b0", "b1", "b2"], edges)
 
 
 def test_rgs_counts_match_stirling_numbers():
@@ -52,7 +52,7 @@ def test_brute_force_best_equals_the_per_partition_loop(seed, objective):
     edges = {(a, b): rng.random() * 9 + 0.1 for a in verts for b in verts
              if a != b and rng.random() < 0.4}
     edges[("v0", "v1")] = 0.1 + rng.random()  # the rest may be isolated
-    g = FeatureGraph.from_edges(verts, edges)
+    g = graph_from_edges(verts, edges)
     core = len(split_core(g)[0].vertices)
     k = int(rng.integers(1, min(core, 4) + 1))
     p, value = brute_force_best(g, k, objective)
@@ -70,7 +70,7 @@ def test_two_triangles_min_cut_is_components():
 
 def test_four_cycle_min_cut_two():
     edges = {("v0", "v1"): 1.0, ("v1", "v2"): 1.0, ("v2", "v3"): 1.0, ("v3", "v0"): 1.0}
-    g = FeatureGraph.from_edges(["v0", "v1", "v2", "v3"], edges)
+    g = graph_from_edges(["v0", "v1", "v2", "v3"], edges)
     _, value = brute_force_best(g, 2, "cut")
     assert value == 2.0
 
@@ -80,7 +80,7 @@ def test_ties_go_to_the_first_string_in_lexicographic_order():
     assert rows == sorted(rows)
     # every split of the 4-cycle into two arcs cuts 2; 0001 comes first
     edges = {("v0", "v1"): 1.0, ("v1", "v2"): 1.0, ("v2", "v3"): 1.0, ("v3", "v0"): 1.0}
-    p, _ = brute_force_best(FeatureGraph.from_edges(["v0", "v1", "v2", "v3"], edges), 2, "cut")
+    p, _ = brute_force_best(graph_from_edges(["v0", "v1", "v2", "v3"], edges), 2, "cut")
     assert p.labels == {"v0": 0, "v1": 0, "v2": 0, "v3": 1}
 
 
@@ -98,7 +98,7 @@ def test_mqw_objective_prefers_components():
 
 def test_isolated_vertices_reported_unassigned():
     g = triangle_pair()
-    g = FeatureGraph.from_edges(g.vertices + ["loner"], g.edges)
+    g = graph_from_edges(g.vertices + ["loner"], g.edges)
     p, _ = brute_force_best(g, 2, "cut")
     assert p.unassigned == {"loner"}
 
@@ -106,7 +106,7 @@ def test_isolated_vertices_reported_unassigned():
 def test_vertex_bound_enforced():
     verts = [f"v{i}" for i in range(11)]
     edges = {(verts[i], verts[i + 1]): 1.0 for i in range(10)}
-    g = FeatureGraph.from_edges(verts, edges)
+    g = graph_from_edges(verts, edges)
     with pytest.raises(ValueError, match="bounded"):
         brute_force_best(g, 2, "cut")
 
@@ -118,7 +118,7 @@ def test_vertex_bound_checked_before_the_affinity_is_built(monkeypatch):
     monkeypatch.setattr(feature_graph, "to_affinity", no_affinity)
     verts = [f"v{i}" for i in range(11)]
     edges = {(verts[i], verts[i + 1]): 1.0 for i in range(10)}
-    g = FeatureGraph.from_edges(verts + ["loner"], edges)
+    g = graph_from_edges(verts + ["loner"], edges)
     with pytest.raises(ValueError, match="bounded to 10 vertices, got 11"):
         brute_force_best(g, 2, "cut")
 

@@ -14,6 +14,8 @@ from servicecut.records import (
     ObjectLayout,
     OpaqueLayout,
     PRIMITIVE_SIZES,
+    PrimitiveLayout,
+    TypeCatalog,
     parse_call_log,
     parse_perf_log,
     parse_type_catalog,
@@ -338,6 +340,19 @@ def test_perf_log_splits_like_one_csv_reader_per_line(tmp_path_factory, text):
 def test_catalog_default_has_primitives():
     catalog = parse_type_catalog(None)
     assert set(PRIMITIVE_SIZES) <= set(catalog.layouts)
+
+
+def test_a_catalog_is_a_read_only_copy_and_a_parse_error_names_file_and_line(tmp_path):
+    layouts = {"Blob": OpaqueLayout(8)}
+    catalog = TypeCatalog(layouts)
+    assert layouts == {"Blob": OpaqueLayout(8)}
+    assert catalog.layouts["int"] == PrimitiveLayout("int")
+    with pytest.raises(ValueError, match="cannot redefine primitive type 'int'"):
+        TypeCatalog({"int": OpaqueLayout(2)})
+    with pytest.raises(TypeError):
+        catalog.layouts["Blob"] = OpaqueLayout(16)
+    p = tmp_path / "types.txt"
+    assert str(LogParseError("bad", p, 3)).startswith(f"{p}:3: ")
 
 
 def test_catalog_object_and_opaque(tmp_path):
