@@ -130,7 +130,8 @@ def evaluate(inputs, mode, k, seed, out_dir, fmt):
     partition, report = run_pipeline(inputs, mode, k, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json({**partition.to_json(), "seed": seed}, out / "partition.json")
+    write_json({**partition.to_json(), "seed": seed, "unassigned": sorted(inputs.isolated)},
+               out / "partition.json")
     if fmt == "csv":
         (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     else:
@@ -185,9 +186,9 @@ def oracle_cmd(inputs, mode, k, objective):
     """Exhaustive best partition of a small system (<= 10 classes)."""
     if inputs.check_k(k, "--k") > MAX_VERTICES:
         raise ValueError(f"--calls: more than {MAX_VERTICES} non-isolated classes for the oracle")
-    partition, value = brute_force_best(inputs.mode_graph(mode), k, objective)
-    click.echo(json.dumps({"objective": objective, "value": value,
-                           **partition.to_json()}, sort_keys=True))
+    partition, value = brute_force_best(inputs.mode_core(mode), k, objective)
+    click.echo(json.dumps({"objective": objective, "value": value, **partition.to_json(),
+                           "unassigned": sorted(inputs.isolated)}, sort_keys=True))
 
 
 #: library parameter name -> the flag that sets it, to name in an ArgumentError

@@ -9,7 +9,7 @@ half the affinity crossing candidate boundaries.
 Conventions: edges are directed and self-loop free; sigma for a cluster pair
 aggregates both directions, matching the 2 * N_i * N_j denominator; with a
 single cluster the coupling term is vacuous and MQ equals mean cohesion.
-Unassigned (isolated) vertices are excluded from scoring.
+A score needs a complete labeling: a label for every vertex of the graph.
 """
 
 from __future__ import annotations
@@ -59,21 +59,21 @@ class QualityReport:
 
 
 def label_stats(labels: np.ndarray, k: int, g: FeatureGraph):
-    """Statistics of each row of the (P, n) cluster ``labels`` (-1: not
-    scored) over the edges of ``g``: (P, k) sizes and intra edge counts/weights,
-    (P, k, k) inter counts/weights at [i, j], i < j (both directions
-    aggregated), and the (P,) cut, the summed weight of the edges between
-    clusters. Each row's bins are offset by its index, so one ``np.bincount``
-    serves all rows, and it adds the weights in edge order: the sums are
-    those of a loop over the edges."""
+    """Statistics of each row of the (P, n) cluster ``labels``, a label in
+    [0, k) for every vertex, over the edges of ``g``: (P, k) sizes and intra
+    edge counts/weights, (P, k, k) inter counts/weights at [i, j], i < j
+    (both directions aggregated), and the (P,) cut, the summed weight of
+    the edges between clusters. Each row's bins are offset by its index, so
+    one ``np.bincount`` serves all rows, and it adds the weights in edge
+    order: the sums are those of a loop over the edges."""
     src, dst, w = g.src, g.dst, g.weight
     P = labels.shape[0]
     row = np.arange(P)[:, None]
     ci, cj = labels[:, src], labels[:, dst]
-    scored = (ci >= 0) & (cj >= 0)
-    intra, inter = scored & (ci == cj), scored & (ci != cj)
+    intra = ci == cj
+    inter = ~intra
     w = np.broadcast_to(w, ci.shape)
-    sizes = np.bincount((labels + k * row)[labels >= 0], minlength=P * k).reshape(P, k)
+    sizes = np.bincount((labels + k * row).ravel(), minlength=P * k).reshape(P, k)
     key = (ci + k * row)[intra]
     u = np.bincount(key, minlength=P * k).reshape(P, k)
     uw = np.bincount(key, weights=w[intra], minlength=P * k).reshape(P, k)
@@ -127,12 +127,13 @@ def batch_scores(labels: np.ndarray, k: int, g: FeatureGraph) -> tuple[np.ndarra
 def score(p: Partition, g: FeatureGraph, mode: str) -> QualityReport:
     """Assemble a full QualityReport from one pass over the mode graph's
     edges: MQ from the edge counts, MQw from counts and weights, and the cut
-    from the weights between candidates. Vertices the partition leaves
-    unassigned are not scored."""
-    absent = p.labels.keys() - set(g.vertices)
-    if absent:
+    from the weights between candidates. The partition must label exactly
+    the vertices of ``g``; a vertex on one side only is a ValueError."""
+    if absent := p.labels.keys() - set(g.vertices):
         raise ValueError(f"partition references vertex {min(absent)!r} absent from graph")
-    labels = np.array([[p.labels.get(v, -1) for v in g.vertices]], dtype=np.intp)
+    if unlabeled := set(g.vertices) - p.labels.keys():
+        raise ValueError(f"graph vertex {min(unlabeled)!r} has no label in the partition")
+    labels = np.array([[p.labels[v] for v in g.vertices]], dtype=np.intp)
     sizes, u, uw, sigma, sigmaw, cut = label_stats(labels, p.k, g)
     pairs = list(combinations(range(p.k), 2))
     coh, cop, mq_value = _quality(p.k, sizes, u, u, sigma, sigma)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .feature_graph import FeatureGraph, split_core
+from .feature_graph import FeatureGraph
 from .metrics import batch_scores
 from .spectral import Partition
 
@@ -28,13 +28,12 @@ def restricted_growth_strings(n: int, k: int) -> np.ndarray:
     return rows[rows.max(axis=1) == k - 1]
 
 
-def brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Partition, float]:
-    """Enumerate every partition of the non-isolated vertices into exactly k
-    non-empty parts; return the best partition under the objective
-    (maximize ``mqw``, minimize ``cut``)."""
+def brute_force_best(core: FeatureGraph, k: int, objective: str) -> tuple[Partition, float]:
+    """Enumerate every partition of the vertices of ``core``, a graph without
+    isolated vertices, into exactly k non-empty parts; return the best
+    partition under the objective (maximize ``mqw``, minimize ``cut``)."""
     if objective not in ("mqw", "cut"):
         raise ValueError(f"unknown objective {objective!r}")
-    core, isolated = split_core(g)
     n = len(core.vertices)
     if n > MAX_VERTICES:
         raise ValueError(f"brute force bounded to {MAX_VERTICES} vertices, got {n}")
@@ -47,4 +46,4 @@ def brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Partition
     value = mqw_values[best] if objective == "mqw" else cuts[best]
     # the strings number the parts in first-occurrence order over the sorted
     # vertices, which is smallest-vertex-id order: the canonical labeling
-    return Partition(dict(zip(core.vertices, labels[best].tolist())), k, isolated), float(value)
+    return Partition(dict(zip(core.vertices, labels[best].tolist())), k), float(value)

@@ -61,10 +61,11 @@ def mode_weights(g: FeatureGraph, attrs: np.ndarray, mode: str) -> np.ndarray:
 @dataclass
 class PipelineInputs:
     """Parsed inputs, their class graph, built once, its core (the graph
-    without its isolated vertices), split once, and the perf attributes of
-    the graph's vertices, attached once: an (n, 2) array of (cpu_time,
-    retained) rows, (0, 0) for a class without a perf row and, with
-    ``normalize``, each column divided by its maximum when that is positive."""
+    without its ``isolated`` vertices, which no stage below sees: only the
+    commands list them), split once, and the perf attributes of the graph's
+    vertices, attached once: an (n, 2) array of (cpu_time, retained) rows,
+    (0, 0) for a class without a perf row and, with ``normalize``, each
+    column divided by its maximum when that is positive."""
 
     calls: list[CallRecord]
     perf: list[PerfRecord]
@@ -128,7 +129,6 @@ def run_pipeline(
     inputs.check_k(k)
     core = inputs.mode_core(mode)
     partition = extract_candidates(core, k, seed)
-    partition.unassigned = set(inputs.isolated)
     report = score(partition, core, mode)
     return partition, report
 

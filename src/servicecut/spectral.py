@@ -4,7 +4,7 @@ smallest-k eigenvector embedding, seeded k-means on the embedded rows."""
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,15 +29,13 @@ class Embedding:
 
 @dataclass
 class Partition:
-    """Assignment of every non-isolated class vertex to one of K candidates."""
+    """Assignment of every vertex of a core to one of K candidates."""
 
     labels: dict[str, int]
     k: int
-    unassigned: set[str] = field(default_factory=set)
 
     def __post_init__(self):
-        used = set(self.labels.values())
-        if used and used != set(range(self.k)):
+        if set(self.labels.values()) != set(range(self.k)):
             raise ValueError("every candidate index in [0, K) must be non-empty")
 
     def candidates(self) -> list[list[str]]:
@@ -47,11 +45,7 @@ class Partition:
         return groups
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "candidates": self.candidates(),
-            "unassigned": sorted(self.unassigned),
-        }
+        return {"k": self.k, "candidates": self.candidates()}
 
 
 def build_laplacian(g: FeatureGraph) -> sp.csr_array:

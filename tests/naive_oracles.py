@@ -159,7 +159,7 @@ def naive_brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Par
     (maximize ``mqw``, minimize ``cut``). One partition scored at a time."""
     if objective not in ("mqw", "cut"):
         raise ValueError(f"unknown objective {objective!r}")
-    core, isolated = split_core(g)
+    core, _ = split_core(g)
     verts = core.vertices
     n = len(verts)
     if n > MAX_VERTICES:
@@ -178,7 +178,6 @@ def naive_brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Par
             better = best_v is None or value < best_v
         if better:
             best_p, best_v = p, value
-    best_p.unassigned = set(isolated)
     return best_p, best_v
 
 

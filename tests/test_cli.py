@@ -102,6 +102,19 @@ def test_oracle_command(tmp_path, capsys):
     assert doc["value"] >= 0
 
 
+def test_isolated_vertices_reported_unassigned(tmp_path, capsys):
+    # a class seen only in a self-call is isolated: left out of the
+    # candidates, listed under unassigned
+    sysdir = synth_system(tmp_path, **{"--n-classes": "8"})
+    with open(sysdir / "calls.csv", "a", encoding="utf-8") as fh:
+        fh.write("log,log,Audit,Audit,,int\n")
+    capsys.readouterr()  # discard synth output
+    assert run("oracle", "--calls", str(sysdir / "calls.csv"), "--k", "2") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "Audit" in doc["unassigned"]
+    assert "Audit" not in sum(doc["candidates"], [])
+
+
 def test_size_model_override(tmp_path):
     sysdir = synth_system(tmp_path)
     out = tmp_path / "run"

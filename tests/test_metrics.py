@@ -89,6 +89,16 @@ def test_partition_vertex_missing_from_graph():
         score(Partition({"a": 0, "z": 1}, 2), g, "")
 
 
+def test_a_partition_that_leaves_a_vertex_unlabeled_is_refused():
+    # leaving c out would drop its edges from the score: cut 1.0 and MQw
+    # -0.5, not 6.0 and -0.4375
+    g = graph("abc", {("a", "b"): 1, ("a", "c"): 5, ("b", "c"): 5})
+    with pytest.raises(ValueError, match="'c'"):
+        score(Partition({"a": 0, "b": 1}, 2), g, "")
+    r = score(Partition({"a": 0, "b": 1, "c": 1}, 2), g, "")
+    assert (r.cut, r.mqw) == (6.0, -0.4375)
+
+
 # --- randomized oracle equality ---------------------------------------------
 
 
@@ -157,18 +167,13 @@ def test_bounds_and_unit_weight_equivalence(seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10_000), st.integers(0, 2))
-def test_cluster_stats_equal_edge_loop_bit_for_bit(seed, unassigned):
+@given(st.integers(0, 10_000))
+def test_cluster_stats_equal_edge_loop_bit_for_bit(seed):
     # fractional weights, so a changed summation order would show in the bits
     rng = np.random.default_rng(seed)
     g, p = random_instance(rng, max_n=12)
     g = graph_from_edges(list(g.vertices), {e: w / 3.0 for e, w in g.edges.items()})
-    labels = dict(p.labels)
-    for v in g.vertices[:unassigned]:
-        if list(labels.values()).count(labels[v]) > 1:
-            del labels[v]
-    p = Partition(labels, p.k)
-    rows = np.array([[p.labels.get(v, -1) for v in g.vertices]])
+    rows = np.array([[p.labels[v] for v in g.vertices]])
     sizes, u, uw, sigma, sigmaw, cut = label_stats(rows, p.k, g)
     sizes_e, u_e, uw_e, sigma_e, sigmaw_e, cut_e = naive_cluster_stats(p.labels, g.edges, p.k)
     assert (sizes[0].tolist(), u[0].tolist(), uw[0].tolist()) == (sizes_e, u_e, uw_e)

@@ -53,12 +53,11 @@ def test_brute_force_best_equals_the_per_partition_loop(seed, objective):
              if a != b and rng.random() < 0.4}
     edges[("v0", "v1")] = 0.1 + rng.random()  # the rest may be isolated
     g = graph_from_edges(verts, edges)
-    core = len(split_core(g)[0].vertices)
-    k = int(rng.integers(1, min(core, 4) + 1))
-    p, value = brute_force_best(g, k, objective)
+    core = split_core(g)[0]
+    k = int(rng.integers(1, min(len(core.vertices), 4) + 1))
+    p, value = brute_force_best(core, k, objective)
     expected_p, expected_value = naive_brute_force_best(g, k, objective)
-    assert (p.labels, p.k, p.unassigned) == (expected_p.labels, expected_p.k,
-                                             expected_p.unassigned)
+    assert (p.labels, p.k) == (expected_p.labels, expected_p.k)
     assert np.float64(value).tobytes() == np.float64(expected_value).tobytes()
 
 
@@ -96,13 +95,6 @@ def test_mqw_objective_prefers_components():
     assert sorted(map(sorted, p.candidates())) == [["a0", "a1", "a2"], ["b0", "b1", "b2"]]
 
 
-def test_isolated_vertices_reported_unassigned():
-    g = triangle_pair()
-    g = graph_from_edges(g.vertices + ["loner"], g.edges)
-    p, _ = brute_force_best(g, 2, "cut")
-    assert p.unassigned == {"loner"}
-
-
 def test_vertex_bound_enforced():
     verts = [f"v{i}" for i in range(11)]
     edges = {(verts[i], verts[i + 1]): 1.0 for i in range(10)}
@@ -118,7 +110,7 @@ def test_vertex_bound_checked_before_the_affinity_is_built(monkeypatch):
     monkeypatch.setattr(feature_graph, "to_affinity", no_affinity)
     verts = [f"v{i}" for i in range(11)]
     edges = {(verts[i], verts[i + 1]): 1.0 for i in range(10)}
-    g = graph_from_edges(verts + ["loner"], edges)
+    g = graph_from_edges(verts, edges)
     with pytest.raises(ValueError, match="bounded to 10 vertices, got 11"):
         brute_force_best(g, 2, "cut")
 

@@ -159,6 +159,7 @@ def test_duplicated_call_rows_leave_candidates_unchanged(seed, mode):
         p, _ = run_pipeline(inputs, mode, k, seed)
         p2, _ = run_pipeline(doubled, mode, k, seed)
         assert p2.to_json() == p.to_json()
+    assert doubled.isolated == inputs.isolated
 
 
 @pytest.mark.parametrize("seed", METAMORPHIC_SEEDS)
@@ -175,7 +176,7 @@ def test_prefixed_class_names_leave_candidates_unchanged(seed, mode):
         p, _ = run_pipeline(inputs, mode, k, seed)
         p2, _ = run_pipeline(renamed, mode, k, seed)
         assert p2.labels == {"x." + v: c for v, c in p.labels.items()}
-        assert p2.unassigned == {"x." + v for v in p.unassigned}
+    assert renamed.isolated == {"x." + v for v in inputs.isolated}
 
 
 # --- sweep ------------------------------------------------------------------

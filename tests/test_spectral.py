@@ -693,3 +693,6 @@ def test_partition_rejects_empty_cluster():
         from servicecut.spectral import Partition
 
         Partition({"a": 0, "b": 2}, 3)
+    # an empty labeling would render three empty candidates
+    with pytest.raises(ValueError, match="non-empty"):
+        spectral.Partition({}, 3)
