@@ -93,8 +93,8 @@ def cli():
 @_inputs
 def ingest_check(inputs):
     """Parse inputs and report counts; fail loudly on malformed data."""
-    click.echo(f"call records: {len(inputs.calls)} ({inputs.graph.self_calls_dropped} self-call)")
-    click.echo(f"perf records: {len(inputs.perf)}")
+    click.echo(f"call records: {inputs.call_rows} ({inputs.graph.self_calls_dropped} self-call)")
+    click.echo(f"perf records: {inputs.perf_rows}")
     click.echo(f"classes:      {len(inputs.graph.vertices)}")
     click.echo(f"types:        {len(inputs.catalog.layouts)}")
 

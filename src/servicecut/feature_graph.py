@@ -160,10 +160,18 @@ def graph_to_json(g: FeatureGraph, attrs: np.ndarray | None = None) -> dict:
 
 
 def write_affinity_csv(g: FeatureGraph, path: str | Path) -> None:
-    """The affinity of ``g`` as a dense n x n table over ``g.vertices``."""
+    """The affinity of ``g`` as a dense n x n table over ``g.vertices``,
+    written one row at a time from the stored entries of W: ``"0.0"`` in
+    every cell, then each stored value at its column. No n x n array is
+    built; W's stored columns are distinct within a row (``to_affinity``
+    returns canonical CSR)."""
     W = to_affinity(g)
+    zeros = [repr(0.0)] * len(g.vertices)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + g.vertices)
-        for vid, row in zip(g.vertices, W.toarray()):
-            writer.writerow([vid] + [repr(float(x)) for x in row])
+        for vid, lo, hi in zip(g.vertices, W.indptr[:-1].tolist(), W.indptr[1:].tolist()):
+            row = zeros.copy()
+            for j, w in zip(W.indices[lo:hi].tolist(), W.data[lo:hi].tolist()):
+                row[j] = repr(w)
+            writer.writerow([vid] + row)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,24 +65,29 @@ class PipelineInputs:
     commands list them), split once, and the perf attributes of the graph's
     vertices, attached once: an (n, 2) array of (cpu_time, retained) rows,
     (0, 0) for a class without a perf row and, with ``normalize``, each
-    column divided by its maximum when that is positive."""
+    column divided by its maximum when that is positive. The ``calls`` and
+    ``perf`` rows are used up here and not kept: only their counts,
+    ``call_rows`` and ``perf_rows``, are."""
 
-    calls: list[CallRecord]
-    perf: list[PerfRecord]
+    calls: InitVar[list[CallRecord]]
+    perf: InitVar[list[PerfRecord]]
     catalog: TypeCatalog
     model: SizeModel = SizeModel()
     normalize: bool = True
+    call_rows: int = field(init=False)
+    perf_rows: int = field(init=False)
     graph: FeatureGraph = field(init=False)
     core: FeatureGraph = field(init=False)
     isolated: set[str] = field(init=False)
     attrs: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        self.graph = build_class_graph(self.calls, self.catalog, self.model)
+    def __post_init__(self, calls: list[CallRecord], perf: list[PerfRecord]):
+        self.call_rows, self.perf_rows = len(calls), len(perf)
+        self.graph = build_class_graph(calls, self.catalog, self.model)
         self.core, self.isolated = split_core(self.graph)
         index = {v: i for i, v in enumerate(self.graph.vertices)}
         self.attrs = np.zeros((len(index), 2))
-        for r in self.perf:
+        for r in perf:
             if r.class_id not in index:
                 log.warning("perf record for %r has no call-graph vertex; ignored", r.class_id)
                 continue

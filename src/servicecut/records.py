@@ -243,9 +243,12 @@ def parse_call_log(path: str | Path) -> list[CallRecord]:
     multiplicity matters when edge weights are aggregated. Each distinct
     params text is parsed once per call: rows share its (frozen) TypeRef
     tuple, and a text that fails is never stored, so the error names the
-    first line that holds it."""
+    first line that holds it. Each distinct method or class name is stored
+    once per call too: every name field of every row holds the first
+    ``str`` read for it, so memory follows the distinct names, not the rows."""
     records = []
     parsed: dict[str, tuple[TypeRef, ...]] = {}
+    names: dict[str, str] = {}
     for lineno, row in _read_rows(path, CALL_HEADER):
         caller_method, callee_method, caller_class, callee_class, caller_text, callee_text = row
         if not (caller_method and callee_method and caller_class and callee_class):
@@ -253,7 +256,7 @@ def parse_call_log(path: str | Path) -> list[CallRecord]:
         for text in (caller_text, callee_text):
             if text not in parsed:
                 parsed[text] = _parse_params(text, path, lineno)
-        records.append(CallRecord(caller_method, callee_method, caller_class, callee_class,
+        records.append(CallRecord(*[names.setdefault(name, name) for name in row[:4]],
                                   parsed[caller_text], parsed[callee_text]))
     return records
 

@@ -35,6 +35,8 @@ class Partition:
     k: int
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k={self.k} must be at least 1")
         if set(self.labels.values()) != set(range(self.k)):
             raise ValueError("every candidate index in [0, K) must be non-empty")
 

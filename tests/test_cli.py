@@ -38,11 +38,17 @@ def synth_system(tmp_path, **overrides):
 
 def test_synth_and_ingest_check(tmp_path, capsys):
     sysdir = synth_system(tmp_path)
-    assert run("ingest-check", "--calls", str(sysdir / "calls.csv"),
-               "--perf", str(sysdir / "perf.csv")) == 0
-    out = capsys.readouterr().out
-    assert "call records:" in out
-    assert "classes:      12" in out
+    calls = sysdir / "calls.csv"
+    with open(calls, "a") as fh:
+        fh.write("log,log,Audit,Audit,,int\n")  # a self-call, and a 13th class
+    capsys.readouterr()
+    assert run("ingest-check", "--calls", str(calls), "--perf", str(sysdir / "perf.csv")) == 0
+    assert capsys.readouterr().out == (
+        "call records: 60 (1 self-call)\n"
+        "perf records: 12\n"
+        "classes:      13\n"
+        "types:        8\n"
+    )
 
 
 def test_build_graph_exports(tmp_path):

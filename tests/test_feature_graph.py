@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,35 @@ def test_affinity_csv_cells_parse_to_the_matrix_bit_for_bit(tmp_path):
         rows = list(csv.reader(fh))
     cells = np.array([[float(cell) for cell in row[1:]] for row in rows[1:]])
     assert cells.tobytes() == to_affinity(g).toarray().tobytes()
+
+
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw-attrs"])
+@pytest.mark.parametrize("mode", MODES)
+def test_affinity_csv_equals_the_dense_rendering(tmp_path, mode, normalize):
+    # the table written from W's stored entries is the one written from the
+    # dense n x n matrix, byte for byte
+    calls, perf, _ = generate_system(SynthSpec(n_classes=40, n_blocks=4, seed=3))
+    g = PipelineInputs(calls, perf, CAT, normalize=normalize).mode_core(mode)
+    write_affinity_csv(g, tmp_path / "aff.csv")
+    with open(tmp_path / "dense.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([""] + g.vertices)
+        for vid, row in zip(g.vertices, naive_affinity(g)):
+            writer.writerow([vid] + [repr(float(x)) for x in row])
+    assert (tmp_path / "aff.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
+def test_affinity_csv_builds_no_dense_matrix(tmp_path):
+    n = 1000
+    g = graph_from_edges([f"v{i:04d}" for i in range(n)],
+                         {(f"v{i:04d}", f"v{i + 1:04d}"): 1.0 for i in range(n - 1)})
+    tracemalloc.start()
+    try:
+        write_affinity_csv(g, tmp_path / "aff.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n // 4  # a dense float64 matrix would take 8 MB
 
 
 def test_split_core_drops_isolated_vertices():

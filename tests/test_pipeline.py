@@ -1,3 +1,4 @@
+import gc
 import json
 from dataclasses import replace
 
@@ -34,6 +35,15 @@ def two_block_spec(seed=0, **kwargs):
 def inputs_from(spec, tmp_path):
     calls_path, perf_path, _ = synth_generate(spec, tmp_path)
     return PipelineInputs.load(calls_path, perf_path)
+
+
+def test_inputs_keep_the_row_counts_not_the_rows():
+    calls, perf, _ = generate_system(two_block_spec())
+    inputs = PipelineInputs(calls, perf, CAT)
+    assert (inputs.call_rows, inputs.perf_rows) == (len(calls), len(perf))
+    gc.collect()
+    for rows in (calls, perf):
+        assert not any(ref is inputs or ref is vars(inputs) for ref in gc.get_referrers(rows))
 
 
 # --- synthetic generator ----------------------------------------------------
@@ -143,18 +153,18 @@ def test_dynamic_mode_runs(tmp_path):
 METAMORPHIC_SEEDS = (0, 1)
 
 
-def metamorphic_inputs(seed):
+def metamorphic_logs(seed):
     calls, perf, _ = generate_system(SynthSpec(n_classes=30, n_blocks=3,
                                                inter_call_prob=0.05, seed=seed))
-    return PipelineInputs(calls, perf, CAT)
+    return calls, perf
 
 
 @pytest.mark.parametrize("seed", METAMORPHIC_SEEDS)
 @pytest.mark.parametrize("mode", MODES)
 def test_duplicated_call_rows_leave_candidates_unchanged(seed, mode):
-    inputs = metamorphic_inputs(seed)
-    doubled = PipelineInputs([r for r in inputs.calls for _ in range(2)],
-                             inputs.perf, inputs.catalog)
+    calls, perf = metamorphic_logs(seed)
+    inputs = PipelineInputs(calls, perf, CAT)
+    doubled = PipelineInputs([r for r in calls for _ in range(2)], perf, CAT)
     for k in (2, 4, 6):
         p, _ = run_pipeline(inputs, mode, k, seed)
         p2, _ = run_pipeline(doubled, mode, k, seed)
@@ -165,12 +175,13 @@ def test_duplicated_call_rows_leave_candidates_unchanged(seed, mode):
 @pytest.mark.parametrize("seed", METAMORPHIC_SEEDS)
 @pytest.mark.parametrize("mode", MODES)
 def test_prefixed_class_names_leave_candidates_unchanged(seed, mode):
-    inputs = metamorphic_inputs(seed)
+    calls, perf = metamorphic_logs(seed)
+    inputs = PipelineInputs(calls, perf, CAT)
     renamed = PipelineInputs(
         [r._replace(caller_class="x." + r.caller_class, callee_class="x." + r.callee_class)
-         for r in inputs.calls],
-        [replace(r, class_id="x." + r.class_id) for r in inputs.perf],
-        inputs.catalog,
+         for r in calls],
+        [replace(r, class_id="x." + r.class_id) for r in perf],
+        CAT,
     )
     for k in (2, 4, 6):
         p, _ = run_pipeline(inputs, mode, k, seed)

@@ -64,6 +64,19 @@ def test_parse_call_duplicates_preserved(tmp_path):
     assert recs[0] == recs[1]
 
 
+def test_each_distinct_name_is_one_object(tmp_path):
+    p = tmp_path / "calls.csv"
+    # names of more than one character: CPython shares the one-character strings anyway
+    p.write_text("get,put,Aa,Bb,,\nput,get,Bb,Cc,,\nget,Aa,Cc,Aa,,\n")
+    r1, r2, r3 = parse_call_log(p)
+    # across rows and across columns: Bb is a callee and a caller class, Aa
+    # a class and a method
+    assert r1.callee_class is r2.caller_class
+    assert r1.caller_class is r3.callee_class is r3.callee_method
+    assert r1.caller_method is r2.callee_method is r3.caller_method
+    assert r2.callee_class is r3.caller_class
+
+
 def test_parse_call_array_params(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text("f,g,A,B,,int[];byte[][]\n")

@@ -696,3 +696,6 @@ def test_partition_rejects_empty_cluster():
     # an empty labeling would render three empty candidates
     with pytest.raises(ValueError, match="non-empty"):
         spectral.Partition({}, 3)
+    # "every index in [0, K) is non-empty" holds vacuously at K = 0
+    with pytest.raises(ValueError, match="at least 1"):
+        spectral.Partition({}, 0)
