@@ -24,7 +24,7 @@ from .pipeline import (
     sweep,
     write_sweep_outputs,
 )
-from .records import ArgumentError, write_json
+from .records import PRIMITIVE_SIZES, ArgumentError, write_json
 from .spectral import NumericError
 from .synth import SynthSpec, synth_generate
 
@@ -96,7 +96,7 @@ def ingest_check(inputs):
     click.echo(f"call records: {inputs.call_rows} ({inputs.graph.self_calls_dropped} self-call)")
     click.echo(f"perf records: {inputs.perf_rows}")
     click.echo(f"classes:      {len(inputs.graph.vertices)}")
-    click.echo(f"types:        {len(inputs.catalog.layouts)}")
+    click.echo(f"types:        {len(PRIMITIVE_SIZES) + len(inputs.catalog.layouts)}")
 
 
 @cli.command("build-graph")

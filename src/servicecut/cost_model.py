@@ -17,7 +17,6 @@ from .records import (
     PRIMITIVE_SIZES,
     ObjectLayout,
     OpaqueLayout,
-    PrimitiveLayout,
     TypeCatalog,
     TypeRef,
 )
@@ -46,8 +45,8 @@ class SizeModel:
         if self.header_plain > self.header_array:
             raise ValueError("header_plain must be <= header_array")
         # _estimate recurses two frames per object level and one per array
-        # rank; with both capped at 255 it stays near 765 frames, under
-        # Python's default recursion limit of 1000
+        # rank, one more for a primitive array's element: near 766 frames with
+        # both capped at 255, under Python's default recursion limit of 1000
         if not 1 <= self.max_depth <= MAX_ARRAY_RANK:
             raise ValueError(f"max_depth must be in [1, {MAX_ARRAY_RANK}]")
 
@@ -81,18 +80,15 @@ def _estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel,
     level down is costed 2^depth times."""
     if t.array_rank > 0:
         element = TypeRef(t.name, t.array_rank - 1)
-        if element.array_rank == 0 and element.name in PRIMITIVE_SIZES:
-            elem_size = (BOOLEAN_ARRAY_ELEMENT_SIZE if element.name == "boolean"
-                         else PRIMITIVE_SIZES[element.name])
-        else:
-            elem_size = _estimate(element, catalog, model, depth + 1, visiting, memo)
+        elem_size = (BOOLEAN_ARRAY_ELEMENT_SIZE if (t.name, t.array_rank) == ("boolean", 1)
+                     else _estimate(element, catalog, model, depth + 1, visiting, memo))
         return model.align(model.header_array + model.assumed_array_len * elem_size)
 
+    if t.name in PRIMITIVE_SIZES:
+        return PRIMITIVE_SIZES[t.name]
     layout = catalog.layouts.get(t.name)
     if layout is None:
         return model.default_unknown
-    if isinstance(layout, PrimitiveLayout):
-        return PRIMITIVE_SIZES[layout.kind]
     if isinstance(layout, OpaqueLayout):
         return layout.size_bytes
     assert isinstance(layout, ObjectLayout)

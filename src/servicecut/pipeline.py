@@ -108,7 +108,7 @@ class PipelineInputs:
             normalize=normalize,
         )
 
-    def check_k(self, k: int, name: str = "k") -> int:
+    def check_k(self, k: int, name: str) -> int:
         """The count of the core's vertices, the classes every mode clusters;
         a ValueError naming ``name`` if ``k`` exceeds it."""
         n = len(self.core.vertices)
@@ -131,7 +131,6 @@ def run_pipeline(
     k: int,
     seed: int,
 ) -> tuple[Partition, QualityReport]:
-    inputs.check_k(k)
     core = inputs.mode_core(mode)
     partition = extract_candidates(core, k, seed)
     report = score(partition, core, mode)
@@ -220,7 +219,6 @@ def sweep(
         raise ArgumentError(f"epochs={epochs} must be at least 1", "epochs")
     if not 0 <= base_seed < 2 ** 63:
         raise ArgumentError(f"base_seed={base_seed} must be in [0, 2**63)", "base_seed")
-    inputs.check_k(k_max, "k_max")
     result = SweepResult(tuple(modes), (k_min, k_max), epochs, base_seed)
     for mode in modes:
         core = inputs.mode_core(mode)

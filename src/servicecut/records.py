@@ -123,11 +123,6 @@ class PerfRecord:
 
 
 @dataclass(frozen=True)
-class PrimitiveLayout:
-    kind: str
-
-
-@dataclass(frozen=True)
 class ObjectLayout:
     fields: tuple[TypeRef, ...]
 
@@ -137,16 +132,13 @@ class OpaqueLayout:
     size_bytes: int
 
 
-TypeLayout = PrimitiveLayout | ObjectLayout | OpaqueLayout
-
-
 @dataclass(frozen=True)
 class TypeCatalog:
-    """Read-only type layouts: the eight JVM primitives plus the declared
-    ``layouts``, which may not name a primitive. The caller's mapping is
-    copied, never changed."""
+    """Read-only layouts of the declared types, which may not name a
+    primitive (a primitive is sized by ``PRIMITIVE_SIZES`` alone). The
+    caller's mapping is copied, never changed."""
 
-    layouts: Mapping[str, TypeLayout] = field(default_factory=dict)
+    layouts: Mapping[str, ObjectLayout | OpaqueLayout] = field(default_factory=dict)
     _reachable: dict[str, frozenset[str]] = field(default_factory=dict, init=False,
                                                   repr=False, compare=False)
 
@@ -154,8 +146,7 @@ class TypeCatalog:
         for name in self.layouts:
             if name in PRIMITIVE_SIZES:
                 raise ValueError(f"cannot redefine primitive type {name!r}")
-        primitives = {kind: PrimitiveLayout(kind) for kind in PRIMITIVE_SIZES}
-        object.__setattr__(self, "layouts", MappingProxyType({**primitives, **self.layouts}))
+        object.__setattr__(self, "layouts", MappingProxyType(dict(self.layouts)))
 
     def reachable(self, name: str) -> frozenset[str]:
         """``name`` and every type name its object fields lead to, at any
@@ -302,7 +293,7 @@ def parse_type_catalog(path: str | Path | None) -> TypeCatalog:
     ``opaque N``; the indented lines under an object declaration list its
     field types, one TypeRef per line. Cyclic object definitions are
     accepted (the cost model bounds recursion). ``path=None`` yields the
-    primitives-only catalog.
+    empty catalog, which leaves only the primitives sized.
     """
     if path is None:
         return TypeCatalog()

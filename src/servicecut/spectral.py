@@ -67,6 +67,7 @@ def build_laplacian(g: FeatureGraph) -> sp.csr_array:
 # Lanczos. A full dense ``eigh`` is faster below n = 500-600 (2-core host);
 # the margin keeps graphs up to this size on the exact dense solve.
 _DENSE_MAX_N = 1000
+_CHECK_TOL = 1e-6  # both eigenpair checks' tolerance, relative to L's largest entry
 
 
 def embed(g: FeatureGraph, k: int) -> Embedding:
@@ -119,20 +120,20 @@ def _scale(L: sp.csr_array) -> float:
     return float(np.abs(L.data).max(initial=1.0))
 
 
-def _check_residuals(L: sp.csr_array, emb: Embedding, tol: float = 1e-6) -> None:
+def _check_residuals(L: sp.csr_array, emb: Embedding) -> None:
     # relative to the largest entry, so the norm's squares cannot overflow
     residuals = np.linalg.norm((L @ emb.U - emb.U * emb.eigenvalues) / _scale(L), axis=0)
     worst = int(residuals.argmax())
-    if not residuals[worst] <= tol:
+    if not residuals[worst] <= _CHECK_TOL:
         raise NumericError(f"eigenpair {worst} residual {residuals[worst]:.3e} exceeds tolerance")
 
 
-def _check_kernel(L: sp.csr_array, emb: Embedding, tol: float = 1e-6) -> None:
+def _check_kernel(L: sp.csr_array, emb: Embedding) -> None:
     """Lanczos can miss copies of a repeated eigenvalue and still return
     exact eigenpairs. Eigenvalue 0 has one copy per connected component, so
     the embedding must hold min(k, components) of them."""
     components = connected_components(L, directed=False, return_labels=False)
-    zeros = int(np.count_nonzero(np.abs(emb.eigenvalues) <= tol * _scale(L)))
+    zeros = int(np.count_nonzero(np.abs(emb.eigenvalues) <= _CHECK_TOL * _scale(L)))
     if zeros < min(emb.U.shape[1], components):
         raise NumericError(f"{zeros} zero eigenvalues found for {components} components")
 

@@ -32,7 +32,6 @@ from servicecut.records import (
     PRIMITIVE_SIZES,
     ObjectLayout,
     OpaqueLayout,
-    PrimitiveLayout,
     TypeCatalog,
     TypeRef,
 )
@@ -248,11 +247,11 @@ def _naive_estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel,
             elem_size = _naive_estimate(element, catalog, model, depth + 1, visiting)
         return model.align(model.header_array + model.assumed_array_len * elem_size)
 
+    if t.name in PRIMITIVE_SIZES:
+        return PRIMITIVE_SIZES[t.name]
     layout = catalog.layouts.get(t.name)
     if layout is None:
         return model.default_unknown
-    if isinstance(layout, PrimitiveLayout):
-        return PRIMITIVE_SIZES[layout.kind]
     if isinstance(layout, OpaqueLayout):
         return layout.size_bytes
     assert isinstance(layout, ObjectLayout)

@@ -163,7 +163,9 @@ def test_doubling_chains_cost_every_level_once(fields, monkeypatch):
 
 
 _NAMES = ["T0", "T1", "T2", "T3", "T4"]
-_FIELD = st.builds(TypeRef, name=st.sampled_from(_NAMES + ["int"]), array_rank=st.integers(0, 1))
+# the declared types, every primitive and one undeclared name, up to rank 2
+_POOL = _NAMES + sorted(PRIMITIVE_SIZES) + ["Missing"]
+_FIELD = st.builds(TypeRef, name=st.sampled_from(_POOL), array_rank=st.integers(0, 2))
 _LAYOUT = st.one_of(st.builds(ObjectLayout, st.lists(_FIELD, min_size=1, max_size=4).map(tuple)),
                     st.builds(OpaqueLayout, st.integers(0, 64)))
 
@@ -182,8 +184,24 @@ def test_estimate_equals_the_unmemoized_reference_on_cyclic_catalogs(layouts, ma
     # elements
     cat = TypeCatalog(dict(zip(_NAMES, layouts)))
     model = SizeModel(max_depth=max_depth, assumed_array_len=array_len)
-    for t in [TypeRef(name, rank) for name in _NAMES for rank in (0, 1)]:
+    for t in [TypeRef(name, rank) for name in _POOL for rank in (0, 1, 2)]:
         assert api_estimate(t, cat, model) == naive_api_estimate(t, cat, model)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["object-first", "array-first"])
+def test_the_deepest_arrays_and_objects_stay_under_the_recursion_limit(order):
+    # every array rank and object level at its cap: 255 array frames, one for
+    # the primitive element, and two per object level
+    model = SizeModel(max_depth=255, assumed_array_len=1)
+    for name in ("int", "boolean"):  # 24 bytes at rank 1, then 16 more per rank
+        assert api_estimate(TypeRef(name, 255), CAT, model) == 24 + 16 * 254 == 4088
+    cat = TypeCatalog({f"L{i}": ObjectLayout((TypeRef(f"L{i + 1}"), TypeRef("int", 255))[::order])
+                       for i in range(300)})
+    size = 4  # the object at depth 255 is a reference slot
+    for _ in range(255):
+        size = hand_object_size([size, 4088])
+    assert api_estimate(TypeRef("L0"), cat, model) == size == 1_046_520
+    assert naive_api_estimate(TypeRef("L0"), cat, model) == size
 
 
 def test_reachable_names_follow_object_fields():

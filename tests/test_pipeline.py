@@ -129,7 +129,7 @@ def test_fusion_with_empty_perf_equals_static(tmp_path):
 
 def test_pipeline_k_exceeding_vertices(tmp_path):
     inputs = inputs_from(two_block_spec(), tmp_path)
-    with pytest.raises(ValueError, match="non-isolated"):
+    with pytest.raises(ValueError, match="k must be in"):
         run_pipeline(inputs, "static", k=13, seed=0)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from naive_oracles import naive_parse_call_log, naive_parse_perf_log
+from servicecut.cost_model import api_estimate
 from servicecut.records import (
     CALL_HEADER,
     PERF_HEADER,
@@ -14,7 +15,6 @@ from servicecut.records import (
     ObjectLayout,
     OpaqueLayout,
     PRIMITIVE_SIZES,
-    PrimitiveLayout,
     TypeCatalog,
     parse_call_log,
     parse_perf_log,
@@ -351,15 +351,19 @@ def test_perf_log_splits_like_one_csv_reader_per_line(tmp_path_factory, text):
 
 
 def test_catalog_default_has_primitives():
+    # a catalog holds only the declared types: PRIMITIVE_SIZES sizes the primitives
     catalog = parse_type_catalog(None)
-    assert set(PRIMITIVE_SIZES) <= set(catalog.layouts)
+    assert catalog == TypeCatalog() and not catalog.layouts
+    sizes = {name: api_estimate(TypeRef(name), catalog) for name in PRIMITIVE_SIZES}
+    assert sizes == PRIMITIVE_SIZES
 
 
 def test_a_catalog_is_a_read_only_copy_and_a_parse_error_names_file_and_line(tmp_path):
     layouts = {"Blob": OpaqueLayout(8)}
     catalog = TypeCatalog(layouts)
     assert layouts == {"Blob": OpaqueLayout(8)}
-    assert catalog.layouts["int"] == PrimitiveLayout("int")
+    assert "int" not in catalog.layouts
+    assert api_estimate(TypeRef("int"), TypeCatalog()) == 4
     with pytest.raises(ValueError, match="cannot redefine primitive type 'int'"):
         TypeCatalog({"int": OpaqueLayout(2)})
     with pytest.raises(TypeError):
