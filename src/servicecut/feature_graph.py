@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,23 +54,38 @@ class FeatureGraph:
         return self.vertices[self.src[e]], self.vertices[self.dst[e]]
 
 
-def build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
-                      model: SizeModel = SizeModel()) -> FeatureGraph:
-    """Build the class-level digraph keyed on the records' class fields.
-    Repeated (caller_class, callee_class) pairs accumulate by weight
-    summation; intra-class calls add no edge, so a class seen only in them
-    becomes an isolated vertex. Self-calls are dropped with a warning.
-    Each distinct callee-parameter tuple is costed once per build. Classes
-    are numbered as first seen, and ``np.bincount`` adds each pair's costs
-    one row at a time, in row order: count x cost would round differently
-    once the sum passes 2**53."""
+@dataclass
+class CallTable:
+    """What the class graph needs of a call log, read in one pass: each
+    class numbered as first seen in ``code``, and for each inter-class row
+    its caller and callee class numbers and the number of its
+    callee-parameter tuple in ``params``, the tuples as first seen.
+    ``rows`` counts every record, and ``self_calls`` the self-calls among
+    them."""
+
+    code: dict[str, int]
+    callers: list[int]
+    callees: list[int]
+    params: list[tuple[TypeRef, ...]]
+    row_params: list[int]
+    rows: int
+    self_calls: int
+
+
+def collect_calls(records: Iterable[CallRecord]) -> CallTable:
+    """Read ``records`` once into a ``CallTable``; no record is kept.
+    Callee tuples are told apart by identity, which ``params`` keeps alive
+    (the call-log parser shares one tuple per params text), so no row
+    hashes its ``TypeRef``s."""
     code: dict[str, int] = {}
-    costs: dict[tuple[TypeRef, ...], float] = {}
     callers: list[int] = []
     callees: list[int] = []
-    row_costs: list[float] = []
-    dropped = 0
-    for caller_method, callee_method, caller_class, callee_class, _, params in records:
+    params: list[tuple[TypeRef, ...]] = []
+    row_params: list[int] = []
+    seen: dict[int, int] = {}  # id of a tuple in params -> its index there
+    dropped = rows = 0
+    for rows, (caller_method, callee_method, caller_class, callee_class, _, p) in enumerate(
+            records, start=1):
         a = code.setdefault(caller_class, len(code))
         b = code.setdefault(callee_class, len(code))
         if a == b:
@@ -77,31 +93,61 @@ def build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
             # class::method would confuse ns::A/m with ns/A::m
             dropped += caller_method == callee_method
             continue
-        c = costs.get(params)
-        if c is None:
-            # raises OverflowError for an int cost past the float range
-            c = costs[params] = float(edge_cost(params, catalog, model))
         callers.append(a)
         callees.append(b)
-        row_costs.append(c)
-    if dropped:
-        log.warning("dropped %d self-call record(s)", dropped)
-    n = len(code)
-    keys = np.array(callers, dtype=np.int64) * n + np.array(callees, dtype=np.int64)
+        i = seen.get(id(p))
+        if i is None:
+            i = seen[id(p)] = len(params)
+            params.append(p)
+        row_params.append(i)
+    return CallTable(code, callers, callees, params, row_params, rows, dropped)
+
+
+def weigh_calls(calls: CallTable, catalog: TypeCatalog,
+                model: SizeModel = SizeModel()) -> FeatureGraph:
+    """The class-level digraph of ``calls``. Repeated class pairs accumulate
+    by weight summation; intra-class calls add no edge, so a class seen only
+    in them becomes an isolated vertex. Self-calls are dropped with a
+    warning. Each distinct callee-parameter tuple is costed once, in
+    first-seen order, and ``np.bincount`` adds each pair's costs one row at
+    a time, in row order: count x cost would round differently once the sum
+    passes 2**53. Edges keep their first-seen order."""
+    costs: dict[tuple[TypeRef, ...], float] = {}
+    for p in calls.params:
+        if p not in costs:
+            # raises OverflowError for an int cost past the float range
+            costs[p] = float(edge_cost(p, catalog, model))
+    if calls.self_calls:
+        log.warning("dropped %d self-call record(s)", calls.self_calls)
+    # np.unique's work arrays set the peak memory of a load: the keys are
+    # built in place and the row costs only after it
+    n = len(calls.code)
+    keys = np.array(calls.callers, dtype=np.int64)
+    keys *= n
+    keys += np.array(calls.callees, dtype=np.int64)
     pairs, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)  # edges in first-seen order
     pairs = pairs[order]
+    row_costs = np.array([costs[p] for p in calls.params])[
+        np.array(calls.row_params, dtype=np.intp)]
     weight = np.bincount(inverse, weights=row_costs, minlength=pairs.size)[order]
-    vertices = sorted(code)
+    vertices = sorted(calls.code)
     index = {v: i for i, v in enumerate(vertices)}
-    rank = np.array([index[v] for v in code], dtype=np.intp)
+    rank = np.array([index[v] for v in calls.code], dtype=np.intp)
     src, dst = rank[pairs // n], rank[pairs % n]
     overflow = np.isinf(weight)
     if overflow.any():
         e = overflow.argmax()
         key = (vertices[src[e]], vertices[dst[e]])
         raise OverflowError(f"summed weight of {key!r} overflows float64")
-    return FeatureGraph(vertices, src, dst, weight, self_calls_dropped=dropped)
+    return FeatureGraph(vertices, src, dst, weight, self_calls_dropped=calls.self_calls)
+
+
+def build_class_graph(records: Iterable[CallRecord], catalog: TypeCatalog,
+                      model: SizeModel = SizeModel()) -> FeatureGraph:
+    """The class-level digraph of ``records``, read in one pass (see
+    ``collect_calls`` and ``weigh_calls``)."""
+    return weigh_calls(collect_calls(records), catalog, model)
 
 
 def to_affinity(g: FeatureGraph) -> sp.csr_array:

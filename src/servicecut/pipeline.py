@@ -13,11 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from .cost_model import SizeModel
-from .feature_graph import FeatureGraph, build_class_graph, split_core
+from .feature_graph import CallTable, FeatureGraph, collect_calls, split_core, weigh_calls
 from .metrics import QualityReport, batch_scores, score
 from .records import (
     ArgumentError,
-    CallRecord,
     PerfRecord,
     TypeCatalog,
     parse_call_log,
@@ -65,11 +64,11 @@ class PipelineInputs:
     commands list them), split once, and the perf attributes of the graph's
     vertices, attached once: an (n, 2) array of (cpu_time, retained) rows,
     (0, 0) for a class without a perf row and, with ``normalize``, each
-    column divided by its maximum when that is positive. The ``calls`` and
-    ``perf`` rows are used up here and not kept: only their counts,
-    ``call_rows`` and ``perf_rows``, are."""
+    column divided by its maximum when that is positive. The ``calls``
+    table and the ``perf`` rows are used up here and not kept: only their
+    row counts, ``call_rows`` and ``perf_rows``, are."""
 
-    calls: InitVar[list[CallRecord]]
+    calls: InitVar[CallTable]
     perf: InitVar[list[PerfRecord]]
     catalog: TypeCatalog
     model: SizeModel = SizeModel()
@@ -81,9 +80,9 @@ class PipelineInputs:
     isolated: set[str] = field(init=False)
     attrs: np.ndarray = field(init=False)
 
-    def __post_init__(self, calls: list[CallRecord], perf: list[PerfRecord]):
-        self.call_rows, self.perf_rows = len(calls), len(perf)
-        self.graph = build_class_graph(calls, self.catalog, self.model)
+    def __post_init__(self, calls: CallTable, perf: list[PerfRecord]):
+        self.call_rows, self.perf_rows = calls.rows, len(perf)
+        self.graph = weigh_calls(calls, self.catalog, self.model)
         self.core, self.isolated = split_core(self.graph)
         index = {v: i for i, v in enumerate(self.graph.vertices)}
         self.attrs = np.zeros((len(index), 2))
@@ -100,8 +99,11 @@ class PipelineInputs:
     @classmethod
     def load(cls, calls_path, perf_path=None, catalog_path=None,
              model: SizeModel = SizeModel(), normalize: bool = True) -> "PipelineInputs":
+        """Read the call log in one pass, then the perf log, then the
+        catalog: a bad input set reports the first bad file in that order,
+        and an overflowing weight only when all three parse."""
         return cls(
-            calls=parse_call_log(calls_path),
+            calls=collect_calls(parse_call_log(calls_path)),
             perf=parse_perf_log(perf_path) if perf_path else [],
             catalog=parse_type_catalog(catalog_path),
             model=model,

@@ -20,7 +20,7 @@ import json
 import logging
 import math
 import re
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -211,45 +211,51 @@ def _read_rows(path: str | Path, header: tuple[str, ...]):
     ``csv.field_size_limit()``, say) name the line."""
     first = True
     for lineno, raw in _numbered_lines(path):
-        head = raw.lstrip()
-        if not head or head.startswith("#"):
+        line = raw.strip()
+        if not line or line[0] == "#":
             continue
         if '"' in raw:
             try:
                 (row,) = csv.reader([raw])
             except csv.Error as exc:
                 raise LogParseError(str(exc), path, lineno) from None
+            row = tuple(map(str.strip, row))
+        elif " " not in line and line.isprintable():
+            # every whitespace character but the space is unprintable, so
+            # no field of this line has any to strip
+            row = tuple(line.split(","))
         else:
-            row = raw.split(",")
-        row = tuple(map(str.strip, row))
+            row = tuple(map(str.strip, raw.split(",")))
         if len(row) != len(header):
             raise LogParseError(f"expected {len(header)} columns, got {len(row)}", path, lineno)
-        if not first or row != header:
-            yield lineno, row
-        first = False
+        if first:
+            first = False
+            if row == header:
+                continue
+        yield lineno, row
 
 
-def parse_call_log(path: str | Path) -> list[CallRecord]:
-    """Parse a call-relationship log. Duplicate lines are preserved; their
+def parse_call_log(path: str | Path) -> Iterator[CallRecord]:
+    """Yield the records of a call-relationship log as its lines are read;
+    no list of them is built. Duplicate lines are preserved; their
     multiplicity matters when edge weights are aggregated. Each distinct
     params text is parsed once per call: rows share its (frozen) TypeRef
     tuple, and a text that fails is never stored, so the error names the
-    first line that holds it. Each distinct method or class name is stored
-    once per call too: every name field of every row holds the first
-    ``str`` read for it, so memory follows the distinct names, not the rows."""
-    records = []
+    first line that holds it."""
     parsed: dict[str, tuple[TypeRef, ...]] = {}
-    names: dict[str, str] = {}
     for lineno, row in _read_rows(path, CALL_HEADER):
         caller_method, callee_method, caller_class, callee_class, caller_text, callee_text = row
         if not (caller_method and callee_method and caller_class and callee_class):
             raise LogParseError(f"empty {CALL_HEADER[row.index('')]}", path, lineno)
-        for text in (caller_text, callee_text):
-            if text not in parsed:
-                parsed[text] = _parse_params(text, path, lineno)
-        records.append(CallRecord(*[names.setdefault(name, name) for name in row[:4]],
-                                  parsed[caller_text], parsed[callee_text]))
-    return records
+        caller_params = parsed.get(caller_text)
+        if caller_params is None:
+            caller_params = parsed[caller_text] = _parse_params(caller_text, path, lineno)
+        callee_params = parsed.get(callee_text)
+        if callee_params is None:
+            callee_params = parsed[callee_text] = _parse_params(callee_text, path, lineno)
+        # tuple.__new__ skips the named tuple's __new__, a Python-level call per row
+        yield tuple.__new__(CallRecord, (caller_method, callee_method, caller_class,
+                                         callee_class, caller_params, callee_params))
 
 
 def parse_perf_log(path: str | Path) -> list[PerfRecord]:

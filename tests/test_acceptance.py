@@ -10,7 +10,7 @@ import pytest
 
 from naive_oracles import graph_from_edges, hand_object_size, naive_cut, naive_mq, naive_mqw
 from servicecut.cost_model import SizeModel, api_estimate
-from servicecut.feature_graph import split_core, to_affinity
+from servicecut.feature_graph import collect_calls, split_core, to_affinity
 from servicecut.metrics import score
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import PipelineInputs, partition_accuracy, sweep
@@ -174,7 +174,7 @@ def test_criterion_4_planted_partition_recovery(capsys):
                     param_pool=SMALL_PARAMS, max_params=1, seed=seed,
                 )
                 calls, perf, truth = generate_system(spec)
-                inputs = PipelineInputs(calls, perf, cat)
+                inputs = PipelineInputs(collect_calls(calls), perf, cat)
                 p = extract_candidates(inputs.core, blocks, seed=1000 + seed)
                 accuracies.append(partition_accuracy(p.labels, truth))
                 result = sweep(inputs, ("static",), 2, 10, 10, seed)
@@ -196,7 +196,8 @@ def test_criterion_5_fusion_dominates_static(capsys):
                 param_pool=SMALL_PARAMS, max_params=1,
                 block_correlated_perf=True, seed=seed,
             )
-            inputs = PipelineInputs(*generate_system(spec)[:2], cat)
+            calls, perf, _ = generate_system(spec)
+            inputs = PipelineInputs(collect_calls(calls), perf, cat)
             result = sweep(inputs, ("static", "fusion"), 2, 10, 100, 100 + seed)
             medians = result.medians
             dominated = all(

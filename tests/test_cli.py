@@ -195,6 +195,38 @@ def test_a_quoted_over_long_field_is_a_data_error_naming_file_and_line(tmp_path,
     assert "bad.csv:1: field larger than field limit" in capsys.readouterr().err
 
 
+_HUGE = "Big: opaque 1" + "0" * 400  # costs more than float64 holds
+_OVERFLOW = "data error: int too large to convert to float; the weights come from the " \
+            "--type-catalog and --size-model sizes and, with --raw-attrs, the --perf values"
+
+
+@pytest.mark.parametrize("calls, perf, catalog, expected", [
+    ("f,g,A,B,,int\ng,f,B,A,,in t\n", "A,abc,1\n", None,
+     "calls.csv:2: invalid type name 'in t'"),
+    ("f,g,A,B,,int\n", "A,1,1\nB,abc,1\n", "Blob: opaquex 12\n",
+     "perf.csv:2: non-numeric field: could not convert string to float: 'abc'"),
+    ("f,g,A,B,,Big\n", None, _HUGE + "\nBlob: opaquex 12\n",
+     "types.txt:2: unknown layout kind 'opaquex 12'"),
+    ("f,g,A,B,,Big\ng,f,B,A,int\n", None, _HUGE + "\n", "calls.csv:2: expected 6 columns, got 5"),
+    ("f,g,A,B,,Big\n", "A,1,1\n", _HUGE + "\n", None),
+], ids=["calls-before-perf", "perf-before-catalog", "catalog-before-overflow",
+        "malformed-row-after-overflowing-row", "overflow-last"])
+def test_the_first_bad_input_in_read_order_names_the_error(tmp_path, capsys, calls, perf,
+                                                          catalog, expected):
+    # the call log is read whole first, then the perf log, then the catalog;
+    # a weight overflows only once all three parse
+    argv = ["ingest-check"]
+    for flag, name, text in (("--calls", "calls.csv", calls), ("--perf", "perf.csv", perf),
+                             ("--type-catalog", "types.txt", catalog)):
+        if text is not None:
+            (tmp_path / name).write_text(text)
+            argv += [flag, str(tmp_path / name)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"data error: {tmp_path}/{expected}\n" if expected else
+                          _OVERFLOW + "\n")
+
+
 def test_k_too_large_is_data_error(tmp_path):
     sysdir = synth_system(tmp_path)
     assert run("evaluate", "--calls", str(sysdir / "calls.csv"),
@@ -419,18 +451,23 @@ def test_repeated_catalog_type_is_data_error_naming_file_and_line(tmp_path, caps
 ], ids=["sweep-three-modes", "evaluate", "build-graph", "oracle"])
 def test_the_class_graph_is_built_once_per_invocation(tmp_path, monkeypatch, args):
     sysdir = synth_system(tmp_path, **{"--n-classes": "8"})
-    built, original = [], feature_graph.build_class_graph
+    built = []
 
-    def counting(*a, **kw):
-        built.append(a)
-        return original(*a, **kw)
+    def counting(original):
+        def fn(*a, **kw):
+            built.append(original.__name__)
+            return original(*a, **kw)
+        return fn
 
-    for module in (feature_graph, pipeline):
-        monkeypatch.setattr(module, "build_class_graph", counting)
+    # the call log is read once and the graph weighed once
+    for name in ("collect_calls", "weigh_calls"):
+        counted = counting(getattr(feature_graph, name))
+        for module in (feature_graph, pipeline):
+            monkeypatch.setattr(module, name, counted)
     argv = [a.format(out=tmp_path / "o") for a in args]
     assert run(*argv, "--calls", str(sysdir / "calls.csv"),
                "--perf", str(sysdir / "perf.csv")) == 0
-    assert len(built) == 1
+    assert built == ["collect_calls", "weigh_calls"]
 
 
 @pytest.mark.parametrize("args", [

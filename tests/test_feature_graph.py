@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from naive_oracles import graph_from_edges, naive_affinity, naive_build_class_graph
 from servicecut.feature_graph import (
     build_class_graph,
+    collect_calls,
     graph_to_json,
     split_core,
     to_affinity,
@@ -162,7 +163,7 @@ def _class_inputs(perf, **kwargs):
     """Inputs whose class graph is ``_class_graph()``: C only calls itself."""
     records = [call("f", "g", "A", "B", ["int"]), call("h", "g", "A", "B", ["short"]),
                call("g", "f", "B", "A", ["byte"]), call("f", "g", "C", "C")]
-    inputs = PipelineInputs(records, perf, CAT, **kwargs)
+    inputs = PipelineInputs(collect_calls(records), perf, CAT, **kwargs)
     assert inputs.graph.vertices == ["A", "B", "C"]
     assert inputs.graph.edges == _class_graph().edges
     return inputs
@@ -228,7 +229,7 @@ def test_mode_graph_keeps_class_graph_vertices_and_edges(mode):
     # keep the static class graph's vertex list and edge-key set
     calls, perf, _ = generate_system(SynthSpec(n_classes=24, n_blocks=3,
                                                inter_call_prob=0.1, seed=2))
-    inputs = PipelineInputs(calls, perf, CAT)
+    inputs = PipelineInputs(collect_calls(calls), perf, CAT)
     base, g = inputs.graph, inputs.mode_graph(mode)
     assert g.vertices == base.vertices
     assert list(g.edges) == list(base.edges)
@@ -340,7 +341,7 @@ def test_affinity_csv_is_the_dense_matrix(tmp_path):
 
 def test_affinity_csv_cells_parse_to_the_matrix_bit_for_bit(tmp_path):
     calls, perf, _ = generate_system(SynthSpec(n_classes=12, n_blocks=2, seed=1))
-    g = PipelineInputs(calls, perf, CAT).mode_core("fusion")
+    g = PipelineInputs(collect_calls(calls), perf, CAT).mode_core("fusion")
     write_affinity_csv(g, tmp_path / "aff.csv")
     with open(tmp_path / "aff.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -354,7 +355,7 @@ def test_affinity_csv_equals_the_dense_rendering(tmp_path, mode, normalize):
     # the table written from W's stored entries is the one written from the
     # dense n x n matrix, byte for byte
     calls, perf, _ = generate_system(SynthSpec(n_classes=40, n_blocks=4, seed=3))
-    g = PipelineInputs(calls, perf, CAT, normalize=normalize).mode_core(mode)
+    g = PipelineInputs(collect_calls(calls), perf, CAT, normalize=normalize).mode_core(mode)
     write_affinity_csv(g, tmp_path / "aff.csv")
     with open(tmp_path / "dense.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,11 +1,13 @@
 import gc
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from naive_oracles import canonicalize, naive_kmeans
 from servicecut import pipeline
+from servicecut.feature_graph import collect_calls
 from servicecut.metrics import score
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import (
@@ -39,11 +41,32 @@ def inputs_from(spec, tmp_path):
 
 def test_inputs_keep_the_row_counts_not_the_rows():
     calls, perf, _ = generate_system(two_block_spec())
-    inputs = PipelineInputs(calls, perf, CAT)
+    table = collect_calls(calls)
+    inputs = PipelineInputs(table, perf, CAT)
     assert (inputs.call_rows, inputs.perf_rows) == (len(calls), len(perf))
     gc.collect()
-    for rows in (calls, perf):
+    for rows in (calls, table, perf):
         assert not any(ref is inputs or ref is vars(inputs) for ref in gc.get_referrers(rows))
+
+
+def test_loading_a_longer_log_costs_a_few_words_per_extra_row(tmp_path):
+    # the call log streams into the class graph: no record is held, so the
+    # traced peak of a load grows with the rows by what each row keeps
+    # (two class codes and a tuple number) and the arrays made of them
+    calls_path, perf_path, _ = synth_generate(
+        SynthSpec(n_classes=150, n_blocks=3, seed=1), tmp_path)
+    header, *rows = calls_path.read_bytes().splitlines(keepends=True)
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_bytes(header + b"".join(rows) * 8)
+    peaks = []
+    for path in (calls_path, repeated):
+        tracemalloc.start()
+        try:
+            PipelineInputs.load(path, perf_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (7 * len(rows)) <= 100
 
 
 # --- synthetic generator ----------------------------------------------------
@@ -67,7 +90,7 @@ def test_synth_outputs_byte_identical_for_fixed_seed(tmp_path):
 
 def test_synth_files_parse(tmp_path):
     calls_path, perf_path, truth_path = synth_generate(two_block_spec(), tmp_path)
-    calls = parse_call_log(calls_path)
+    calls = list(parse_call_log(calls_path))
     perf = parse_perf_log(perf_path)
     assert calls
     assert len(perf) == 12
@@ -78,7 +101,7 @@ def test_synth_files_parse(tmp_path):
 def test_ground_truth_recovery_zero_inter_every_seed():
     for seed in range(8):
         calls, perf, truth = generate_system(two_block_spec(seed=seed))
-        core = PipelineInputs(calls, perf, CAT).core
+        core = PipelineInputs(collect_calls(calls), perf, CAT).core
         p = extract_candidates(core, 2, seed=seed)
         assert partition_accuracy(p.labels, truth) == 1.0
 
@@ -163,8 +186,8 @@ def metamorphic_logs(seed):
 @pytest.mark.parametrize("mode", MODES)
 def test_duplicated_call_rows_leave_candidates_unchanged(seed, mode):
     calls, perf = metamorphic_logs(seed)
-    inputs = PipelineInputs(calls, perf, CAT)
-    doubled = PipelineInputs([r for r in calls for _ in range(2)], perf, CAT)
+    inputs = PipelineInputs(collect_calls(calls), perf, CAT)
+    doubled = PipelineInputs(collect_calls(r for r in calls for _ in range(2)), perf, CAT)
     for k in (2, 4, 6):
         p, _ = run_pipeline(inputs, mode, k, seed)
         p2, _ = run_pipeline(doubled, mode, k, seed)
@@ -176,10 +199,10 @@ def test_duplicated_call_rows_leave_candidates_unchanged(seed, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_prefixed_class_names_leave_candidates_unchanged(seed, mode):
     calls, perf = metamorphic_logs(seed)
-    inputs = PipelineInputs(calls, perf, CAT)
+    inputs = PipelineInputs(collect_calls(calls), perf, CAT)
     renamed = PipelineInputs(
-        [r._replace(caller_class="x." + r.caller_class, callee_class="x." + r.callee_class)
-         for r in calls],
+        collect_calls(r._replace(caller_class="x." + r.caller_class,
+                                 callee_class="x." + r.callee_class) for r in calls),
         [replace(r, class_id="x." + r.class_id) for r in perf],
         CAT,
     )
@@ -275,7 +298,7 @@ def test_sweep_graph_epoch_values_equal_reference_loop(mode, monkeypatch):
     # replaced, value for value: guards a byte-identical sweep.json; all the
     # epochs of one k share one k-means call
     calls, perf, _ = generate_system(SynthSpec(n_classes=40, n_blocks=4, seed=1))
-    core = PipelineInputs(calls, perf, CAT).mode_core(mode)
+    core = PipelineInputs(collect_calls(calls), perf, CAT).mode_core(mode)
     U = embed(core, 10).U
     expected = {}
     for k in range(2, 11):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from naive_oracles import naive_parse_call_log, naive_parse_perf_log
 from servicecut.cost_model import api_estimate
+from servicecut.feature_graph import build_class_graph
 from servicecut.records import (
     CALL_HEADER,
     PERF_HEADER,
@@ -27,7 +28,7 @@ from servicecut.records import (
 def test_parse_call_line(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text("getOrder,getItem,OrderService,ItemDao,int,int;String\n")
-    (rec,) = parse_call_log(p)
+    (rec,) = list(parse_call_log(p))
     assert rec.caller_method == "getOrder"
     assert rec.callee_method == "getItem"
     assert rec.caller_class == "OrderService"
@@ -39,13 +40,13 @@ def test_parse_call_line(tmp_path):
 def test_parse_call_empty_file(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text("")
-    assert parse_call_log(p) == []
+    assert list(parse_call_log(p)) == []
 
 
 def test_parse_call_empty_params(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text("f,g,A,B,,\n")
-    (rec,) = parse_call_log(p)
+    (rec,) = list(parse_call_log(p))
     assert rec.caller_params == ()
     assert rec.callee_params == ()
 
@@ -53,42 +54,29 @@ def test_parse_call_empty_params(tmp_path):
 def test_parse_call_comments_and_blank_lines(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text("# header comment\n\nf,g,A,B,,int\n")
-    assert len(parse_call_log(p)) == 1
+    assert len(list(parse_call_log(p))) == 1
 
 
 def test_parse_call_duplicates_preserved(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text("f,g,A,B,,int\nf,g,A,B,,int\n")
-    recs = parse_call_log(p)
+    recs = list(parse_call_log(p))
     assert len(recs) == 2
     assert recs[0] == recs[1]
-
-
-def test_each_distinct_name_is_one_object(tmp_path):
-    p = tmp_path / "calls.csv"
-    # names of more than one character: CPython shares the one-character strings anyway
-    p.write_text("get,put,Aa,Bb,,\nput,get,Bb,Cc,,\nget,Aa,Cc,Aa,,\n")
-    r1, r2, r3 = parse_call_log(p)
-    # across rows and across columns: Bb is a callee and a caller class, Aa
-    # a class and a method
-    assert r1.callee_class is r2.caller_class
-    assert r1.caller_class is r3.callee_class is r3.callee_method
-    assert r1.caller_method is r2.callee_method is r3.caller_method
-    assert r2.callee_class is r3.caller_class
 
 
 def test_parse_call_array_params(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text("f,g,A,B,,int[];byte[][]\n")
-    (rec,) = parse_call_log(p)
+    (rec,) = list(parse_call_log(p))
     assert rec.callee_params == (TypeRef("int", 1), TypeRef("byte", 2))
     # the JVM allows at most 255 array dimensions
     p.write_text("f,g,A,B,,int" + "[]" * 255 + "\n")
-    (rec,) = parse_call_log(p)
+    (rec,) = list(parse_call_log(p))
     assert rec.callee_params == (TypeRef("int", 255),)
     p.write_text("f,g,A,B,,int\ng,f,B,A,,int" + "[]" * 256 + "\n")
     with pytest.raises(LogParseError, match=r"calls.csv:2: array rank 256 of 'int'"):
-        parse_call_log(p)
+        list(parse_call_log(p))
     with pytest.raises(ValueError, match="array rank 256"):
         TypeRef("int", 256)
 
@@ -97,7 +85,7 @@ def test_parse_call_bad_column_count(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text("f,g,A,B,int\n")
     with pytest.raises(LogParseError) as exc:
-        parse_call_log(p)
+        list(parse_call_log(p))
     assert exc.value.line == 1
 
 
@@ -105,7 +93,7 @@ def test_parse_call_bad_type_name(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text("good,line,A,B,,int\nf,g,A,B,,in t\n")
     with pytest.raises(LogParseError) as exc:
-        parse_call_log(p)
+        list(parse_call_log(p))
     assert exc.value.line == 2
 
 
@@ -121,14 +109,14 @@ def test_parse_call_bad_params_text_names_its_first_line(tmp_path, rows, line):
     p = tmp_path / "calls.csv"
     p.write_text("".join(f"f,g,A,B,{params}\n" for params in rows))
     with pytest.raises(LogParseError, match=rf"calls.csv:{line}: invalid type name '9x'"):
-        parse_call_log(p)
+        list(parse_call_log(p))
 
 
 def test_parse_call_empty_id(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text("f,,A,B,,\n")
     with pytest.raises(LogParseError):
-        parse_call_log(p)
+        list(parse_call_log(p))
 
 
 def test_parse_perf_line(tmp_path):
@@ -172,6 +160,10 @@ def test_parse_perf_non_finite(tmp_path):
         parse_perf_log(p)
 
 
+def _call_records(path):
+    return list(parse_call_log(path))
+
+
 # --- header rows ------------------------------------------------------------
 
 _CALL_ROWS = "# traced 2024-01-01\nf,g,A,B,,int\ng,h,B,C,long;int[],\n"
@@ -179,7 +171,7 @@ _PERF_ROWS = "A,1.5,2048\nB,0,0\n"
 
 
 @pytest.mark.parametrize("parse, header, rows", [
-    (parse_call_log, CALL_HEADER, _CALL_ROWS),
+    (_call_records, CALL_HEADER, _CALL_ROWS),
     (parse_perf_log, PERF_HEADER, _PERF_ROWS),
 ], ids=["call", "perf"])
 @pytest.mark.parametrize("prefix", ["", "# comment\n\n"], ids=["first-line", "after-comment"])
@@ -199,7 +191,7 @@ def test_documented_headers():
 def test_call_header_on_a_later_row_is_data(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text("f,g,A,B,,int\n" + ",".join(CALL_HEADER) + "\n")
-    recs = parse_call_log(p)
+    recs = list(parse_call_log(p))
     assert len(recs) == 2
     assert (recs[1].caller_class, recs[1].callee_class) == ("caller_class", "callee_class")
 
@@ -217,11 +209,11 @@ def test_empty_field_named_by_its_header_column(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text("f,g,A,,,\n")
     with pytest.raises(LogParseError, match="empty callee_class"):
-        parse_call_log(p)
+        list(parse_call_log(p))
 
 
 @pytest.mark.parametrize("parse, first_line", [
-    (parse_call_log, b"f,g,A,B,int,int\n"),
+    (_call_records, b"f,g,A,B,int,int\n"),
     (parse_perf_log, b"A,1.0,2.0\n"),
     (parse_type_catalog, b"A: object\n"),
 ], ids=["calls", "perf", "catalog"])
@@ -233,7 +225,7 @@ def test_invalid_utf8_names_the_file_and_line(tmp_path, parse, first_line):
 
 
 @pytest.mark.parametrize("parse, text", [
-    (parse_call_log, ",".join(CALL_HEADER) + "\n" + _CALL_ROWS),
+    (_call_records, ",".join(CALL_HEADER) + "\n" + _CALL_ROWS),
     (parse_perf_log, ",".join(PERF_HEADER) + "\n" + _PERF_ROWS),
     (parse_type_catalog, "Order: object\n    int\nBlob: opaque 16\n"),
 ], ids=["calls", "perf", "catalog"])
@@ -265,13 +257,13 @@ def test_a_quoted_field_over_the_csv_limit_is_a_data_error_naming_its_line(tmp_p
     p = tmp_path / "calls.csv"
     p.write_text(f'f,g,A,B,,int\n"{_LONG}",g,A,B,,\n')
     with pytest.raises(LogParseError, match=r"calls.csv:2: field larger than field limit"):
-        parse_call_log(p)
+        list(parse_call_log(p))
 
 
 def test_an_unquoted_field_over_the_csv_limit_parses(tmp_path):
     p = tmp_path / "calls.csv"
     p.write_text(f"{_LONG},g,A,B,,\n")
-    (rec,) = parse_call_log(p)
+    (rec,) = list(parse_call_log(p))
     assert rec.caller_method == _LONG
 
 
@@ -337,7 +329,24 @@ def _outcome(parse, path):
 def test_call_log_splits_like_one_csv_reader_per_line(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("split") / "calls.csv"
     path.write_bytes(text.encode())
-    assert _outcome(parse_call_log, path) == _outcome(naive_parse_call_log, path)
+    assert _outcome(_call_records, path) == _outcome(naive_parse_call_log, path)
+
+
+@given(_log_text(_CALL_COLUMNS, CALL_HEADER))
+def test_streamed_call_log_builds_the_graph_of_its_record_list(tmp_path_factory, text):
+    # the graph built as the rows stream past, bit for bit, or the same error
+    path = tmp_path_factory.mktemp("stream") / "calls.csv"
+    path.write_bytes(text.encode())
+
+    def graph(parse):
+        try:
+            g = build_class_graph(parse(path), TypeCatalog())
+        except LogParseError as exc:
+            return exc.line, str(exc)
+        return (g.vertices, g.src.tolist(), g.dst.tolist(), list(map(float.hex, g.weight.tolist())),
+                g.self_calls_dropped)
+
+    assert graph(parse_call_log) == graph(naive_parse_call_log)
 
 
 @given(_log_text(_PERF_COLUMNS, PERF_HEADER))
@@ -462,7 +471,7 @@ _call_record = st.builds(
 def test_call_log_round_trip(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("rt") / "calls.csv"
     write_call_log(records, path)
-    assert parse_call_log(path) == records
+    assert list(parse_call_log(path)) == records
 
 
 @given(
@@ -488,7 +497,7 @@ def test_written_logs_open_with_their_header(tmp_path):
     spelled = CallRecord(*CALL_HEADER[:4], (TypeRef(CALL_HEADER[4]),), (TypeRef(CALL_HEADER[5]),))
     records = [spelled, CallRecord("f", "g", "A", "B", (), (TypeRef("int"),))]
     write_call_log(records, tmp_path / "calls.csv")
-    assert parse_call_log(tmp_path / "calls.csv") == records
+    assert list(parse_call_log(tmp_path / "calls.csv")) == records
     write_perf_log([PerfRecord("A", 1.5, 2.0)], tmp_path / "perf.csv")
     lines = [(tmp_path / name).read_text().splitlines()[0] for name in ("calls.csv", "perf.csv")]
     assert lines == [",".join(CALL_HEADER), ",".join(PERF_HEADER)]
