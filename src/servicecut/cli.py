@@ -93,7 +93,7 @@ def cli():
 @_inputs
 def ingest_check(inputs):
     """Parse inputs and report counts; fail loudly on malformed data."""
-    click.echo(f"call records: {inputs.call_rows} ({inputs.graph.self_calls_dropped} self-call)")
+    click.echo(f"call records: {inputs.call_rows} ({inputs.self_calls} self-call)")
     click.echo(f"perf records: {inputs.perf_rows}")
     click.echo(f"classes:      {len(inputs.graph.vertices)}")
     click.echo(f"types:        {len(PRIMITIVE_SIZES) + len(inputs.catalog.layouts)}")

@@ -23,7 +23,7 @@ log = logging.getLogger(__name__)
 @dataclass(eq=False)
 class FeatureGraph:
     """Directed weighted graph over the sorted, distinct class ``vertices``.
-    The edges are three arrays in first-seen order: ``src`` and ``dst``
+    The edges are three arrays sorted by (src, dst): ``src`` and ``dst``
     index into ``vertices`` and ``weight`` is positive and finite. A
     (src, dst) pair appears at most once and never as a self-loop. The modes
     share the edges and differ only in ``weight``."""
@@ -32,7 +32,6 @@ class FeatureGraph:
     src: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
-    self_calls_dropped: int = 0
 
     def __post_init__(self):
         loops = self.src == self.dst
@@ -105,13 +104,14 @@ def collect_calls(records: Iterable[CallRecord]) -> CallTable:
 
 def weigh_calls(calls: CallTable, catalog: TypeCatalog,
                 model: SizeModel = SizeModel()) -> FeatureGraph:
-    """The class-level digraph of ``calls``. Repeated class pairs accumulate
-    by weight summation; intra-class calls add no edge, so a class seen only
-    in them becomes an isolated vertex. Self-calls are dropped with a
-    warning. Each distinct callee-parameter tuple is costed once, in
-    first-seen order, and ``np.bincount`` adds each pair's costs one row at
-    a time, in row order: count x cost would round differently once the sum
-    passes 2**53. Edges keep their first-seen order."""
+    """The class-level digraph of ``calls``, edges sorted by (src, dst), a
+    pair at most once. Repeated class pairs accumulate by weight summation;
+    intra-class calls add no edge, so a class seen only in them becomes an
+    isolated vertex. Self-calls are dropped with a warning. Each distinct
+    callee-parameter tuple is costed once, in first-seen order, and
+    ``np.bincount`` adds each pair's costs one row at a time, in row order:
+    count x cost would round differently once the sum passes 2**53. A sum
+    past the float range is an OverflowError naming the smallest such pair."""
     costs: dict[tuple[TypeRef, ...], float] = {}
     for p in calls.params:
         if p not in costs:
@@ -119,35 +119,26 @@ def weigh_calls(calls: CallTable, catalog: TypeCatalog,
             costs[p] = float(edge_cost(p, catalog, model))
     if calls.self_calls:
         log.warning("dropped %d self-call record(s)", calls.self_calls)
-    # np.unique's work arrays set the peak memory of a load: the keys are
-    # built in place and the row costs only after it
-    n = len(calls.code)
-    keys = np.array(calls.callers, dtype=np.int64)
-    keys *= n
-    keys += np.array(calls.callees, dtype=np.int64)
-    pairs, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # edges in first-seen order
-    pairs = pairs[order]
-    row_costs = np.array([costs[p] for p in calls.params])[
-        np.array(calls.row_params, dtype=np.intp)]
-    weight = np.bincount(inverse, weights=row_costs, minlength=pairs.size)[order]
     vertices = sorted(calls.code)
     index = {v: i for i, v in enumerate(vertices)}
-    rank = np.array([index[v] for v in calls.code], dtype=np.intp)
-    src, dst = rank[pairs // n], rank[pairs % n]
+    rank = np.array([index[v] for v in calls.code], dtype=np.int64)
+    # np.unique's work arrays set the peak memory of a load: the keys are
+    # built in place and the row costs only after it
+    n = len(vertices)
+    keys = rank[calls.callers]
+    keys *= n
+    keys += rank[calls.callees]
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    row_costs = np.array([costs[p] for p in calls.params])[
+        np.array(calls.row_params, dtype=np.intp)]
+    weight = np.bincount(inverse, weights=row_costs, minlength=pairs.size)
+    src, dst = pairs // n, pairs % n
     overflow = np.isinf(weight)
     if overflow.any():
         e = overflow.argmax()
         key = (vertices[src[e]], vertices[dst[e]])
         raise OverflowError(f"summed weight of {key!r} overflows float64")
-    return FeatureGraph(vertices, src, dst, weight, self_calls_dropped=calls.self_calls)
-
-
-def build_class_graph(records: Iterable[CallRecord], catalog: TypeCatalog,
-                      model: SizeModel = SizeModel()) -> FeatureGraph:
-    """The class-level digraph of ``records``, read in one pass (see
-    ``collect_calls`` and ``weigh_calls``)."""
-    return weigh_calls(collect_calls(records), catalog, model)
+    return FeatureGraph(vertices, src, dst, weight)
 
 
 def to_affinity(g: FeatureGraph) -> sp.csr_array:
@@ -172,7 +163,7 @@ def split_core(g: FeatureGraph) -> tuple[FeatureGraph, set[str]]:
     touched = np.bincount(np.concatenate([g.src, g.dst]), minlength=len(g.vertices)) > 0
     index = np.cumsum(touched) - 1
     keep = [v for v, t in zip(g.vertices, touched.tolist()) if t]
-    core = FeatureGraph(keep, index[g.src], index[g.dst], g.weight, g.self_calls_dropped)
+    core = FeatureGraph(keep, index[g.src], index[g.dst], g.weight)
     return core, set(g.vertices) - set(keep)
 
 

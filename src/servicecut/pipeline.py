@@ -65,8 +65,8 @@ class PipelineInputs:
     vertices, attached once: an (n, 2) array of (cpu_time, retained) rows,
     (0, 0) for a class without a perf row and, with ``normalize``, each
     column divided by its maximum when that is positive. The ``calls``
-    table and the ``perf`` rows are used up here and not kept: only their
-    row counts, ``call_rows`` and ``perf_rows``, are."""
+    table and the ``perf`` rows are used up here and not kept: only the
+    counts ``call_rows``, ``self_calls`` and ``perf_rows`` are."""
 
     calls: InitVar[CallTable]
     perf: InitVar[list[PerfRecord]]
@@ -75,22 +75,24 @@ class PipelineInputs:
     normalize: bool = True
     call_rows: int = field(init=False)
     perf_rows: int = field(init=False)
+    self_calls: int = field(init=False)
     graph: FeatureGraph = field(init=False)
     core: FeatureGraph = field(init=False)
     isolated: set[str] = field(init=False)
     attrs: np.ndarray = field(init=False)
 
     def __post_init__(self, calls: CallTable, perf: list[PerfRecord]):
-        self.call_rows, self.perf_rows = calls.rows, len(perf)
+        self.call_rows, self.perf_rows, self.self_calls = calls.rows, len(perf), calls.self_calls
         self.graph = weigh_calls(calls, self.catalog, self.model)
         self.core, self.isolated = split_core(self.graph)
         index = {v: i for i, v in enumerate(self.graph.vertices)}
         self.attrs = np.zeros((len(index), 2))
         for r in perf:
-            if r.class_id not in index:
-                log.warning("perf record for %r has no call-graph vertex; ignored", r.class_id)
-                continue
-            self.attrs[index[r.class_id]] = r.cpu_time, r.retained_bytes
+            if r.class_id in index:
+                self.attrs[index[r.class_id]] = r.cpu_time, r.retained_bytes
+        if unknown := [r.class_id for r in perf if r.class_id not in index]:
+            log.warning("perf record for %r has no call-graph vertex; ignored (%d such records)",
+                        unknown[0], len(unknown))
         if self.normalize:
             top = self.attrs.max(axis=0, initial=0.0)
             self.attrs = np.divide(self.attrs, top, out=np.zeros_like(self.attrs),
@@ -123,7 +125,7 @@ class PipelineInputs:
         return replace(self.graph, weight=mode_weights(self.graph, self.attrs, mode))
 
     def mode_core(self, mode: str) -> FeatureGraph:
-        """The core with the mode's weights (the core keeps the graph's edges, in order)."""
+        """The core with the mode's weights: the core keeps the graph's sorted edges."""
         return replace(self.core, weight=mode_weights(self.graph, self.attrs, mode))
 
 

@@ -7,7 +7,8 @@ the class graph by costing every call row anew, the affinity one edge at a
 time, k-means one restart after another, and the logs by reading every line
 through its own ``csv.reader`` and parsing every params field anew.
 ``graph_from_edges`` builds the ``FeatureGraph`` of an edge dict for them and
-for the tests.
+for the tests, and ``build_class_graph`` the library's class graph of a
+record list.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from servicecut.cost_model import SizeModel, edge_cost
-from servicecut.feature_graph import FeatureGraph, split_core
+from servicecut.feature_graph import FeatureGraph, collect_calls, split_core, weigh_calls
 from servicecut.metrics import score
 from servicecut.oracle import MAX_VERTICES, restricted_growth_strings
 from servicecut.records import (
@@ -180,19 +181,27 @@ def naive_brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Par
     return best_p, best_v
 
 
-def graph_from_edges(vertices, edges: dict[tuple[str, str], float], **kwargs) -> FeatureGraph:
+def graph_from_edges(vertices, edges: dict[tuple[str, str], float]) -> FeatureGraph:
     """The graph of ``{(src, dst): weight}`` over ``vertices``, any order."""
     vertices = sorted(vertices)
     index = {v: i for i, v in enumerate(vertices)}
     src = np.array([index[s] for s, _ in edges], dtype=np.intp)
     dst = np.array([index[d] for _, d in edges], dtype=np.intp)
-    return FeatureGraph(vertices, src, dst, np.array(list(edges.values()), dtype=float), **kwargs)
+    return FeatureGraph(vertices, src, dst, np.array(list(edges.values()), dtype=float))
+
+
+def build_class_graph(records, catalog: TypeCatalog,
+                      model: SizeModel = SizeModel()) -> FeatureGraph:
+    """The library's class graph of ``records``, read in one pass."""
+    return weigh_calls(collect_calls(records), catalog, model)
 
 
 def naive_build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
-                            model: SizeModel | None = None) -> FeatureGraph:
+                            model: SizeModel | None = None) -> tuple[FeatureGraph, int]:
     """``build_class_graph`` with no cost memo: ``edge_cost`` runs for every
-    inter-class row, and each cost is added to its class pair in row order."""
+    inter-class row, and each cost is added to its class pair in row order.
+    Returns the graph, its edges sorted by (src, dst), and the count of
+    self-calls dropped."""
     model = model or SizeModel()
     classes: set[str] = set()
     edges: dict[tuple[str, str], float] = {}
@@ -207,7 +216,7 @@ def naive_build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
             continue
         key = (r.caller_class, r.callee_class)
         edges[key] = edges.get(key, 0.0) + edge_cost(r.callee_params, catalog, model)
-    return graph_from_edges(classes, edges, self_calls_dropped=dropped)
+    return graph_from_edges(classes, dict(sorted(edges.items()))), dropped
 
 
 def naive_affinity(g) -> np.ndarray:

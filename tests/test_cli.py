@@ -484,6 +484,42 @@ def test_an_unknown_perf_class_is_logged_once_per_run(tmp_path, caplog, args):
     assert caplog.text.count("'Ghost' has no call-graph vertex") == 1
 
 
+def test_perf_rows_without_a_vertex_are_one_warning_with_their_count(tmp_path, caplog):
+    sysdir = synth_system(tmp_path)
+    perf = tmp_path / "perf.csv"
+    perf.write_text((sysdir / "perf.csv").read_text() + "Ghost,1,1\nPhantom,2,2\n")
+    assert run("ingest-check", "--calls", str(sysdir / "calls.csv"), "--perf", str(perf)) == 0
+    warnings = [r.getMessage() for r in caplog.records if "no call-graph vertex" in r.getMessage()]
+    assert warnings == [
+        "perf record for 'Ghost' has no call-graph vertex; ignored (2 such records)"]
+
+
+_REORDER = {"sorted": sorted, "reversed": lambda rows: rows[::-1]}
+
+
+@pytest.mark.parametrize("reorder", sorted(_REORDER))
+def test_outputs_depend_on_the_call_rows_not_their_order(tmp_path, reorder):
+    assert run("synth", "--n-classes", "24", "--n-blocks", "3", "--seed", "7",
+               "--out", str(tmp_path / "demo")) == 0
+    calls = tmp_path / "demo" / "calls.csv"
+    header, *rows = calls.read_bytes().splitlines(keepends=True)
+    reordered = tmp_path / "reordered.csv"
+    reordered.write_bytes(header + b"".join(_REORDER[reorder](rows)))
+    assert reordered.read_bytes() != calls.read_bytes()
+    commands = {
+        "evaluate": (["evaluate", "--k", "3"], ["partition.json", "report.json"]),
+        "sweep": (["sweep", "--epochs", "3"], ["sweep.json"]),
+        "build-graph": (["build-graph"], ["graph.json", "graph_edges.csv", "affinity.csv"]),
+    }
+    for name, (args, files) in commands.items():
+        for log in (calls, reordered):
+            assert run(*args, "--calls", str(log), "--perf", str(tmp_path / "demo" / "perf.csv"),
+                       "--out", str(tmp_path / log.stem / name)) == 0
+        for f in files:
+            assert ((tmp_path / "reordered" / name / f).read_bytes()
+                    == (tmp_path / "calls" / name / f).read_bytes()), f
+
+
 @pytest.mark.parametrize("command", [["ingest-check"], ["evaluate", "--k", "2", "--out", "{out}"]])
 def test_array_rank_beyond_the_jvm_limit_is_a_data_error_naming_the_line(tmp_path, capsys,
                                                                           command):

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from naive_oracles import graph_from_edges, naive_affinity, naive_build_class_graph
-from servicecut.feature_graph import (
+from naive_oracles import (
     build_class_graph,
+    graph_from_edges,
+    naive_affinity,
+    naive_build_class_graph,
+)
+from servicecut.feature_graph import (
     collect_calls,
     graph_to_json,
     split_core,
@@ -50,15 +54,17 @@ def test_duplicate_records_accumulate():
 
 
 def test_self_call_dropped_and_counted():
-    g = build_class_graph([call("f", "f", "A", "A")], CAT)
+    records = [call("f", "f", "A", "A")]
+    g = build_class_graph(records, CAT)
     assert g.edges == {}
-    assert g.self_calls_dropped == 1
+    assert collect_calls(records).self_calls == 1
     assert g.vertices == ["A"]
 
 
 def test_same_method_name_in_two_classes_is_not_a_self_call():
-    g = build_class_graph([call("f", "f", "A", "B")], CAT)
-    assert g.self_calls_dropped == 0
+    records = [call("f", "f", "A", "B")]
+    g = build_class_graph(records, CAT)
+    assert collect_calls(records).self_calls == 0
     assert ("A", "B") in g.edges
 
 
@@ -70,9 +76,10 @@ def test_lift_sums_method_edges():
 
 
 def test_lift_discards_intra_class_edges():
-    g = build_class_graph([call("f", "g", "A", "A", ["int"])], CAT)
+    records = [call("f", "g", "A", "A", ["int"])]
+    g = build_class_graph(records, CAT)
     assert g.edges == {}
-    assert g.self_calls_dropped == 0
+    assert collect_calls(records).self_calls == 0
     assert g.vertices == ["A"]
     assert split_core(g)[1] == {"A"}
 
@@ -101,8 +108,9 @@ def test_lift_conserves_inter_class_weight():
 
 def test_self_call_compares_fields_not_joined_ids():
     # "ns::A" + "::" + "m" and "ns" + "::" + "A::m" are the same string
-    g = build_class_graph([call("m", "A::m", "ns::A", "ns", ["int"])], CAT)
-    assert g.self_calls_dropped == 0
+    records = [call("m", "A::m", "ns::A", "ns", ["int"])]
+    g = build_class_graph(records, CAT)
+    assert collect_calls(records).self_calls == 0
     assert g.edges == {("ns::A", "ns"): 5.0}
 
 
@@ -111,7 +119,7 @@ def test_class_names_containing_separator():
     g = build_class_graph(records, CAT)
     assert g.vertices == ["ns::A", "ns::B"]
     assert g.edges == {("ns::A", "ns::B"): 5.0, ("ns::B", "ns::A"): 1.0}
-    assert g.self_calls_dropped == 0
+    assert collect_calls(records).self_calls == 0
 
 
 # a few shared parameter tuples, so rows repeat them; under a million-element
@@ -133,11 +141,11 @@ _COST_ROWS = st.lists(st.builds(CallRecord, _METHOD, _METHOD, _CLASS, _CLASS, st
 def test_class_graph_costing_each_tuple_once_matches_the_row_loop_bit_for_bit(records, model):
     catalog = TypeCatalog({"Foo": OpaqueLayout(24)})
     g = build_class_graph(records, catalog, model)
-    naive = naive_build_class_graph(records, catalog, model)
+    naive, dropped = naive_build_class_graph(records, catalog, model)
     assert g.vertices == naive.vertices
     assert list(g.edges) == list(naive.edges)
     assert list(map(float.hex, g.weight.tolist())) == list(map(float.hex, naive.weight.tolist()))
-    assert g.self_calls_dropped == naive.self_calls_dropped
+    assert collect_calls(records).self_calls == dropped
 
 
 def test_class_graph_costs_each_callee_tuple_once(monkeypatch):

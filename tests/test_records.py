@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from naive_oracles import naive_parse_call_log, naive_parse_perf_log
 from servicecut.cost_model import api_estimate
-from servicecut.feature_graph import build_class_graph
+from servicecut.feature_graph import collect_calls, weigh_calls
 from servicecut.records import (
     CALL_HEADER,
     PERF_HEADER,
@@ -340,11 +340,12 @@ def test_streamed_call_log_builds_the_graph_of_its_record_list(tmp_path_factory,
 
     def graph(parse):
         try:
-            g = build_class_graph(parse(path), TypeCatalog())
+            calls = collect_calls(parse(path))
         except LogParseError as exc:
             return exc.line, str(exc)
+        g = weigh_calls(calls, TypeCatalog())
         return (g.vertices, g.src.tolist(), g.dst.tolist(), list(map(float.hex, g.weight.tolist())),
-                g.self_calls_dropped)
+                calls.self_calls)
 
     assert graph(parse_call_log) == graph(naive_parse_call_log)
 
