@@ -140,12 +140,12 @@ def _check_kernel(L: sp.csr_array, emb: Embedding) -> None:
 
 # About this many float64 values (1 MiB) bound each batch of ``kmeans``: the
 # point-distance table exists only when its n * n values fit, and seeds per
-# k-means++ batch, like the table's chunks, are capped so a column-wise
-# distance pass holds about this many in its terms and accumulators. A Lloyd
-# pass of R restarts holds F and its float mask, (R, k, n) each, at once, and
-# (R, n, d) arrays for its means and inertia, so restarts per Lloyd batch are
-# capped at half of it over n * max(k, d); a pass runs its direct-form
-# fallback in chunks of about this many terms.
+# k-means++ batch, like the table's chunks, are capped at it over n * d, so a
+# column-wise distance pass, one (P, n) accumulator and one term, stays within
+# it. A Lloyd pass of R restarts holds F and its float mask, (R, k, n) each,
+# at once, and (R, n, d) arrays for its means and inertia, so restarts per
+# Lloyd batch are capped at half of it over n * max(k, d); a pass runs its
+# direct-form fallback in chunks of about this many terms.
 _BATCH_VALUES = 2 ** 17
 _RESTARTS = 10  # Lloyd runs kept per seed
 _MAX_ITER = 300  # Lloyd iterations per run
@@ -174,8 +174,10 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     squared distances from a center to all points as rows of the points'
     own distances (``_point_rows``): an (n, n) table built once per call
     when its n * n values fit in ``_BATCH_VALUES``, else the row of each
-    drawn point summed when it is drawn. Either way a row adds the same
-    terms in the same order, so the draws do not depend on which.
+    drawn point summed when it is drawn. Either way a squared distance is
+    its d squared coordinate differences added in coordinate order into one
+    accumulator (``_column_sum``), so the draws do not depend on which. The
+    d^2 values feed the sampling CDF bit for bit, so no point may skip them.
 
     Labels are those of the direct form ``((x - c) ** 2).sum()``, whose
     argmin ties and inertia bits they depend on. A Lloyd pass finds them
@@ -183,9 +185,7 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     expanded form sums in another order, so a point keeps its argmin only
     where the gap to every other center exceeds a rounding bound, and the
     few points without that certificate, exact ties among them, take the
-    direct form (``_assign``). k-means++ seeding sums the direct form's
-    terms column by column instead (``_column_sum``): its d^2 values feed
-    the sampling CDF bit for bit, so no point may skip them."""
+    direct form (``_assign``)."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 2 or not 2 <= k <= pts.shape[0]:
         raise ValueError(f"k-means takes (n, d >= 2) points and 2 <= k <= n, "
@@ -235,13 +235,13 @@ def _point_rows(pts: np.ndarray, chunk: int) -> Callable[[np.ndarray], np.ndarra
     all n points, each row as ``_column_sum`` sums it. Rows come from an
     (n, n) table built in chunks of ``chunk`` rows when its n * n values fit
     in ``_BATCH_VALUES``, and are summed per call otherwise."""
-    n, d = pts.shape
+    n = pts.shape[0]
     columns = pts.T.copy()
     if n * n > _BATCH_VALUES:
-        return lambda idx: _column_sum(columns, pts[idx], 0, d)
+        return lambda idx: _column_sum(columns, pts[idx])
     table = np.empty((n, n))
     for lo in range(0, n, chunk):
-        table[lo:lo + chunk] = _column_sum(columns, pts[lo:lo + chunk], 0, d)
+        table[lo:lo + chunk] = _column_sum(columns, pts[lo:lo + chunk])
     return table.__getitem__
 
 
@@ -274,46 +274,17 @@ def _kmeanspp_init(pts: np.ndarray, k: int, rngs: list[np.random.Generator],
     return centers
 
 
-# NumPy adds a contiguous row of terms pairwise: in order below 8 terms, in 8
-# interleaved accumulators up to this many, and in two halves, split at a
-# multiple of 8, above it.
-_PAIRWISE_BLOCK = 128
-
-
-def _column_sum(columns: np.ndarray, centers: np.ndarray, lo: int, m: int) -> np.ndarray:
-    """(R, n) sum over j in [lo, lo + m) of the squared terms
-    ``(centers[:, j, None] - columns[j]) ** 2`` of the (R, d) ``centers`` and
-    the (d, n) ``columns`` of the points, so the innermost loop runs over the
-    n points. The terms are added in place, in the order that the direct form
-    ``((pts - centers[:, None]) ** 2).sum(axis=-1)`` adds them, so the sums
-    are bit-equal to it. Recursive at module level: a recursive closure is a
-    reference cycle, which would hold each call's arrays until the garbage
-    collector runs."""
-
-    def term(j: int) -> np.ndarray:
-        t = centers[:, j, None] - columns[j]
-        return np.square(t, out=t)
-
-    if m < 8:
-        acc = term(lo)
-        for j in range(lo + 1, lo + m):
-            acc += term(j)
-        return acc
-    if m <= _PAIRWISE_BLOCK:
-        r = [term(lo + j) for j in range(8)]
-        end = lo + m - m % 8
-        for i in range(lo + 8, end, 8):
-            for j in range(8):
-                r[j] += term(i + j)
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-            r[a] += r[b]
-        for j in range(end, lo + m):
-            r[0] += term(j)
-        return r[0]
-    half = m // 2 - m // 2 % 8
-    acc = _column_sum(columns, centers, lo, half)
-    acc += _column_sum(columns, centers, lo + half, m - half)
+def _column_sum(columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(R, n) squared distances from the (R, d) ``centers`` to the points of
+    the (d, n) ``columns``: the squared differences of coordinate j,
+    ``(centers[:, j, None] - columns[j]) ** 2``, added into one accumulator
+    in coordinate order, j = 0, 1, ..., d - 1, so the innermost loop runs
+    over the n points."""
+    acc = np.square(centers[:, :1] - columns[0])
+    t = np.empty_like(acc)
+    for j in range(1, columns.shape[0]):
+        np.subtract(centers[:, j, None], columns[j], out=t)
+        acc += np.square(t, out=t)
     return acc
 
 

@@ -306,10 +306,12 @@ def naive_kmeans(points: np.ndarray, k: int, seed: int, n_restarts: int = 10,
 
 
 def _naive_kmeanspp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = pts.shape[0]
-    centers = np.empty((k, pts.shape[1]))
+    # each squared distance adds its squared coordinate differences in
+    # coordinate order, one accumulator for all d terms
+    n, d = pts.shape
+    centers = np.empty((k, d))
     centers[0] = pts[rng.integers(n)]
-    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
+    d2 = sum((pts[:, j] - centers[0, j]) ** 2 for j in range(d))
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -320,7 +322,7 @@ def _naive_kmeanspp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> n
             taken = {tuple(c) for c in centers[:i]}
             idx = next(j for j in range(n) if tuple(pts[j]) not in taken)
         centers[i] = pts[idx]
-        d2 = np.minimum(d2, ((pts - centers[i]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, sum((pts[:, j] - centers[i, j]) ** 2 for j in range(d)))
     return centers
 
 
