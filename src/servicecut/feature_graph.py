@@ -58,7 +58,7 @@ class CallTable:
     """What the class graph needs of a call log, read in one pass: each
     class numbered as first seen in ``code``, and for each inter-class row
     its caller and callee class numbers and the number of its
-    callee-parameter tuple in ``params``, the tuples as first seen.
+    callee-parameter tuple in ``params``, the distinct tuples as first seen.
     ``rows`` counts every record, and ``self_calls`` the self-calls among
     them."""
 
@@ -73,15 +73,12 @@ class CallTable:
 
 def collect_calls(records: Iterable[CallRecord]) -> CallTable:
     """Read ``records`` once into a ``CallTable``; no record is kept.
-    Callee tuples are told apart by identity, which ``params`` keeps alive
-    (the call-log parser shares one tuple per params text), so no row
-    hashes its ``TypeRef``s."""
+    Callee tuples are numbered by value, so ``params`` holds each once."""
     code: dict[str, int] = {}
     callers: list[int] = []
     callees: list[int] = []
-    params: list[tuple[TypeRef, ...]] = []
+    tuples: dict[tuple[TypeRef, ...], int] = {}
     row_params: list[int] = []
-    seen: dict[int, int] = {}  # id of a tuple in params -> its index there
     dropped = rows = 0
     for rows, (caller_method, callee_method, caller_class, callee_class, _, p) in enumerate(
             records, start=1):
@@ -94,12 +91,8 @@ def collect_calls(records: Iterable[CallRecord]) -> CallTable:
             continue
         callers.append(a)
         callees.append(b)
-        i = seen.get(id(p))
-        if i is None:
-            i = seen[id(p)] = len(params)
-            params.append(p)
-        row_params.append(i)
-    return CallTable(code, callers, callees, params, row_params, rows, dropped)
+        row_params.append(tuples.setdefault(p, len(tuples)))
+    return CallTable(code, callers, callees, list(tuples), row_params, rows, dropped)
 
 
 def weigh_calls(calls: CallTable, catalog: TypeCatalog,
@@ -108,15 +101,13 @@ def weigh_calls(calls: CallTable, catalog: TypeCatalog,
     pair at most once. Repeated class pairs accumulate by weight summation;
     intra-class calls add no edge, so a class seen only in them becomes an
     isolated vertex. Self-calls are dropped with a warning. Each distinct
-    callee-parameter tuple is costed once, in first-seen order, and
-    ``np.bincount`` adds each pair's costs one row at a time, in row order:
-    count x cost would round differently once the sum passes 2**53. A sum
-    past the float range is an OverflowError naming the smallest such pair."""
-    costs: dict[tuple[TypeRef, ...], float] = {}
-    for p in calls.params:
-        if p not in costs:
-            # raises OverflowError for an int cost past the float range
-            costs[p] = float(edge_cost(p, catalog, model))
+    callee-parameter tuple (an entry of ``calls.params``) is costed once, in
+    order, and ``np.bincount`` adds each pair's costs one row at a time, in
+    row order: count x cost would round differently once the sum passes
+    2**53. A sum past the float range is an OverflowError naming the
+    smallest such pair."""
+    # float() raises OverflowError for an int cost past the float range
+    costs = [float(edge_cost(p, catalog, model)) for p in calls.params]
     if calls.self_calls:
         log.warning("dropped %d self-call record(s)", calls.self_calls)
     vertices = sorted(calls.code)
@@ -129,8 +120,7 @@ def weigh_calls(calls: CallTable, catalog: TypeCatalog,
     keys *= n
     keys += rank[calls.callees]
     pairs, inverse = np.unique(keys, return_inverse=True)
-    row_costs = np.array([costs[p] for p in calls.params])[
-        np.array(calls.row_params, dtype=np.intp)]
+    row_costs = np.array(costs)[np.array(calls.row_params, dtype=np.intp)]
     weight = np.bincount(inverse, weights=row_costs, minlength=pairs.size)
     src, dst = pairs // n, pairs % n
     overflow = np.isinf(weight)
@@ -174,7 +164,7 @@ def write_edge_list(g: FeatureGraph, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "weight"])
-        for (src, dst), w in sorted(g.edges.items()):
+        for (src, dst), w in g.edges.items():
             writer.writerow([src, dst, repr(w)])
 
 
@@ -184,10 +174,7 @@ def graph_to_json(g: FeatureGraph, attrs: np.ndarray | None = None) -> dict:
     doc = {
         "granularity": "class",
         "vertices": list(g.vertices),
-        "edges": [
-            {"src": src, "dst": dst, "weight": w}
-            for (src, dst), w in sorted(g.edges.items())
-        ],
+        "edges": [{"src": src, "dst": dst, "weight": w} for (src, dst), w in g.edges.items()],
     }
     if attrs is not None:
         doc["vertex_attrs"] = {

@@ -69,19 +69,24 @@ class ArgumentError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class TypeRef:
-    """A type name plus array rank (0 = scalar)."""
-
+class _TypeRefFields(NamedTuple):
     name: str
     array_rank: int = 0
 
-    def __post_init__(self):
-        if not self.name:
+
+class TypeRef(_TypeRefFields):
+    """A type name plus array rank (0 = scalar), hashed and compared by value
+    in C; a subclass, as a named tuple cannot define the checking ``__new__``."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, array_rank: int = 0):
+        if not name:
             raise ValueError("type name must be non-empty")
-        if not 0 <= self.array_rank <= MAX_ARRAY_RANK:
-            raise ValueError(f"array rank {self.array_rank} of {self.name!r} is not in "
+        if not 0 <= array_rank <= MAX_ARRAY_RANK:
+            raise ValueError(f"array rank {array_rank} of {name!r} is not in "
                              f"[0, {MAX_ARRAY_RANK}]")
+        return super().__new__(cls, name, array_rank)
 
     def __str__(self) -> str:
         return self.name + "[]" * self.array_rank

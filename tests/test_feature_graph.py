@@ -30,6 +30,7 @@ from servicecut.records import (
     PerfRecord,
     TypeCatalog,
     TypeRef,
+    parse_call_log,
     write_json,
 )
 from servicecut.spectral import build_laplacian, extract_candidates
@@ -161,6 +162,18 @@ def test_class_graph_costs_each_callee_tuple_once(monkeypatch):
     g = build_class_graph(records, CAT)
     assert calls == [(TypeRef("int"),), (TypeRef("long"), TypeRef("int"))]
     assert g.edges == {("A", "B"): 18.0, ("B", "C"): 18.0, ("C", "A"): 18.0}  # 5 + 13
+
+
+def test_collect_calls_numbers_each_callee_tuple_once_by_value(tmp_path):
+    # two params texts that parse to one tuple, and equal tuples that are
+    # distinct objects: one params entry each time, shared by both rows
+    path = tmp_path / "calls.csv"
+    path.write_text("f,g,A,B,,int;long\ng,f,B,A,,int; long\n")
+    records = [call("f", "g", "A", "B", ["int", "long"]), call("g", "f", "B", "A", ["int", "long"])]
+    assert records[0].callee_params is not records[1].callee_params
+    for calls in (collect_calls(parse_call_log(path)), collect_calls(records)):
+        assert calls.params == [(TypeRef("int"), TypeRef("long"))]
+        assert calls.row_params == [0, 0]
 
 
 def _class_graph():

@@ -372,9 +372,9 @@ def test_kmeans_labels_without_the_point_table_equal_one_restart_at_a_time(case)
 
 @pytest.mark.parametrize("d", [3, 30, 140])
 def test_seeding_from_the_point_table_equals_seeding_from_column_sums(d, monkeypatch):
-    # a budget of n * n values builds the table in chunks of n // d rows, at
-    # least 1: 15 rows at d = 3, one row at d = 30 and at d = 140 > n;
-    # duplicated rows tie distances exactly
+    # a budget of exactly n * n values still builds the table, in one call
+    # of all n rows, at d = 3, 30 and 140 > n; duplicated rows tie distances
+    # exactly
     n, k = 45, 12
     rng = np.random.default_rng(d)
     pts = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e5], size=d)
@@ -388,9 +388,9 @@ def test_seeding_from_the_point_table_equals_seeding_from_column_sums(d, monkeyp
 
     monkeypatch.setattr(spectral, "_BATCH_VALUES", n * n)
     monkeypatch.setattr(spectral, "_column_sum", recording)
-    rows = spectral._point_rows(pts, max(1, n * n // (n * d)))
+    rows = spectral._point_rows(pts)
     assert rows.__self__.shape == (n, n)
-    assert len(chunks) > 1 and sum(chunks) == n
+    assert chunks == [n]
     seeds = range(20)
     got = spectral._kmeanspp_init(pts, k, [np.random.default_rng(s) for s in seeds], rows)
     expected = spectral._kmeanspp_init(pts, k, [np.random.default_rng(s) for s in seeds],
