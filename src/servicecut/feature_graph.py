@@ -37,6 +37,11 @@ class FeatureGraph:
         loops = self.src == self.dst
         if loops.any():
             raise ValueError(f"self-loop on {self.vertices[self.src[loops.argmax()]]!r}")
+        unsorted = np.diff(self.src * len(self.vertices) + self.dst) <= 0
+        if unsorted.any():
+            e = unsorted.argmax() + 1
+            raise ValueError(f"edge {self.pair(e)!r} repeats or precedes {self.pair(e - 1)!r} "
+                             f"in (src, dst) order")
         bad = ~((self.weight > 0) & (self.weight < math.inf))
         if bad.any():
             e = bad.argmax()
@@ -134,8 +139,8 @@ def weigh_calls(calls: CallTable, catalog: TypeCatalog,
 def to_affinity(g: FeatureGraph) -> sp.csr_array:
     """W = A + A.T over ``g.vertices``: W[i][j] = w(i->j) + w(j->i). It is
     exactly symmetric, non-negative and zero on the diagonal: the weights
-    are positive and finite and never on a self-loop (``FeatureGraph``
-    checks both), each (src, dst) pair appears once, and float addition
+    are positive and finite and never on a self-loop, each (src, dst) pair
+    appears once (``FeatureGraph`` checks all three), and float addition
     commutes, so W[i][j] and W[j][i] add the same two terms."""
     n = len(g.vertices)
     A = sp.csr_array((g.weight, (g.src, g.dst)), shape=(n, n))

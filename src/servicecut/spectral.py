@@ -3,7 +3,7 @@ smallest-k eigenvector embedding, seeded k-means on the embedded rows."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,10 +145,11 @@ def _check_kernel(L: sp.csr_array, emb: Embedding) -> None:
 # point-distance table exists only when its n * n values fit, and seeds per
 # k-means++ batch are capped at it over n * d, so a column-wise distance pass,
 # the table's one or a batch's, holds one accumulator within it and one term.
-# A Lloyd pass of R restarts holds F and its float mask, (R, k, n) each, at
-# once, and (R, n, d) arrays for its means and inertia, so restarts per Lloyd
-# batch are capped at half of it over n * max(k, d); a pass runs its
-# direct-form fallback in chunks of about this many terms.
+# A Lloyd pass over a pool of R restarts holds F, (R, k, n), with its mask
+# written over it, two (R, n) label arrays and the (R, n) one-hot array of
+# its means, and an (R, n, d) array for the inertia of the restarts that
+# stop, so the pool is capped at half of it over n * max(k, d) restarts; a
+# pass runs its direct-form fallback in chunks of about this many terms.
 _BATCH_VALUES = 2 ** 17
 _RESTARTS = 10  # Lloyd runs kept per seed
 _MAX_ITER = 300  # Lloyd iterations per run
@@ -157,8 +158,9 @@ _MAX_ITER = 300  # Lloyd iterations per run
 def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     """Lloyd's algorithm with distance-weighted seeding on (n, d >= 2) points
     for 2 <= k <= n, run once per seed: (len(seeds), n) labels, row i fixed by ``seeds[i]``.
-    Each seed keeps the best of ``_RESTARTS`` (10) runs by inertia (the
-    first strictly lowest, in its attempt order), each of at most
+    Each seed keeps the best of ``_RESTARTS`` (10) runs: the lowest
+    inertia, and among equal inertias the earliest attempt, which is the
+    first strictly lowest in attempt order. Each run is of at most
     ``_MAX_ITER`` (300) Lloyd iterations; runs that collapse to an empty
     cluster are retried, up to ``4 * _RESTARTS`` attempts per seed.
 
@@ -167,11 +169,15 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     each from the seed's own Generator in attempt order, so a seed whose
     restarts collapse draws its retries in the next round. The k-means++
     centers of one attempt index are drawn for all seeds at once, up to
-    ``_BATCH_VALUES // (n * d)`` seeds per batch, and the round's Lloyd
-    iterations run up to ``_BATCH_VALUES // (2 * n * max(k, d))`` restarts
-    (at least 1) as one array operation, each restart stopping on its own.
-    Lloyd draws nothing from the RNGs, so each seed's draws, and with them
-    its labels, are those of running its restarts one after another.
+    ``_BATCH_VALUES // (n * d)`` seeds per batch. The round's restarts then
+    share one pool of Lloyd iterations (``_lloyd``): up to
+    ``_BATCH_VALUES // (2 * n * max(k, d))`` restarts (at least 1) run as
+    one array operation, and when one stops (converged, collapsed or at the
+    iteration cap) the round's next restart takes its slot, so restarts
+    stop out of order; the tie rule above makes the winner independent of
+    that order. Lloyd draws nothing from the RNGs, so each seed's draws,
+    and with them its labels, are those of running its restarts one after
+    another.
 
     Every k-means++ center is one of the points, so seeding reads the
     squared distances from a center to all points as rows of the points'
@@ -188,7 +194,8 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     expanded form sums in another order, so a point keeps its argmin only
     where the gap to every other center exceeds a rounding bound, and the
     few points without that certificate, exact ties among them, take the
-    direct form (``_assign``)."""
+    direct form (``_assign``). Its means are one sparse product
+    (``_centroids``), bit-equal to each cluster's ``mean``."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 2 or not 2 <= k <= pts.shape[0]:
         raise ValueError(f"k-means takes (n, d >= 2) points and 2 <= k <= n, "
@@ -206,11 +213,13 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     rngs = [np.random.default_rng(seed) for seed in seeds]
     best_labels = np.zeros((len(rngs), n), dtype=np.intp)
     best_inertia = np.full(len(rngs), np.inf)
+    best_order = np.zeros(len(rngs), dtype=int)
     runs = np.zeros(len(rngs), dtype=int)
     attempts = np.zeros(len(rngs), dtype=int)
+    drawn = 0  # restarts drawn in earlier rounds
     seeding = max(1, _BATCH_VALUES // (n * d))
     rows = _point_rows(pts)
-    batch = max(1, _BATCH_VALUES // (2 * n * max(k, d)))
+    width = max(1, _BATCH_VALUES // (2 * n * max(k, d)))
     while (pending := np.minimum(_RESTARTS - runs, 4 * _RESTARTS - attempts)).any():
         # the seeds with a j-th pending restart, for j = 0, 1, ...: one row
         # per restart, each seed's rows in its attempt order
@@ -220,14 +229,15 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
             _kmeanspp_init(pts, k, [rngs[s] for s in group[lo:lo + seeding]], rows)
             for group in drawers for lo in range(0, group.size, seeding)])
         attempts += pending
-        for lo in range(0, owner.size, batch):
-            results = _lloyd(pts, centers[lo:lo + batch])
-            for s, (labels, inertia) in zip(owner[lo:lo + batch], results):
-                if labels is None:
-                    continue  # empty-cluster collapse; retried in the next round
-                runs[s] += 1
-                if inertia < best_inertia[s]:
-                    best_labels[s], best_inertia[s] = labels, inertia
+        for r, labels, inertia in _lloyd(pts, centers, width):
+            if labels is None:
+                continue  # empty-cluster collapse; retried in the next round
+            s = owner[r]
+            runs[s] += 1
+            # a later row of a seed, in this round or the next, is a later attempt
+            if (inertia, drawn + r) < (best_inertia[s], best_order[s]):
+                best_labels[s], best_inertia[s], best_order[s] = labels, inertia, drawn + r
+        drawn += owner.size
     if not runs.all():
         raise NumericError("k-means failed to produce k non-empty clusters")
     return best_labels
@@ -327,14 +337,15 @@ def _certified_labels(pts: np.ndarray, norms: np.ndarray,
         bound *= 2.0 * gamma
         bound += _UNDERFLOW_FLOOR
         bound += F.min(axis=1)  # NaN if any F is NaN
-        near = F <= bound[:, None, :]
-        # each center within the bound adds k + j: one center j sums to
-        # k + j, below 2k, and two or more to at least 2k + 1 (exact in float64)
-        code = np.arange(k, 2 * k, dtype=float) @ near
-        certified = (code < 2 * k) & np.isfinite(bound)
+        certified = np.isfinite(bound)
         # a finite bound implies finite F; checked so no label rests on that alone
         if not np.isfinite(F.max()):
             certified &= np.isfinite(F).all(axis=1)
+        near = np.less_equal(F, bound[:, None, :], out=F)  # 1.0 within the bound, over F
+        # each center within the bound adds k + j: one center j sums to
+        # k + j, below 2k, and two or more to at least 2k + 1 (exact in float64)
+        code = np.arange(k, 2 * k, dtype=float) @ near
+        certified &= code < 2 * k
     return code.astype(np.intp) - k, certified
 
 
@@ -353,47 +364,69 @@ def _assign(pts: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarr
     return labels
 
 
-def _lloyd(pts: np.ndarray, centers: np.ndarray) -> list[tuple[np.ndarray | None, float]]:
-    """Lloyd iterations of R restarts at once from (R, k, d) ``centers``,
-    which are updated in place. A restart stops when its labels stop
-    changing, when a cluster goes empty (its labels are then None) or at
-    ``_MAX_ITER``. Returns (labels, inertia) per restart."""
-    R, k, _ = centers.shape
-    labels = np.full((R, pts.shape[0]), -1)
-    collapsed = np.zeros(R, dtype=bool)
-    live = np.arange(R)
+def _lloyd(pts: np.ndarray, centers: np.ndarray,
+           width: int) -> Iterator[tuple[int, np.ndarray | None, float]]:
+    """Lloyd iterations of the R restarts of (R, k, d) ``centers``, at most
+    ``width`` at once as one array operation. A restart stops when its
+    labels stop changing, when a cluster goes empty (its labels are then
+    None) or at ``_MAX_ITER``, and the next restart, in row order, takes its
+    slot. Yields (row, labels, inertia) of each restart as it stops."""
+    R, k, d = centers.shape
+    n = pts.shape[0]
     with np.errstate(over="ignore"):  # an overflowed norm fails every certificate
         norms = np.sqrt((pts ** 2).sum(axis=1))
-    for _ in range(_MAX_ITER):
+    # per slot: its restart's row, centers, labels (-1 before the first
+    # pass) and passes run
+    live = np.zeros(0, dtype=int)
+    current = np.zeros((0, k, d))
+    labels = np.zeros((0, n), dtype=np.intp)
+    passes = np.zeros(0, dtype=int)
+    started = 0
+    while True:
+        if fill := min(width - live.size, R - started):
+            live = np.concatenate([live, np.arange(started, started + fill)])
+            current = np.concatenate([current, centers[started:started + fill]])
+            labels = np.concatenate([labels, np.full((fill, n), -1)])
+            passes = np.concatenate([passes, np.zeros(fill, dtype=int)])
+            started += fill
         if not live.size:
-            break
-        new = _assign(pts, norms, centers[live])
+            return
+        new = _assign(pts, norms, current)
         counts = np.bincount((new + k * np.arange(live.size)[:, None]).ravel(),
                              minlength=live.size * k).reshape(-1, k)
         empty = (counts == 0).any(axis=1)
-        collapsed[live[empty]] = True
-        moved = ~empty & (new != labels[live]).any(axis=1)
-        live = live[moved]
-        labels[live] = new[moved]
-        centers[live] = _centroids(pts, new[moved], counts[moved])
-    # each row sums its n * d terms as ((pts - centers[r][labels[r]]) ** 2).sum() does
-    done = np.flatnonzero(~collapsed)
-    inertia = np.full(R, np.inf)
-    inertia[done] = ((pts - centers[done[:, None], labels[done]]) ** 2).reshape(
-        done.size, pts.size).sum(axis=1)
-    return [(None if collapsed[r] else labels[r], float(inertia[r])) for r in range(R)]
+        moved = ~empty & (new != labels).any(axis=1)
+        labels = new  # unchanged where nothing moved; unused where a cluster is empty
+        current[moved] = _centroids(pts, new[moved], counts[moved])
+        passes += 1
+        stop = ~moved | (passes == _MAX_ITER)
+        if not stop.any():
+            continue
+        for r in live[empty]:
+            yield r, None, np.inf
+        # each row sums its n * d terms as ((pts - centers[labels]) ** 2).sum() does
+        done = np.flatnonzero(stop & ~empty)
+        inertia = ((pts - current[done[:, None], labels[done]]) ** 2).reshape(
+            done.size, pts.size).sum(axis=1)
+        for i, value in zip(done, inertia.tolist()):
+            yield live[i], labels[i], value
+        keep = ~stop
+        live, current, labels, passes = live[keep], current[keep], labels[keep], passes[keep]
 
 
 def _centroids(pts: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """(R, k, d) cluster means for (R, n) labels whose clusters are all
-    non-empty, each bit-identical to ``pts[labels[r] == c].mean(axis=0)``,
-    which sums rows in row order, as ``np.bincount`` does, for d >= 2."""
+    non-empty, each bit-identical to ``pts[labels[r] == c].mean(axis=0)``:
+    the sums are one product of the (R * k, n) one-hot CSC array and
+    ``pts``, which adds each point's row into its cluster's sum in point
+    order, starting from zero, as the mean does."""
     R, k = counts.shape
     n, d = pts.shape
-    keys = (labels + k * np.arange(R)[:, None]).ravel()
-    sums = np.bincount((keys[:, None] * d + np.arange(d)).ravel(),
-                       weights=np.tile(pts.ravel(), R), minlength=R * k * d)
-    return sums.reshape(R, k, d) / counts[:, :, None]
+    if not R:
+        return np.zeros((0, k, d))
+    onehot = sp.csc_array((np.ones(R * n), (labels + k * np.arange(R)[:, None]).T.ravel(),
+                           np.arange(0, R * n + 1, R)), shape=(R * k, n))
+    return (onehot @ pts).reshape(R, k, d) / counts[:, :, None]
 
 
 def extract_candidates(g: FeatureGraph, k: int, seed: int) -> Partition:

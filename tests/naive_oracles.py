@@ -182,12 +182,14 @@ def naive_brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Par
 
 
 def graph_from_edges(vertices, edges: dict[tuple[str, str], float]) -> FeatureGraph:
-    """The graph of ``{(src, dst): weight}`` over ``vertices``, any order."""
+    """The graph of ``{(src, dst): weight}`` over ``vertices``, any order:
+    its edges sorted by (src, dst), as ``FeatureGraph`` requires."""
     vertices = sorted(vertices)
     index = {v: i for i, v in enumerate(vertices)}
-    src = np.array([index[s] for s, _ in edges], dtype=np.intp)
-    dst = np.array([index[d] for _, d in edges], dtype=np.intp)
-    return FeatureGraph(vertices, src, dst, np.array(list(edges.values()), dtype=float))
+    pairs = sorted(((index[s], index[d]), w) for (s, d), w in edges.items())
+    src = np.array([s for (s, _), _ in pairs], dtype=np.intp)
+    dst = np.array([d for (_, d), _ in pairs], dtype=np.intp)
+    return FeatureGraph(vertices, src, dst, np.array([w for _, w in pairs], dtype=float))
 
 
 def build_class_graph(records, catalog: TypeCatalog,

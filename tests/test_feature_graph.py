@@ -13,6 +13,7 @@ from naive_oracles import (
     naive_build_class_graph,
 )
 from servicecut.feature_graph import (
+    FeatureGraph,
     collect_calls,
     graph_to_json,
     split_core,
@@ -288,6 +289,17 @@ def test_graph_rejects_self_loop_and_nonpositive_weight():
         graph_from_edges(["A", "B"], {("A", "B"): 0.0})
 
 
+@pytest.mark.parametrize("src, dst, pair", [
+    ([1, 0], [0, 1], r"\('A', 'B'\) repeats or precedes \('B', 'A'\)"),
+    ([0, 1, 0], [1, 0, 2], r"\('A', 'C'\) repeats or precedes \('B', 'A'\)"),
+    ([0, 0], [1, 1], r"\('A', 'B'\) repeats or precedes \('A', 'B'\)"),
+], ids=["unsorted", "unsorted-later", "repeated"])
+def test_graph_rejects_edges_out_of_order_or_repeated(src, dst, pair):
+    # the exports write the stored edge order, so only sorted edges are a graph
+    with pytest.raises(ValueError, match=pair):
+        FeatureGraph(["A", "B", "C"], np.array(src), np.array(dst), np.ones(len(src)))
+
+
 @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf"), -1.0])
 def test_graph_rejects_non_finite_weight(w):
     with pytest.raises(ValueError, match="non-positive or non-finite"):
@@ -410,11 +422,11 @@ def test_split_core_drops_isolated_vertices():
 
 
 def test_split_core_keeps_the_edge_order_and_renumbers():
-    g = graph_from_edges(["a", "b", "c", "d"], {("d", "b"): 1.0, ("b", "d"): 2.0})
+    g = graph_from_edges(["a", "b", "c", "d"], {("b", "d"): 2.0, ("d", "b"): 1.0})
     core, isolated = split_core(g)
     assert isolated == {"a", "c"}
-    assert (core.src.tolist(), core.dst.tolist()) == ([1, 0], [0, 1])
-    assert list(core.edges.items()) == [(("d", "b"), 1.0), (("b", "d"), 2.0)]
+    assert (core.src.tolist(), core.dst.tolist()) == ([0, 1], [1, 0])
+    assert list(core.edges.items()) == [(("b", "d"), 2.0), (("d", "b"), 1.0)]
 
 
 def test_summed_weight_overflow_is_an_overflow_error():

@@ -327,7 +327,8 @@ def _kmeans_case(draw):
 
 def _assert_kmeans_matches_naive(pts, k, seeds):
     try:
-        expected = np.stack([naive_kmeans(pts, k, seed) for seed in seeds])
+        expected = np.stack([naive_kmeans(pts, k, seed, max_iter=spectral._MAX_ITER)
+                             for seed in seeds])
     except (ValueError, NumericError) as exc:
         with pytest.raises(NumericError, match=re.escape(str(exc))):
             kmeans(pts, k, seeds)
@@ -342,6 +343,25 @@ def _assert_kmeans_matches_naive(pts, k, seeds):
 @given(_kmeans_case())
 def test_kmeans_labels_equal_one_restart_at_a_time(case):
     _assert_kmeans_matches_naive(*case)
+
+
+@settings(max_examples=90, deadline=None)
+@given(_kmeans_case(), st.integers(1, 3))
+def test_kmeans_labels_at_the_iteration_cap_equal_one_restart_at_a_time(case, cap):
+    # a restart that reaches the cap stops with labels and means of its last
+    # pass, and its slot in the Lloyd pool goes to the next restart
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectral, "_MAX_ITER", cap)
+        _assert_kmeans_matches_naive(*case)
+
+
+def test_kmeans_ties_in_inertia_go_to_the_earliest_attempt():
+    # on a 3 x 3 integer grid many restarts end in different partitions of
+    # equal inertia, and restarts leave the Lloyd pool out of attempt order:
+    # keeping the first restart to stop among equals differs from the
+    # reference on 24 of these 60 seeds
+    grid = np.array([(x, y) for x in range(3) for y in range(3)], dtype=float)
+    _assert_kmeans_matches_naive(grid, 3, range(60))
 
 
 def _column_sum_rows(pts):
@@ -401,16 +421,16 @@ def test_seeding_from_the_point_table_equals_seeding_from_column_sums(d, monkeyp
 @pytest.mark.parametrize("n, k, d, seeds", [(139, 10, 10, 100), (139, 2, 2, 30),
                                             (60, 3, 30, 20), (400, 4, 4, 20)])
 def test_lloyd_batches_hold_what_a_pass_holds(n, k, d, seeds, monkeypatch):
-    # a pass holds F and its float mask, each (R, k, n), in _certified_labels,
-    # and (R, n, d) arrays in _centroids and the inertia
+    # a pass over R pooled restarts holds F, (R, k, n), in _certified_labels,
+    # and an (R, n, d) array for the inertia
     shapes = []
-    lloyd = spectral._lloyd
+    assign = spectral._assign
 
-    def recording(pts, centers):
+    def recording(pts, norms, centers):
         shapes.append(centers.shape)
-        return lloyd(pts, centers)
+        return assign(pts, norms, centers)
 
-    monkeypatch.setattr(spectral, "_lloyd", recording)
+    monkeypatch.setattr(spectral, "_assign", recording)
     pts = np.random.default_rng(n).standard_normal((n, d))
     kmeans(pts, k, range(seeds))
     for R, _, _ in shapes:
@@ -434,12 +454,17 @@ def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
                 for r in range(4)]
     inits = spectral._kmeanspp_init(pts, k, [np.random.default_rng(seed + r) for r in range(4)],
                                     _column_sum_rows(pts))
-    got = spectral._lloyd(pts, inits)
-    for (labels, inertia), (labels_ref, inertia_ref) in zip(got, expected):
-        assert inertia == inertia_ref
-        assert (labels is None) == (labels_ref is None)
-        if labels is not None:
-            assert labels.tobytes() == labels_ref.tobytes()
+    # a pool of 1 runs the restarts one at a time; of 2, each stop refills
+    # a slot from the rows still waiting
+    for width in (1, 2, 4):
+        got = {r: (labels, inertia) for r, labels, inertia in spectral._lloyd(pts, inits, width)}
+        assert sorted(got) == list(range(4))
+        for r, (labels_ref, inertia_ref) in enumerate(expected):
+            labels, inertia = got[r]
+            assert inertia == inertia_ref
+            assert (labels is None) == (labels_ref is None)
+            if labels is not None:
+                assert labels.tobytes() == labels_ref.tobytes()
 
 
 def test_kmeans_retries_collapsed_restarts_like_the_reference(monkeypatch):
@@ -450,16 +475,51 @@ def test_kmeans_retries_collapsed_restarts_like_the_reference(monkeypatch):
     for seeds in ([0], [0, 1, 2]):
         collapsed, batches = [], []
 
-        def counting(*args):
-            results = lloyd(*args)
-            collapsed.extend(labels is None for labels, _ in results)
-            batches.append(len(results))
-            return results
+        def counting(pts, centers, width):
+            batches.append(len(centers))
+            for r, labels, inertia in lloyd(pts, centers, width):
+                collapsed.append(labels is None)
+                yield r, labels, inertia
 
         monkeypatch.setattr(spectral, "_lloyd", counting)
         _assert_kmeans_matches_naive(pts, 3, seeds)
         assert sum(collapsed) == 2
-        assert batches == [10 * len(seeds), 2]  # one Lloyd pass per round
+        assert batches == [10 * len(seeds), 2]  # one Lloyd pool per round
+
+
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, 1.7e308, -1.7e308]
+
+
+@st.composite
+def _centroid_case(draw):
+    # extremes among ordinary values: signed zeros, subnormals, and values
+    # whose sums overflow to inf
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(2, 6))
+    k = draw(st.integers(1, min(n, 8)))
+    R = draw(st.integers(1, 40))
+    values = st.sampled_from(_EXTREMES) | st.floats(allow_nan=False, allow_infinity=False)
+    pts = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, k, (R, n))
+    for row in labels:
+        row[rng.permutation(n)[:k]] = np.arange(k)  # every cluster non-empty
+    return pts, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_centroid_case())
+def test_centroids_equal_the_mean_of_each_cluster(case):
+    pts, labels = case
+    R, k = labels.shape[0], labels.max() + 1
+    counts = (labels[:, :, None] == np.arange(k)).sum(axis=1)
+    got = spectral._centroids(pts, labels, counts)
+    assert got.shape == (R, k, pts.shape[1])
+    with np.errstate(over="ignore"):
+        for r in range(R):
+            for c in range(k):
+                assert got[r, c].tobytes() == pts[labels[r] == c].mean(axis=0).tobytes()
+    assert spectral._centroids(pts, labels[:0], counts[:0]).shape == (0, k, pts.shape[1])
 
 
 def _points_with_zeros(d, grid):
@@ -499,10 +559,10 @@ def test_kmeans_labels_ignore_column_signs(case, monkeypatch):
         uncertified.append(int((~certified).sum()))
         return labels, certified
 
-    def counting_lloyd(*args):
-        results = lloyd(*args)
-        collapsed.extend(labels is None for labels, _ in results)
-        return results
+    def counting_lloyd(pts, centers, width):
+        for r, labels, inertia in lloyd(pts, centers, width):
+            collapsed.append(labels is None)
+            yield r, labels, inertia
 
     monkeypatch.setattr(spectral, "_certified_labels", counting_certify)
     monkeypatch.setattr(spectral, "_lloyd", counting_lloyd)
