@@ -25,7 +25,7 @@ from .pipeline import (
     write_sweep_outputs,
 )
 from .records import PRIMITIVE_SIZES, ArgumentError, write_json
-from .spectral import NumericError
+from .spectral import NumericError, candidates
 from .synth import SynthSpec, synth_generate
 
 EXIT_USAGE = 1
@@ -127,11 +127,11 @@ def build_graph(inputs, mode, out_dir):
 def evaluate(inputs, mode, k, seed, out_dir, fmt):
     """Cluster and score: writes partition plus a quality report."""
     inputs.check_k(k, "--k")
-    partition, report = run_pipeline(inputs, mode, k, seed)
+    labels, report = run_pipeline(inputs, mode, k, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json({**partition.to_json(), "seed": seed, "unassigned": sorted(inputs.isolated)},
-               out / "partition.json")
+    write_json({"k": k, "candidates": candidates(inputs.core.vertices, labels, k), "seed": seed,
+                "unassigned": sorted(inputs.isolated)}, out / "partition.json")
     if fmt == "csv":
         (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     else:
@@ -186,8 +186,9 @@ def oracle_cmd(inputs, mode, k, objective):
     """Exhaustive best partition of a small system (<= 10 classes)."""
     if inputs.check_k(k, "--k") > MAX_VERTICES:
         raise ValueError(f"--calls: more than {MAX_VERTICES} non-isolated classes for the oracle")
-    partition, value = brute_force_best(inputs.mode_core(mode), k, objective)
-    click.echo(json.dumps({"objective": objective, "value": value, **partition.to_json(),
+    labels, value = brute_force_best(inputs.mode_core(mode), k, objective)
+    click.echo(json.dumps({"objective": objective, "value": value, "k": k,
+                           "candidates": candidates(inputs.core.vertices, labels, k),
                            "unassigned": sorted(inputs.isolated)}, sort_keys=True))
 
 

@@ -9,7 +9,9 @@ half the affinity crossing candidate boundaries.
 Conventions: edges are directed and self-loop free; sigma for a cluster pair
 aggregates both directions, matching the 2 * N_i * N_j denominator; with a
 single cluster the coupling term is vacuous and MQ equals mean cohesion.
-A score needs a complete labeling: a label for every vertex of the graph.
+A partition is a label array over ``g.vertices`` and its k; the labeling
+rule, which ``label_stats`` alone enforces: k at least 1, a label in [0, k)
+for every vertex of the graph, and every label used.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from itertools import combinations
 import numpy as np
 
 from .feature_graph import FeatureGraph
-from .spectral import Partition
 
 
 @dataclass
@@ -65,8 +66,17 @@ def label_stats(labels: np.ndarray, k: int, g: FeatureGraph):
     (both directions aggregated), and the (P,) cut, the summed weight of
     the edges between clusters. Each row's bins are offset by its index, so
     one ``np.bincount`` serves all rows, and it adds the weights in edge
-    order: the sums are those of a loop over the edges."""
+    order: the sums are those of a loop over the edges. A row that breaks
+    the labeling rule (see the module docstring) is a ValueError."""
     src, dst, w = g.src, g.dst, g.weight
+    rule = (f"a labeling gives each of the {len(g.vertices)} vertices a label in [0, {k}) "
+            "and uses every label")
+    if k < 1:
+        raise ValueError(f"{rule}, with k at least 1; got k = {k}")
+    if labels.ndim != 2 or labels.shape[1] != len(g.vertices):
+        raise ValueError(f"{rule}; got labels of shape {labels.shape}")
+    if ((labels < 0) | (labels >= k)).any():
+        raise ValueError(f"{rule}; got labels in [{labels.min()}, {labels.max()}]")
     P = labels.shape[0]
     row = np.arange(P)[:, None]
     ci, cj = labels[:, src], labels[:, dst]
@@ -74,6 +84,8 @@ def label_stats(labels: np.ndarray, k: int, g: FeatureGraph):
     inter = ~intra
     w = np.broadcast_to(w, ci.shape)
     sizes = np.bincount((labels + k * row).ravel(), minlength=P * k).reshape(P, k)
+    if not sizes.all():
+        raise ValueError(f"{rule}; a row leaves label {np.argwhere(sizes == 0)[0, 1]} unused")
     key = (ci + k * row)[intra]
     u = np.bincount(key, minlength=P * k).reshape(P, k)
     uw = np.bincount(key, weights=w[intra], minlength=P * k).reshape(P, k)
@@ -124,22 +136,16 @@ def batch_scores(labels: np.ndarray, k: int, g: FeatureGraph) -> tuple[np.ndarra
     return np.concatenate(mqw_values), np.concatenate(cuts)
 
 
-def score(p: Partition, g: FeatureGraph, mode: str) -> QualityReport:
-    """Assemble a full QualityReport from one pass over the mode graph's
-    edges: MQ from the edge counts, MQw from counts and weights, and the cut
-    from the weights between candidates. The partition must label exactly
-    the vertices of ``g``; a vertex on one side only is a ValueError."""
-    if absent := p.labels.keys() - set(g.vertices):
-        raise ValueError(f"partition references vertex {min(absent)!r} absent from graph")
-    if unlabeled := set(g.vertices) - p.labels.keys():
-        raise ValueError(f"graph vertex {min(unlabeled)!r} has no label in the partition")
-    labels = np.array([[p.labels[v] for v in g.vertices]], dtype=np.intp)
-    sizes, u, uw, sigma, sigmaw, cut = label_stats(labels, p.k, g)
-    pairs = list(combinations(range(p.k), 2))
-    coh, cop, mq_value = _quality(p.k, sizes, u, u, sigma, sigma)
-    coh_w, cop_w, mqw_value = _quality(p.k, sizes, u, uw, sigma, sigmaw)
+def score(labels: np.ndarray, k: int, g: FeatureGraph, mode: str) -> QualityReport:
+    """Assemble a full QualityReport of the (n,) cluster ``labels`` from one
+    pass over the mode graph's edges: MQ from the edge counts, MQw from
+    counts and weights, and the cut from the weights between candidates."""
+    sizes, u, uw, sigma, sigmaw, cut = label_stats(labels[None], k, g)
+    pairs = list(combinations(range(k), 2))
+    coh, cop, mq_value = _quality(k, sizes, u, u, sigma, sigma)
+    coh_w, cop_w, mqw_value = _quality(k, sizes, u, uw, sigma, sigmaw)
     return QualityReport(
         coh=coh[0].tolist(), cop=dict(zip(pairs, cop[0].tolist())), mq=float(mq_value[0]),
         coh_w=coh_w[0].tolist(), cop_w=dict(zip(pairs, cop_w[0].tolist())),
-        mqw=float(mqw_value[0]), cut=float(cut[0]), k=p.k, mode=mode,
+        mqw=float(mqw_value[0]), cut=float(cut[0]), k=k, mode=mode,
     )

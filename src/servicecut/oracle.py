@@ -7,7 +7,6 @@ import numpy as np
 
 from .feature_graph import FeatureGraph
 from .metrics import batch_scores
-from .spectral import Partition
 
 MAX_VERTICES = 10
 
@@ -28,10 +27,11 @@ def restricted_growth_strings(n: int, k: int) -> np.ndarray:
     return rows[rows.max(axis=1) == k - 1]
 
 
-def brute_force_best(core: FeatureGraph, k: int, objective: str) -> tuple[Partition, float]:
+def brute_force_best(core: FeatureGraph, k: int, objective: str) -> tuple[np.ndarray, float]:
     """Enumerate every partition of the vertices of ``core``, a graph without
-    isolated vertices, into exactly k non-empty parts; return the best
-    partition under the objective (maximize ``mqw``, minimize ``cut``)."""
+    isolated vertices, into exactly k non-empty parts; return the (n,)
+    labels of the best one under the objective (maximize ``mqw``, minimize
+    ``cut``) and its value."""
     if objective not in ("mqw", "cut"):
         raise ValueError(f"unknown objective {objective!r}")
     n = len(core.vertices)
@@ -46,4 +46,4 @@ def brute_force_best(core: FeatureGraph, k: int, objective: str) -> tuple[Partit
     value = mqw_values[best] if objective == "mqw" else cuts[best]
     # the strings number the parts in first-occurrence order over the sorted
     # vertices, which is smallest-vertex-id order: the canonical labeling
-    return Partition(dict(zip(core.vertices, labels[best].tolist())), k), float(value)
+    return labels[best], float(value)

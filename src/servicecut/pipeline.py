@@ -24,7 +24,7 @@ from .records import (
     parse_type_catalog,
     write_json,
 )
-from .spectral import Partition, embed, extract_candidates, first_occurrence, kmeans
+from .spectral import embed, extract_candidates, first_occurrence, kmeans
 
 log = logging.getLogger(__name__)
 
@@ -134,11 +134,11 @@ def run_pipeline(
     mode: str,
     k: int,
     seed: int,
-) -> tuple[Partition, QualityReport]:
+) -> tuple[np.ndarray, QualityReport]:
+    """The (n,) labels over ``inputs.core.vertices`` of one seeded run, and their report."""
     core = inputs.mode_core(mode)
-    partition = extract_candidates(core, k, seed)
-    report = score(partition, core, mode)
-    return partition, report
+    labels = extract_candidates(core, k, seed)
+    return labels, score(labels, k, core, mode)
 
 
 @dataclass

@@ -27,29 +27,6 @@ class Embedding:
     eigenvalues: np.ndarray
 
 
-@dataclass
-class Partition:
-    """Assignment of every vertex of a core to one of K candidates."""
-
-    labels: dict[str, int]
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k={self.k} must be at least 1")
-        if set(self.labels.values()) != set(range(self.k)):
-            raise ValueError("every candidate index in [0, K) must be non-empty")
-
-    def candidates(self) -> list[list[str]]:
-        groups: list[list[str]] = [[] for _ in range(self.k)]
-        for v in sorted(self.labels):
-            groups[self.labels[v]].append(v)
-        return groups
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "candidates": self.candidates()}
-
-
 def build_laplacian(g: FeatureGraph) -> sp.csr_array:
     """L = D - W, with W the affinity of ``g`` (see ``to_affinity``) and D
     the diagonal matrix of its degrees, as a CSR array."""
@@ -429,13 +406,21 @@ def _centroids(pts: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.nd
     return (onehot @ pts).reshape(R, k, d) / counts[:, :, None]
 
 
-def extract_candidates(g: FeatureGraph, k: int, seed: int) -> Partition:
+def extract_candidates(g: FeatureGraph, k: int, seed: int) -> np.ndarray:
     """End-to-end on a graph without isolated vertices: smallest-k embedding,
     k-means, canonical relabeling (clusters renumbered by smallest contained
-    vertex id). A k outside [2, n] is a ValueError from ``embed`` or
-    ``kmeans``."""
-    labels = first_occurrence(kmeans(embed(g, k).U, k, [seed]), k)[0]
-    return Partition(dict(zip(g.vertices, labels.tolist())), k)
+    vertex id). Returns the (n,) labels over ``g.vertices``. A k outside
+    [2, n] is a ValueError from ``embed`` or ``kmeans``."""
+    return first_occurrence(kmeans(embed(g, k).U, k, [seed]), k)[0]
+
+
+def candidates(vertices: Sequence[str], labels: np.ndarray, k: int) -> list[list[str]]:
+    """The k candidates of the (n,) ``labels`` over the sorted ``vertices``:
+    candidate i lists, in vertex order, the vertices labeled i."""
+    groups: list[list[str]] = [[] for _ in range(k)]
+    for v, c in zip(vertices, labels.tolist()):
+        groups[c].append(v)
+    return groups
 
 
 def first_occurrence(labels: np.ndarray, k: int) -> np.ndarray:

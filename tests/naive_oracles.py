@@ -36,7 +36,7 @@ from servicecut.records import (
     TypeCatalog,
     TypeRef,
 )
-from servicecut.spectral import NumericError, Partition
+from servicecut.spectral import NumericError
 
 
 def naive_mq(labels: dict[str, int], edges: dict[tuple[str, str], float], k: int) -> float:
@@ -141,7 +141,7 @@ def naive_cluster_stats(labels: dict[str, int], edges: dict[tuple[str, str], flo
     return sizes, u, uw, sigma, sigmaw, cut
 
 
-def canonicalize(labels: dict[str, int], k: int) -> Partition:
+def canonicalize(labels: dict[str, int]) -> dict[str, int]:
     """Renumber clusters by their smallest contained vertex id so partitions
     compare across runs regardless of k-means label permutation."""
     rep = {}
@@ -150,10 +150,11 @@ def canonicalize(labels: dict[str, int], k: int) -> Partition:
             rep[c] = v
     order = sorted(rep, key=lambda c: rep[c])
     remap = {c: i for i, c in enumerate(order)}
-    return Partition({v: remap[c] for v, c in labels.items()}, k)
+    return {v: remap[c] for v, c in labels.items()}
 
 
-def naive_brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Partition, float]:
+def naive_brute_force_best(g: FeatureGraph, k: int,
+                           objective: str) -> tuple[dict[str, int], float]:
     """Enumerate every partition of the non-isolated vertices into exactly k
     non-empty parts; return the best partition under the objective
     (maximize ``mqw``, minimize ``cut``). One partition scored at a time."""
@@ -168,8 +169,8 @@ def naive_brute_force_best(g: FeatureGraph, k: int, objective: str) -> tuple[Par
         raise ValueError(f"k must be in [1, {n}], got {k}")
     best_p, best_v = None, None
     for labels in restricted_growth_strings(n, k):
-        p = canonicalize(dict(zip(verts, labels)), k)
-        r = score(p, core, "")
+        p = canonicalize(dict(zip(verts, labels)))
+        r = score(np.array([p[v] for v in verts]), k, core, "")
         if objective == "mqw":
             value = r.mqw
             better = best_v is None or value > best_v

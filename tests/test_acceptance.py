@@ -15,9 +15,9 @@ from servicecut.metrics import score
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import PipelineInputs, partition_accuracy, sweep
 from servicecut.records import ObjectLayout, PRIMITIVE_SIZES, TypeCatalog, TypeRef
-from servicecut.spectral import build_laplacian, embed, extract_candidates
+from servicecut.spectral import build_laplacian, candidates, embed, extract_candidates
 from servicecut.synth import SynthSpec, generate_system
-from test_metrics import random_instance
+from test_metrics import in_vertex_order, random_instance
 from test_spectral import matrix_graph
 
 SMALL_PARAMS = ("int", "boolean", "short", "byte")
@@ -77,13 +77,13 @@ def test_criterion_2_metric_oracle_equivalence(capsys):
         start = time.perf_counter()
         rng = np.random.default_rng(77)
         for _ in range(500):
-            g, p = random_instance(rng, max_n=8)
-            r = score(p, g, "")
+            g, p, k = random_instance(rng, max_n=8)
+            r = score(in_vertex_order(p, g), k, g, "")
             assert r.mq == pytest.approx(
-                naive_mq(p.labels, g.edges, p.k), abs=1e-12
+                naive_mq(p, g.edges, k), abs=1e-12
             )
             assert r.mqw == pytest.approx(
-                naive_mqw(p.labels, g.edges, p.k), abs=1e-12
+                naive_mqw(p, g.edges, k), abs=1e-12
             )
             W = to_affinity(g).toarray()
             aff = {
@@ -92,10 +92,10 @@ def test_criterion_2_metric_oracle_equivalence(capsys):
                 for j, v in enumerate(g.vertices)
             }
             assert r.cut == pytest.approx(
-                naive_cut(p.labels, aff, p.k), abs=1e-12
+                naive_cut(p, aff, k), abs=1e-12
             )
             unit = graph_from_edges(list(g.vertices), {e: 1.0 for e in g.edges})
-            r = score(p, unit, "")
+            r = score(in_vertex_order(p, unit), k, unit, "")
             assert r.mqw == pytest.approx(r.mq, abs=1e-12)
         assert time.perf_counter() - start < 30.0
 
@@ -145,8 +145,8 @@ def test_criterion_3_spectral_correctness(capsys):
         recovered = 0
         for trial in range(100):
             g, sizes = _random_two_component_affinity(rng)
-            p = extract_candidates(g, 2, seed=trial)
-            groups = sorted(map(sorted, p.candidates()))
+            labels = extract_candidates(g, 2, seed=trial)
+            groups = sorted(map(sorted, candidates(g.vertices, labels, 2)))
             expected = sorted(
                 [
                     [f"v{i:02d}" for i in range(sizes[0])],
@@ -175,8 +175,9 @@ def test_criterion_4_planted_partition_recovery(capsys):
                 )
                 calls, perf, truth = generate_system(spec)
                 inputs = PipelineInputs(collect_calls(calls), perf, cat)
-                p = extract_candidates(inputs.core, blocks, seed=1000 + seed)
-                accuracies.append(partition_accuracy(p.labels, truth))
+                labels = extract_candidates(inputs.core, blocks, seed=1000 + seed)
+                pred = dict(zip(inputs.core.vertices, labels.tolist()))
+                accuracies.append(partition_accuracy(pred, truth))
                 result = sweep(inputs, ("static",), 2, 10, 10, seed)
                 argmax_hits += result.best_k["static"] == blocks
             mean_acc = statistics.mean(accuracies)
@@ -248,8 +249,8 @@ def test_criterion_7_oracle_dominance(capsys):
             g = graph_from_edges(verts, edges)
             core, _ = split_core(g)
             k = int(rng.integers(2, min(5, len(core.vertices)) + 1))
-            p = extract_candidates(core, k, seed=checked)
-            pipeline_value = score(p, core, "").mqw
+            labels = extract_candidates(core, k, seed=checked)
+            pipeline_value = score(labels, k, core, "").mqw
             _, best_value = brute_force_best(g, k, "mqw")
             assert best_value >= pipeline_value - 1e-12
             checked += 1

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import servicecut
-from servicecut import cli, feature_graph, pipeline
+from servicecut import cli, feature_graph, pipeline, spectral
 from servicecut.cli import main
 from servicecut.records import ArgumentError
 from servicecut.synth import SynthSpec
@@ -74,6 +74,32 @@ def test_cluster_and_evaluate(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert -1.0 <= report["MQw"] <= 1.0
 
+
+def test_disconnected_blocks_above_the_dense_threshold_are_the_candidates(tmp_path,
+                                                                          monkeypatch):
+    # 12 disconnected blocks above the dense threshold: Lanczos misses copies
+    # of eigenvalue 0, the kernel check sends evaluate to the dense solve, and
+    # every candidate is exactly one planted block
+    sysdir = synth_system(tmp_path, **{"--n-classes": "1200", "--n-blocks": "12",
+                                       "--intra": "0.1", "--inter": "0", "--seed": "7"})
+    check, outcomes = spectral._check_kernel, []
+
+    def check_kernel(L, emb):
+        try:
+            check(L, emb)
+        except spectral.NumericError:
+            outcomes.append("refused")
+            raise
+        outcomes.append("passed")
+
+    monkeypatch.setattr(spectral, "_check_kernel", check_kernel)
+    out = tmp_path / "run"
+    assert run("evaluate", "--calls", str(sysdir / "calls.csv"),
+               "--perf", str(sysdir / "perf.csv"), "--k", "12", "--out", str(out)) == 0
+    assert outcomes == ["refused"]
+    partition = json.loads((out / "partition.json").read_text())
+    truth = json.loads((sysdir / "truth.json").read_text())
+    assert sorted(map(sorted, partition["candidates"])) == sorted(map(sorted, truth["blocks"]))
 
 def test_evaluate_csv_format(tmp_path):
     sysdir = synth_system(tmp_path)

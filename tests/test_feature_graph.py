@@ -255,8 +255,8 @@ def test_mode_graph_keeps_class_graph_vertices_and_edges(mode):
     base, g = inputs.graph, inputs.mode_graph(mode)
     assert g.vertices == base.vertices
     assert list(g.edges) == list(base.edges)
-    p = extract_candidates(split_core(g)[0], 3, seed=0)
-    assert score(p, g, mode).mq == score(p, base, "").mq
+    labels = extract_candidates(split_core(g)[0], 3, seed=0)
+    assert score(labels, 3, g, mode).mq == score(labels, 3, base, "").mq
 
 
 def test_affinity_sums_both_directions():

@@ -1,9 +1,10 @@
-"""Golden ``build-graph``, ``evaluate`` and ``sweep`` outputs of a
+"""Golden ``build-graph``, ``evaluate``, ``sweep`` and ``oracle`` outputs of a
 hand-written five-class system.
 
 ``Audit`` only calls itself, so it is an isolated vertex: it is listed in
 ``graph.json`` (and, with its CPU time, sets the normalization maximum) but has
-no row in ``affinity.csv`` and is ``unassigned`` in ``partition.json``.
+no row in ``affinity.csv`` and is ``unassigned`` in ``partition.json`` and
+in the ``oracle`` line.
 ``Stock`` has no perf row. The catalog declares one ``object`` type, whose
 ``String`` field falls back to the default cost, and one ``opaque`` type.
 Every weight is written as a plain float literal. The core is a weighted path
@@ -343,6 +344,14 @@ static,3,-0.3221844293272865
 """,
 }
 
+#: oracle --mode fusion --k 3 --objective OBJECTIVE, one stdout line each
+ORACLE = {
+    "mqw": '{"candidates": [["Mailer"], ["Order", "Stock"], ["Payment"]], "k": 3, '
+           '"objective": "mqw", "unassigned": ["Audit"], "value": -0.3217222195246593}\n',
+    "cut": '{"candidates": [["Mailer"], ["Order", "Stock"], ["Payment"]], "k": 3, '
+           '"objective": "cut", "unassigned": ["Audit"], "value": 183.89583333333334}\n',
+}
+
 
 @pytest.fixture
 def inputs(tmp_path):
@@ -380,3 +389,10 @@ def test_sweep_outputs_equal_the_golden_text(tmp_path, inputs):
     out = tmp_path / "out"
     assert main(["sweep", *inputs, "--k-max", "3", "--epochs", "3", "--out", str(out)]) == 0
     assert_golden(out, SWEEP)
+
+
+@pytest.mark.parametrize("objective", sorted(ORACLE))
+def test_oracle_line_equals_the_golden_text(inputs, capsys, objective):
+    assert main(["oracle", *inputs, "--mode", "fusion", "--k", "3",
+                 "--objective", objective]) == 0
+    assert capsys.readouterr().out == ORACLE[objective]

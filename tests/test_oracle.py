@@ -6,7 +6,7 @@ from naive_oracles import graph_from_edges, naive_brute_force_best
 from servicecut import feature_graph
 from servicecut.feature_graph import split_core
 from servicecut.oracle import brute_force_best, restricted_growth_strings
-from servicecut.spectral import first_occurrence
+from servicecut.spectral import candidates, first_occurrence
 
 
 def triangle_pair():
@@ -55,16 +55,19 @@ def test_brute_force_best_equals_the_per_partition_loop(seed, objective):
     g = graph_from_edges(verts, edges)
     core = split_core(g)[0]
     k = int(rng.integers(1, min(len(core.vertices), 4) + 1))
-    p, value = brute_force_best(core, k, objective)
+    labels, value = brute_force_best(core, k, objective)
     expected_p, expected_value = naive_brute_force_best(g, k, objective)
-    assert (p.labels, p.k) == (expected_p.labels, expected_p.k)
+    assert dict(zip(core.vertices, labels.tolist())) == expected_p
+    assert set(labels.tolist()) == set(range(k))
     assert np.float64(value).tobytes() == np.float64(expected_value).tobytes()
 
 
 def test_two_triangles_min_cut_is_components():
-    p, value = brute_force_best(triangle_pair(), 2, "cut")
+    g = triangle_pair()
+    labels, value = brute_force_best(g, 2, "cut")
     assert value == 0.0
-    assert sorted(map(sorted, p.candidates())) == [["a0", "a1", "a2"], ["b0", "b1", "b2"]]
+    groups = candidates(g.vertices, labels, 2)
+    assert sorted(map(sorted, groups)) == [["a0", "a1", "a2"], ["b0", "b1", "b2"]]
 
 
 def test_four_cycle_min_cut_two():
@@ -79,20 +82,23 @@ def test_ties_go_to_the_first_string_in_lexicographic_order():
     assert rows == sorted(rows)
     # every split of the 4-cycle into two arcs cuts 2; 0001 comes first
     edges = {("v0", "v1"): 1.0, ("v1", "v2"): 1.0, ("v2", "v3"): 1.0, ("v3", "v0"): 1.0}
-    p, _ = brute_force_best(graph_from_edges(["v0", "v1", "v2", "v3"], edges), 2, "cut")
-    assert p.labels == {"v0": 0, "v1": 0, "v2": 0, "v3": 1}
+    labels, _ = brute_force_best(graph_from_edges(["v0", "v1", "v2", "v3"], edges), 2, "cut")
+    assert labels.tolist() == [0, 0, 0, 1]
 
 
 def test_k1_single_trivial_partition():
-    p, value = brute_force_best(triangle_pair(), 1, "cut")
+    g = triangle_pair()
+    labels, value = brute_force_best(g, 1, "cut")
     assert value == 0.0
-    assert p.k == 1
-    assert len(p.candidates()[0]) == 6
+    assert labels.tolist() == [0] * 6
+    assert len(candidates(g.vertices, labels, 1)[0]) == 6
 
 
 def test_mqw_objective_prefers_components():
-    p, _ = brute_force_best(triangle_pair(), 2, "mqw")
-    assert sorted(map(sorted, p.candidates())) == [["a0", "a1", "a2"], ["b0", "b1", "b2"]]
+    g = triangle_pair()
+    labels, _ = brute_force_best(g, 2, "mqw")
+    groups = candidates(g.vertices, labels, 2)
+    assert sorted(map(sorted, groups)) == [["a0", "a1", "a2"], ["b0", "b1", "b2"]]
 
 
 def test_vertex_bound_enforced():

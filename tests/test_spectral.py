@@ -11,6 +11,7 @@ from servicecut.feature_graph import FeatureGraph, to_affinity
 from servicecut.spectral import (
     NumericError,
     build_laplacian,
+    candidates,
     embed,
     extract_candidates,
     first_occurrence,
@@ -222,7 +223,7 @@ def test_many_components_above_the_threshold():
     g = disjoint_cliques(40, 30)
     emb = embed(g, 40)
     assert np.abs(emb.eigenvalues).max() < 1e-8
-    groups = extract_candidates(g, 40, seed=0).candidates()
+    groups = candidates(g.vertices, extract_candidates(g, 40, seed=0), 40)
     assert sorted(groups) == [g.vertices[30 * c:30 * c + 30] for c in range(40)]
 
 
@@ -715,8 +716,8 @@ def test_assign_certifies_every_point_of_separated_clusters(d):
 
 
 def test_extract_two_components_recovered():
-    p = extract_candidates(two_triangles(), 2, seed=0)
-    groups = p.candidates()
+    g = two_triangles()
+    groups = candidates(g.vertices, extract_candidates(g, 2, seed=0), 2)
     assert sorted(map(sorted, groups)) == [["a0", "a1", "a2"], ["b0", "b1", "b2"]]
 
 
@@ -727,8 +728,8 @@ def test_extract_dense_blocks_with_weak_bridge():
     for i, j in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
         W[i, j] = W[j, i] = 10.0
     W[2, 3] = W[3, 2] = 1.0
-    p = extract_candidates(matrix_graph(W), 2, seed=0)
-    groups = sorted(map(sorted, p.candidates()))
+    g = matrix_graph(W)
+    groups = sorted(map(sorted, candidates(g.vertices, extract_candidates(g, 2, seed=0), 2)))
     assert groups == [["v0", "v1", "v2"], ["v3", "v4", "v5"]]
 
 
@@ -739,7 +740,7 @@ def test_extract_deterministic():
     W = W + W.T
     a = extract_candidates(matrix_graph(W), 4, seed=42)
     b = extract_candidates(matrix_graph(W), 4, seed=42)
-    assert a.labels == b.labels
+    assert a.tolist() == b.tolist()
 
 
 def test_extract_scale_invariance_of_labels():
@@ -749,7 +750,7 @@ def test_extract_scale_invariance_of_labels():
     Wm = Wm + Wm.T
     a = extract_candidates(matrix_graph(Wm), 3, seed=5)
     b = extract_candidates(matrix_graph(Wm * 7.5), 3, seed=5)
-    assert a.labels == b.labels
+    assert a.tolist() == b.tolist()
 
 
 def test_extract_k_bounds():
@@ -771,8 +772,8 @@ def test_first_occurrence_equals_canonicalize(seed):
                        for _ in range(int(rng.integers(1, 5)))])
     got = first_occurrence(labels, k)
     for row, relabeled in zip(labels, got):
-        p = canonicalize(dict(zip(ids, row.tolist())), k)
-        assert relabeled.tolist() == [p.labels[v] for v in ids]
+        p = canonicalize(dict(zip(ids, row.tolist())))
+        assert relabeled.tolist() == [p[v] for v in ids]
 
 
 def test_residual_check_is_relative_so_huge_weights_pass():
@@ -782,18 +783,4 @@ def test_residual_check_is_relative_so_huge_weights_pass():
 
 
 def test_canonicalize_renumbers_by_smallest_vertex():
-    p = canonicalize({"b": 0, "a": 1, "c": 0}, 2)
-    assert p.labels == {"a": 0, "b": 1, "c": 1}
-
-
-def test_partition_rejects_empty_cluster():
-    with pytest.raises(ValueError):
-        from servicecut.spectral import Partition
-
-        Partition({"a": 0, "b": 2}, 3)
-    # an empty labeling would render three empty candidates
-    with pytest.raises(ValueError, match="non-empty"):
-        spectral.Partition({}, 3)
-    # "every index in [0, K) is non-empty" holds vacuously at K = 0
-    with pytest.raises(ValueError, match="at least 1"):
-        spectral.Partition({}, 0)
+    assert canonicalize({"b": 0, "a": 1, "c": 0}) == {"a": 0, "b": 1, "c": 1}
