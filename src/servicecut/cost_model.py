@@ -63,12 +63,6 @@ def api_estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel = SizeModel(
     return _estimate(t, catalog, model, depth=0, visiting=frozenset(), memo={})
 
 
-def edge_cost(callee_params: list[TypeRef] | tuple[TypeRef, ...], catalog: TypeCatalog,
-              model: SizeModel = SizeModel()) -> int:
-    """Weight of one method-call edge: total parameter overhead plus one."""
-    return sum(api_estimate(p, catalog, model) for p in callee_params) + 1
-
-
 def _estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel,
               depth: int, visiting: frozenset[str], memo: dict) -> int:
     """Size of ``t`` met at ``depth`` below the estimated parameter, with the
@@ -94,9 +88,22 @@ def _estimate(t: TypeRef, catalog: TypeCatalog, model: SizeModel,
     assert isinstance(layout, ObjectLayout)
     if depth >= model.max_depth or t.name in visiting:
         return model.ref_slot
-    key = (t.name, depth, visiting & catalog.reachable(t.name))
+    key = (t.name, depth, visiting & _reachable(t.name, catalog))
     if key not in memo:
         inner = visiting | {t.name}
         data = sum(_estimate(f, catalog, model, depth + 1, inner, memo) for f in layout.fields)
         memo[key] = model.align(model.header_plain + data)
     return memo[key]
+
+
+def _reachable(name: str, catalog: TypeCatalog) -> set[str]:
+    """``name`` and every type name its object fields lead to, at any depth."""
+    seen, stack = {name}, [name]
+    while stack:
+        layout = catalog.layouts.get(stack.pop())
+        if isinstance(layout, ObjectLayout):
+            for f in layout.fields:
+                if f.name not in seen:
+                    seen.add(f.name)
+                    stack.append(f.name)
+    return seen

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .cost_model import SizeModel, edge_cost
+from .cost_model import SizeModel, api_estimate
 from .records import CallRecord, TypeCatalog, TypeRef
 
 log = logging.getLogger(__name__)
@@ -106,13 +106,15 @@ def weigh_calls(calls: CallTable, catalog: TypeCatalog,
     pair at most once. Repeated class pairs accumulate by weight summation;
     intra-class calls add no edge, so a class seen only in them becomes an
     isolated vertex. Self-calls are dropped with a warning. Each distinct
-    callee-parameter tuple (an entry of ``calls.params``) is costed once, in
-    order, and ``np.bincount`` adds each pair's costs one row at a time, in
-    row order: count x cost would round differently once the sum passes
-    2**53. A sum past the float range is an OverflowError naming the
-    smallest such pair."""
+    parameter type is sized once, and each distinct callee-parameter tuple
+    (an entry of ``calls.params``) costs 1 plus its types' sizes, in order;
+    ``np.bincount`` adds each pair's costs one row at a time, in row order:
+    count x cost would round differently once the sum passes 2**53. A sum
+    past the float range is an OverflowError naming the smallest such pair."""
+    types = dict.fromkeys(t for p in calls.params for t in p)
+    sizes = {t: api_estimate(t, catalog, model) for t in types}
     # float() raises OverflowError for an int cost past the float range
-    costs = [float(edge_cost(p, catalog, model)) for p in calls.params]
+    costs = [float(1 + sum(map(sizes.__getitem__, p))) for p in calls.params]
     if calls.self_calls:
         log.warning("dropped %d self-call record(s)", calls.self_calls)
     vertices = sorted(calls.code)

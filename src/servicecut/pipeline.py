@@ -191,15 +191,18 @@ def sweep_graph(
     """Sweep one mode's core (a graph without isolated vertices, see
     ``split_core``) over k. The k_max-column embedding is computed once;
     each k runs one seeded k-means call, with all its epochs' seeds, on the
-    first k columns, and scores the MQw of all its epochs at once. Clusters are renumbered
-    by first occurrence, which is smallest-vertex-id order because the rows
-    follow the sorted vertex ids."""
+    first k columns, and scores the MQw of each distinct labeling among its
+    epochs at once: a row's MQw depends on that row alone. Clusters are
+    renumbered by first occurrence, which is smallest-vertex-id order
+    because the rows follow the sorted vertex ids."""
     emb = embed(g, k_max)
     out: dict[tuple[str, int], list[float]] = {}
     for k in range(k_min, k_max + 1):
         U = emb.U[:, :k].copy()
         raw = kmeans(U, k, [epoch_seed(base_seed, mode, k, epoch) for epoch in range(epochs)])
-        out[(mode, k)] = batch_scores(first_occurrence(raw, k), k, g)[0].tolist()
+        labels, inverse = np.unique(first_occurrence(raw, k), axis=0, return_inverse=True)
+        # the inverse's shape differs across NumPy 2.x releases
+        out[(mode, k)] = batch_scores(labels, k, g)[0][inverse.ravel()].tolist()
     return out
 
 

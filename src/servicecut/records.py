@@ -144,29 +144,12 @@ class TypeCatalog:
     caller's mapping is copied, never changed."""
 
     layouts: Mapping[str, ObjectLayout | OpaqueLayout] = field(default_factory=dict)
-    _reachable: dict[str, frozenset[str]] = field(default_factory=dict, init=False,
-                                                  repr=False, compare=False)
 
     def __post_init__(self):
         for name in self.layouts:
             if name in PRIMITIVE_SIZES:
                 raise ValueError(f"cannot redefine primitive type {name!r}")
         object.__setattr__(self, "layouts", MappingProxyType(dict(self.layouts)))
-
-    def reachable(self, name: str) -> frozenset[str]:
-        """``name`` and every type name its object fields lead to, at any
-        depth; computed once per name."""
-        if name not in self._reachable:
-            seen, stack = {name}, [name]
-            while stack:
-                layout = self.layouts.get(stack.pop())
-                if isinstance(layout, ObjectLayout):
-                    for f in layout.fields:
-                        if f.name not in seen:
-                            seen.add(f.name)
-                            stack.append(f.name)
-            self._reachable[name] = frozenset(seen)
-        return self._reachable[name]
 
 
 # --- parsing ----------------------------------------------------------------

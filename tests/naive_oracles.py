@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from servicecut.cost_model import SizeModel, edge_cost
+from servicecut.cost_model import SizeModel
 from servicecut.feature_graph import FeatureGraph, collect_calls, split_core, weigh_calls
 from servicecut.metrics import score
 from servicecut.oracle import MAX_VERTICES, restricted_growth_strings
@@ -201,8 +201,9 @@ def build_class_graph(records, catalog: TypeCatalog,
 
 def naive_build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
                             model: SizeModel | None = None) -> tuple[FeatureGraph, int]:
-    """``build_class_graph`` with no cost memo: ``edge_cost`` runs for every
-    inter-class row, and each cost is added to its class pair in row order.
+    """``build_class_graph`` with no cost memo: every inter-class row costs
+    1 plus the unmemoized size of each callee parameter, and each cost is
+    added to its class pair in row order.
     Returns the graph, its edges sorted by (src, dst), and the count of
     self-calls dropped."""
     model = model or SizeModel()
@@ -218,7 +219,8 @@ def naive_build_class_graph(records: list[CallRecord], catalog: TypeCatalog,
         if r.caller_class == r.callee_class:
             continue
         key = (r.caller_class, r.callee_class)
-        edges[key] = edges.get(key, 0.0) + edge_cost(r.callee_params, catalog, model)
+        cost = 1 + sum(naive_api_estimate(p, catalog, model) for p in r.callee_params)
+        edges[key] = edges.get(key, 0.0) + cost
     return graph_from_edges(classes, dict(sorted(edges.items()))), dropped
 
 

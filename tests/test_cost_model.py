@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from naive_oracles import hand_object_size, naive_api_estimate
+from naive_oracles import build_class_graph, hand_object_size, naive_api_estimate
 from servicecut import cost_model
-from servicecut.cost_model import SizeModel, api_estimate, edge_cost
+from servicecut.cost_model import SizeModel, api_estimate
 from servicecut.records import (
+    CallRecord,
     ObjectLayout,
     OpaqueLayout,
     PRIMITIVE_SIZES,
@@ -75,6 +76,13 @@ def test_depth_limit():
     deep = api_estimate(TypeRef("L11"), cat, SizeModel(max_depth=12))
     assert shallow < deep
     assert shallow == 16  # 12 + ref_slot(4)
+
+
+def edge_cost(callee_params, catalog):
+    """The weight of the one edge of a one-row call log."""
+    row = CallRecord("f", "g", "A", "B", (), tuple(callee_params))
+    (weight,) = build_class_graph([row], catalog).weight.tolist()
+    return weight
 
 
 def test_edge_cost_examples():
@@ -207,5 +215,5 @@ def test_the_deepest_arrays_and_objects_stay_under_the_recursion_limit(order):
 def test_reachable_names_follow_object_fields():
     cat = TypeCatalog({"A": ObjectLayout((TypeRef("B", 1), TypeRef("int"))),
                        "B": ObjectLayout((TypeRef("A"),))})
-    assert cat.reachable("A") == {"A", "B", "int"}
-    assert cat.reachable("int") == {"int"}
+    assert cost_model._reachable("A", cat) == {"A", "B", "int"}
+    assert cost_model._reachable("int", cat) == {"int"}

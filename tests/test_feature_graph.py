@@ -21,12 +21,13 @@ from servicecut.feature_graph import (
     write_affinity_csv,
     write_edge_list,
 )
-from servicecut import feature_graph
-from servicecut.cost_model import SizeModel, edge_cost
+from servicecut import cost_model, feature_graph
+from servicecut.cost_model import SizeModel, api_estimate
 from servicecut.metrics import score
 from servicecut.pipeline import MODES, PipelineInputs, mode_weights
 from servicecut.records import (
     CallRecord,
+    ObjectLayout,
     OpaqueLayout,
     PerfRecord,
     TypeCatalog,
@@ -103,7 +104,8 @@ def test_lift_conserves_inter_class_weight():
         records.append(call(mi, mj, ci, cj, ["int"]))
     g = build_class_graph(records, CAT)
     inter = sum(
-        edge_cost(r.callee_params, CAT) for r in records if r.caller_class != r.callee_class
+        1 + sum(api_estimate(p, CAT) for p in r.callee_params)
+        for r in records if r.caller_class != r.callee_class
     )
     assert g.weight.sum() == pytest.approx(inter)
 
@@ -150,19 +152,56 @@ def test_class_graph_costing_each_tuple_once_matches_the_row_loop_bit_for_bit(re
     assert collect_calls(records).self_calls == dropped
 
 
+def counting_api_estimate(monkeypatch):
+    """The types ``feature_graph`` sizes from now on, in call order."""
+    sized = []
+
+    def counting(t, catalog, model):
+        sized.append(t)
+        return api_estimate(t, catalog, model)
+
+    monkeypatch.setattr(feature_graph, "api_estimate", counting)
+    return sized
+
+
 def test_class_graph_costs_each_callee_tuple_once(monkeypatch):
-    calls = []
-
-    def counting_edge_cost(params, catalog, model):
-        calls.append(params)
-        return edge_cost(params, catalog, model)
-
-    monkeypatch.setattr(feature_graph, "edge_cost", counting_edge_cost)
+    sized = counting_api_estimate(monkeypatch)
     records = [call("f", "g", a, b, params) for params in (["int"], ["long", "int"])
                for a, b in (("A", "B"), ("B", "C"), ("C", "A"))]
     g = build_class_graph(records, CAT)
-    assert calls == [(TypeRef("int"),), (TypeRef("long"), TypeRef("int"))]
+    assert sized == [TypeRef("int"), TypeRef("long")]
     assert g.edges == {("A", "B"): 18.0, ("B", "C"): 18.0, ("C", "A"): 18.0}  # 5 + 13
+
+
+def test_weigh_calls_sizes_each_distinct_type_once(monkeypatch):
+    # eight parameters over three types, in four distinct tuples
+    catalog = TypeCatalog({"Order": OpaqueLayout(40)})
+    sized = counting_api_estimate(monkeypatch)
+    records = [call("f", "g", a, b, params) for a, b, params in (
+        ("A", "B", ["int", "Order"]), ("B", "C", ["long", "int"]), ("C", "A", ["Order"]),
+        ("A", "C", ["Order", "long", "int"]))]
+    g = build_class_graph(records, catalog)
+    assert sized == [TypeRef("int"), TypeRef("Order"), TypeRef("long")]
+    assert g.edges == {("A", "B"): 45.0, ("A", "C"): 53.0, ("B", "C"): 13.0, ("C", "A"): 41.0}
+
+
+def test_a_nested_type_shared_by_many_tuples_is_sized_once(monkeypatch):
+    # a chain of objects, each holding three primitives and the next one, as
+    # in a catalog of nested DTOs, named by a dozen distinct callee tuples
+    catalog = TypeCatalog({f"Dto{i}": ObjectLayout((TypeRef("int"), TypeRef("long", 1),
+                                                    TypeRef("double"), TypeRef(f"Dto{i + 1}")))
+                           for i in range(6)})
+    records = [call("f", "g", "A", "B", ["Dto0"] * n + extra)
+               for n in (1, 2, 3) for extra in ([], ["int"], ["long"], ["int", "long"])]
+    estimate, calls = cost_model._estimate, []
+    monkeypatch.setattr(cost_model, "_estimate",
+                        lambda *args, **kwargs: calls.append(1) or estimate(*args, **kwargs))
+    api_estimate(TypeRef("Dto0"), catalog)
+    once = len(calls)
+    assert once == 1 + 6 * 5  # Dto0, then per level four fields and a long[]'s element
+    calls.clear()
+    build_class_graph(records, catalog)
+    assert len(calls) == once + 2  # and one call each for int and long
 
 
 def test_collect_calls_numbers_each_callee_tuple_once_by_value(tmp_path):

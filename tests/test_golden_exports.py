@@ -239,6 +239,84 @@ Stock,0.0,3.5,0.0,0.0\r\n\
 }
 
 
+#: The catalog of the CI console-script step: an object (Money), an object
+#: holding it and a String array (Order), a cyclic object (Node) and an
+#: opaque type. Sizes: Money 12 + 8 + 4 -> 24, Order 12 + 24 + 16 -> 56,
+#: Node 12 + 4 (its own field, a reference slot) + 56 -> 72, String 24; an
+#: empty array costs its 16-byte header. Each row costs 1 plus its callee's
+#: sizes, and the repeated A -> B row adds its cost twice.
+CI_CATALOG = """\
+Money: object
+    long
+    int
+Order: object
+    Money
+    String[]
+Node: object
+    Node
+    Order
+String: opaque 24
+"""
+
+CI_CALLS = """\
+f,g,A,B,,Money
+g,h,B,C,Money,Order;int
+h,f,C,A,,Node
+f,h,A,C,,Node[];String
+c,d,C,D,,long;Order[]
+f,g,A,B,,Money
+"""
+
+#: build-graph --mode static --type-catalog, on CI_CALLS and CI_CATALOG
+CI_CATALOG_EXPECTED = {
+    "graph_edges.csv": """\
+src,dst,weight\r\n\
+A,B,50.0\r\n\
+A,C,41.0\r\n\
+B,C,61.0\r\n\
+C,A,73.0\r\n\
+C,D,25.0\r\n\
+""",
+    "graph.json": """\
+{
+  "edges": [
+    {
+      "dst": "B",
+      "src": "A",
+      "weight": 50.0
+    },
+    {
+      "dst": "C",
+      "src": "A",
+      "weight": 41.0
+    },
+    {
+      "dst": "C",
+      "src": "B",
+      "weight": 61.0
+    },
+    {
+      "dst": "A",
+      "src": "C",
+      "weight": 73.0
+    },
+    {
+      "dst": "D",
+      "src": "C",
+      "weight": 25.0
+    }
+  ],
+  "granularity": "class",
+  "vertices": [
+    "A",
+    "B",
+    "C",
+    "D"
+  ]
+}
+""",
+}
+
 #: evaluate --mode fusion --k 2 --seed 0 (report.csv with --format csv)
 EVALUATE = {
     "partition.json": """\
@@ -373,6 +451,15 @@ def test_build_graph_exports_equal_the_golden_text(tmp_path, inputs, mode):
     out = tmp_path / "out"
     assert main(["build-graph", *inputs, "--mode", mode, "--out", str(out)]) == 0
     assert_golden(out, EXPECTED[mode])
+
+
+def test_build_graph_with_the_ci_catalog_equals_the_golden_text(tmp_path):
+    (tmp_path / "calls.csv").write_text(CI_CALLS)
+    (tmp_path / "types.txt").write_text(CI_CATALOG)
+    out = tmp_path / "out"
+    assert main(["build-graph", "--calls", str(tmp_path / "calls.csv"), "--type-catalog",
+                 str(tmp_path / "types.txt"), "--mode", "static", "--out", str(out)]) == 0
+    assert_golden(out, CI_CATALOG_EXPECTED)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

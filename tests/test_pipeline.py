@@ -9,7 +9,7 @@ import pytest
 from naive_oracles import canonicalize, naive_kmeans
 from servicecut import pipeline
 from servicecut.feature_graph import collect_calls
-from servicecut.metrics import score
+from servicecut.metrics import batch_scores, score
 from servicecut.oracle import brute_force_best
 from servicecut.pipeline import (
     MODES,
@@ -320,6 +320,22 @@ def test_sweep_graph_epoch_values_equal_reference_loop(mode, monkeypatch):
                         lambda *args: calls.append(len(args[2])) or kmeans(*args))
     assert sweep_graph(core, mode, 2, 10, 3, 11) == expected
     assert calls == [3] * 9
+
+
+def test_sweep_graph_scores_each_distinct_labeling_once(monkeypatch):
+    # two disconnected blocks: every epoch at k = 2 finds the same partition
+    calls, perf, _ = generate_system(two_block_spec(seed=3))
+    core = PipelineInputs(collect_calls(calls), perf, CAT).mode_core("static")
+    rows = []
+
+    def counting(labels, *rest):
+        rows.append(len(labels))
+        return batch_scores(labels, *rest)
+
+    monkeypatch.setattr(pipeline, "batch_scores", counting)
+    values = sweep_graph(core, "static", 2, 2, 8, 0)[("static", 2)]
+    assert rows == [1]
+    assert values == [values[0]] * 8
 
 
 def test_sweep_median_reproducible_from_stored_values(tmp_path):
