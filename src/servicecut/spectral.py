@@ -141,20 +141,20 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     ``_MAX_ITER`` (300) Lloyd iterations; runs that collapse to an empty
     cluster are retried, up to ``4 * _RESTARTS`` attempts per seed.
 
-    The restarts of all seeds run in rounds. A round draws every seed's
-    pending restarts (``_RESTARTS`` less its runs, within the attempt cap),
-    each from the seed's own Generator in attempt order, so a seed whose
-    restarts collapse draws its retries in the next round. The k-means++
-    centers of one attempt index are drawn for all seeds at once, up to
-    ``_BATCH_VALUES // (n * d)`` seeds per batch. The round's restarts then
-    share one pool of Lloyd iterations (``_lloyd``): up to
-    ``_BATCH_VALUES // (2 * n * max(k, d))`` restarts (at least 1) run as
-    one array operation, and when one stops (converged, collapsed or at the
-    iteration cap) the round's next restart takes its slot, so restarts
-    stop out of order; the tie rule above makes the winner independent of
-    that order. Lloyd draws nothing from the RNGs, so each seed's draws,
-    and with them its labels, are those of running its restarts one after
-    another.
+    The restarts of all seeds share one pool of Lloyd iterations
+    (``_lloyd``). It starts with every seed's first ``_RESTARTS`` attempts,
+    whose k-means++ centers are drawn attempt index by attempt index, for
+    all seeds at once, up to ``_BATCH_VALUES // (n * d)`` seeds per batch.
+    Up to ``_BATCH_VALUES // (2 * n * max(k, d))`` restarts (at least 1) run
+    as one array operation, and when one stops (converged, collapsed or at
+    the iteration cap) the pool's next restart takes its slot, so restarts
+    stop out of order. A collapsed restart's retry is drawn when it stops
+    and joins the end of the pool, so a seed's pool rows follow its attempt
+    order and the tie rule above is the lowest (inertia, pool row), which
+    makes the winner independent of the stopping order. Each seed draws
+    from its own Generator in attempt order, and Lloyd draws nothing, so
+    each seed's draws, and with them its labels, are those of running its
+    restarts one after another.
 
     Every k-means++ center is one of the points, so seeding reads the
     squared distances from a center to all points as rows of the points'
@@ -190,31 +190,28 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> np.ndarray:
     rngs = [np.random.default_rng(seed) for seed in seeds]
     best_labels = np.zeros((len(rngs), n), dtype=np.intp)
     best_inertia = np.full(len(rngs), np.inf)
-    best_order = np.zeros(len(rngs), dtype=int)
+    best_row = np.zeros(len(rngs), dtype=int)
     runs = np.zeros(len(rngs), dtype=int)
-    attempts = np.zeros(len(rngs), dtype=int)
-    drawn = 0  # restarts drawn in earlier rounds
+    attempts = np.full(len(rngs), _RESTARTS)
     seeding = max(1, _BATCH_VALUES // (n * d))
     rows = _point_rows(pts)
+    # pool row r is an attempt of seed owner[r]: the first _RESTARTS of
+    # every seed, attempt index by attempt index, then retries as drawn
+    owner = list(range(len(rngs))) * _RESTARTS
+    centers = [c for _ in range(_RESTARTS) for lo in range(0, len(rngs), seeding)
+               for c in _kmeanspp_init(pts, k, rngs[lo:lo + seeding], rows)]
     width = max(1, _BATCH_VALUES // (2 * n * max(k, d)))
-    while (pending := np.minimum(_RESTARTS - runs, 4 * _RESTARTS - attempts)).any():
-        # the seeds with a j-th pending restart, for j = 0, 1, ...: one row
-        # per restart, each seed's rows in its attempt order
-        drawers = [np.flatnonzero(pending > j) for j in range(pending.max())]
-        owner = np.concatenate(drawers)
-        centers = np.concatenate([
-            _kmeanspp_init(pts, k, [rngs[s] for s in group[lo:lo + seeding]], rows)
-            for group in drawers for lo in range(0, group.size, seeding)])
-        attempts += pending
-        for r, labels, inertia in _lloyd(pts, centers, width):
-            if labels is None:
-                continue  # empty-cluster collapse; retried in the next round
-            s = owner[r]
-            runs[s] += 1
-            # a later row of a seed, in this round or the next, is a later attempt
-            if (inertia, drawn + r) < (best_inertia[s], best_order[s]):
-                best_labels[s], best_inertia[s], best_order[s] = labels, inertia, drawn + r
-        drawn += owner.size
+    for r, labels, inertia in _lloyd(pts, k, centers, width):
+        s = owner[r]
+        if labels is None:  # empty-cluster collapse: retried in the same pool
+            if attempts[s] < 4 * _RESTARTS:
+                attempts[s] += 1
+                owner.append(s)
+                centers.extend(_kmeanspp_init(pts, k, [rngs[s]], rows))
+            continue
+        runs[s] += 1
+        if (inertia, r) < (best_inertia[s], best_row[s]):
+            best_labels[s], best_inertia[s], best_row[s] = labels, inertia, r
     if not runs.all():
         raise NumericError("k-means failed to produce k non-empty clusters")
     return best_labels
@@ -341,15 +338,16 @@ def _assign(pts: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarr
     return labels
 
 
-def _lloyd(pts: np.ndarray, centers: np.ndarray,
+def _lloyd(pts: np.ndarray, k: int, centers: list[np.ndarray],
            width: int) -> Iterator[tuple[int, np.ndarray | None, float]]:
-    """Lloyd iterations of the R restarts of (R, k, d) ``centers``, at most
+    """Lloyd iterations of the restarts of the (k, d) ``centers``, at most
     ``width`` at once as one array operation. A restart stops when its
     labels stop changing, when a cluster goes empty (its labels are then
     None) or at ``_MAX_ITER``, and the next restart, in row order, takes its
-    slot. Yields (row, labels, inertia) of each restart as it stops."""
-    R, k, d = centers.shape
-    n = pts.shape[0]
+    slot. Yields (row, labels, inertia) of each restart as it stops. The
+    caller may extend ``centers`` while iterating: a slot that frees up
+    reads ``len(centers)``, so an appended restart joins the pool."""
+    n, d = pts.shape
     with np.errstate(over="ignore"):  # an overflowed norm fails every certificate
         norms = np.sqrt((pts ** 2).sum(axis=1))
     # per slot: its restart's row, centers, labels (-1 before the first
@@ -360,7 +358,7 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray,
     passes = np.zeros(0, dtype=int)
     started = 0
     while True:
-        if fill := min(width - live.size, R - started):
+        if fill := min(width - live.size, len(centers) - started):
             live = np.concatenate([live, np.arange(started, started + fill)])
             current = np.concatenate([current, centers[started:started + fill]])
             labels = np.concatenate([labels, np.full((fill, n), -1)])

@@ -11,7 +11,13 @@ Every weight is written as a plain float literal. The core is a weighted path
 Mailer - Payment - Order - Stock, whose Laplacian is an irreducible
 tridiagonal matrix in path order, so its eigenvalues are distinct and
 the candidates do not depend on the eigensolver's choice of basis.
+
+The default ``sweep`` of a synthetic 139-class system is pinned by the
+digests of its files.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -430,6 +436,13 @@ ORACLE = {
            '"objective": "cut", "unassigned": ["Audit"], "value": 183.89583333333334}\n',
 }
 
+#: sweep with its defaults (static and fusion, k 2..10, 100 epochs) on
+#: synth --n-classes 139 --n-blocks 6 --seed 1: sha256 of each file
+SWEEP_139 = {
+    "sweep.json": "7843fcae2e2010472073d618a1d1ac305b5eb6d5cdd344a0906ae02d03bcc83f",
+    "sweep.csv": "4fd65c25b80b2f9127b8b58a128c022e791916a7584c2093baaa898f8eef158c",
+}
+
 
 @pytest.fixture
 def inputs(tmp_path):
@@ -483,3 +496,17 @@ def test_oracle_line_equals_the_golden_text(inputs, capsys, objective):
     assert main(["oracle", *inputs, "--mode", "fusion", "--k", "3",
                  "--objective", objective]) == 0
     assert capsys.readouterr().out == ORACLE[objective]
+
+
+def test_default_sweep_of_139_classes_equals_the_golden_digests(tmp_path):
+    # the benchmark's sweep-139 run: 6 k-means restarts collapse, their
+    # retries join Lloyd pools 47 (at k = 10) to 235 restarts wide, and
+    # seeding reads the point table at d up to 10
+    system, out = tmp_path / "system", tmp_path / "out"
+    assert main(["synth", "--n-classes", "139", "--n-blocks", "6", "--seed", "1",
+                 "--out", str(system)]) == 0
+    assert main(["sweep", "--calls", str(system / "calls.csv"), "--perf",
+                 str(system / "perf.csv"), "--out", str(out)]) == 0
+    assert json.loads((out / "sweep.json").read_text())["best_k"] == {"static": 7, "fusion": 6}
+    for name, digest in SWEEP_139.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -458,7 +459,7 @@ def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
     # a pool of 1 runs the restarts one at a time; of 2, each stop refills
     # a slot from the rows still waiting
     for width in (1, 2, 4):
-        got = {r: (labels, inertia) for r, labels, inertia in spectral._lloyd(pts, inits, width)}
+        got = {r: (labels, inertia) for r, labels, inertia in spectral._lloyd(pts, k, inits, width)}
         assert sorted(got) == list(range(4))
         for r, (labels_ref, inertia_ref) in enumerate(expected):
             labels, inertia = got[r]
@@ -470,22 +471,33 @@ def test_batched_lloyd_equals_one_restart_at_a_time(n, d, k, seed):
 
 def test_kmeans_retries_collapsed_restarts_like_the_reference(monkeypatch):
     # with seed 0, two restarts on these points lose a cluster mid-Lloyd;
-    # seeds 1 and 2 lose none, so only seed 0 draws in the second round
+    # seeds 1 and 2 lose none, so only seed 0 draws retries, and they join
+    # the one Lloyd pool; budgets of 36 and 72 values make the pool 1 and
+    # 2 restarts wide, so a retry shares it with first attempts still running
     pts = np.array([[0.0, 0], [6, 0], [22, 0], [24, 0], [25, 0], [39, 0]])
     lloyd = spectral._lloyd
-    for seeds in ([0], [0, 1, 2]):
+    for batch_values, seeds in itertools.product([36, 72, spectral._BATCH_VALUES],
+                                                 [[0], [0, 1, 2]]):
         collapsed, batches = [], []
 
-        def counting(pts, centers, width):
+        def counting(pts, k, centers, width):
             batches.append(len(centers))
-            for r, labels, inertia in lloyd(pts, centers, width):
+            for r, labels, inertia in lloyd(pts, k, centers, width):
                 collapsed.append(labels is None)
                 yield r, labels, inertia
 
+        monkeypatch.setattr(spectral, "_BATCH_VALUES", batch_values)
         monkeypatch.setattr(spectral, "_lloyd", counting)
         _assert_kmeans_matches_naive(pts, 3, seeds)
         assert sum(collapsed) == 2
-        assert batches == [10 * len(seeds), 2]  # one Lloyd pool per round
+        assert batches == [10 * len(seeds)]  # one Lloyd pool per call
+
+
+def test_kmeans_of_no_seeds_is_no_rows():
+    pts = np.array([[0.0, 0], [1, 0], [5, 0]])
+    got = kmeans(pts, 2, [])
+    assert got.shape == (0, 3)
+    assert got.dtype == np.intp
 
 
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, 1.7e308, -1.7e308]
@@ -560,8 +572,8 @@ def test_kmeans_labels_ignore_column_signs(case, monkeypatch):
         uncertified.append(int((~certified).sum()))
         return labels, certified
 
-    def counting_lloyd(pts, centers, width):
-        for r, labels, inertia in lloyd(pts, centers, width):
+    def counting_lloyd(pts, k, centers, width):
+        for r, labels, inertia in lloyd(pts, k, centers, width):
             collapsed.append(labels is None)
             yield r, labels, inertia
 
