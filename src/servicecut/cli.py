@@ -24,7 +24,7 @@ from .pipeline import (
     sweep,
     write_sweep_outputs,
 )
-from .records import PRIMITIVE_SIZES, ArgumentError, write_json
+from .records import ArgumentError, write_json
 from .spectral import NumericError, candidates
 from .synth import SynthSpec, synth_generate
 
@@ -96,7 +96,7 @@ def ingest_check(inputs):
     click.echo(f"call records: {inputs.call_rows} ({inputs.self_calls} self-call)")
     click.echo(f"perf records: {inputs.perf_rows}")
     click.echo(f"classes:      {len(inputs.graph.vertices)}")
-    click.echo(f"types:        {len(PRIMITIVE_SIZES) + len(inputs.catalog.layouts)}")
+    click.echo(f"types:        {inputs.types}")
 
 
 @cli.command("build-graph")
@@ -131,7 +131,7 @@ def evaluate(inputs, mode, k, seed, out_dir, fmt):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json({"k": k, "candidates": candidates(inputs.core.vertices, labels, k), "seed": seed,
-                "unassigned": sorted(inputs.isolated)}, out / "partition.json")
+                "unassigned": inputs.isolated}, out / "partition.json")
     if fmt == "csv":
         (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     else:
@@ -189,7 +189,7 @@ def oracle_cmd(inputs, mode, k, objective):
     labels, value = brute_force_best(inputs.mode_core(mode), k, objective)
     click.echo(json.dumps({"objective": objective, "value": value, "k": k,
                            "candidates": candidates(inputs.core.vertices, labels, k),
-                           "unassigned": sorted(inputs.isolated)}, sort_keys=True))
+                           "unassigned": inputs.isolated}, sort_keys=True))
 
 
 #: library parameter name -> the flag that sets it, to name in an ArgumentError

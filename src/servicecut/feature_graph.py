@@ -5,7 +5,6 @@ the clusterer builds its Laplacian."""
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -17,16 +16,16 @@ import scipy.sparse as sp
 from .cost_model import SizeModel, api_estimate
 from .records import CallRecord, TypeCatalog, TypeRef
 
-log = logging.getLogger(__name__)
-
 
 @dataclass(eq=False)
 class FeatureGraph:
-    """Directed weighted graph over the sorted, distinct class ``vertices``.
-    The edges are three arrays sorted by (src, dst): ``src`` and ``dst``
-    index into ``vertices`` and ``weight`` is positive and finite. A
-    (src, dst) pair appears at most once and never as a self-loop. The modes
-    share the edges and differ only in ``weight``."""
+    """Directed weighted graph over the class ``vertices``. Only the edges
+    are checked: three arrays sorted by (src, dst), ``src`` and ``dst``
+    indexing ``vertices``, ``weight`` positive and finite, a pair at most
+    once and never a self-loop. The modes differ only in ``weight``. The
+    commands' graphs list distinct vertices, sorted: ``weigh_calls`` sorts
+    them and ``split_core`` keeps their order, so ``first_occurrence``
+    numbers their clusters by smallest vertex id."""
 
     vertices: list[str]
     src: np.ndarray
@@ -105,8 +104,9 @@ def weigh_calls(calls: CallTable, catalog: TypeCatalog,
     """The class-level digraph of ``calls``, edges sorted by (src, dst), a
     pair at most once. Repeated class pairs accumulate by weight summation;
     intra-class calls add no edge, so a class seen only in them becomes an
-    isolated vertex. Self-calls are dropped with a warning. Each distinct
-    parameter type is sized once, and each distinct callee-parameter tuple
+    isolated vertex (``collect_calls`` drops self-calls and counts them,
+    and this function logs nothing). Each distinct parameter type is sized
+    once, and each distinct callee-parameter tuple
     (an entry of ``calls.params``) costs 1 plus its types' sizes, in order;
     ``np.bincount`` adds each pair's costs one row at a time, in row order:
     count x cost would round differently once the sum passes 2**53. A sum
@@ -115,8 +115,6 @@ def weigh_calls(calls: CallTable, catalog: TypeCatalog,
     sizes = {t: api_estimate(t, catalog, model) for t in types}
     # float() raises OverflowError for an int cost past the float range
     costs = [float(1 + sum(map(sizes.__getitem__, p))) for p in calls.params]
-    if calls.self_calls:
-        log.warning("dropped %d self-call record(s)", calls.self_calls)
     vertices = sorted(calls.code)
     index = {v: i for i, v in enumerate(vertices)}
     rank = np.array([index[v] for v in calls.code], dtype=np.int64)
@@ -153,15 +151,16 @@ def to_affinity(g: FeatureGraph) -> sp.csr_array:
     return W
 
 
-def split_core(g: FeatureGraph) -> tuple[FeatureGraph, set[str]]:
-    """Split off the isolated vertices, which no partition assigns. They
-    touch no edge, so the core keeps every edge, in order, and only
-    renumbers the vertices. Returns (core, isolated vertices)."""
+def split_core(g: FeatureGraph) -> tuple[FeatureGraph, list[str]]:
+    """Split off the isolated vertices, which no partition assigns: returns
+    (core, isolated vertices), both in vertex order. The isolated vertices
+    touch no edge, so the core keeps every edge, in order, and renumbers."""
     touched = np.bincount(np.concatenate([g.src, g.dst]), minlength=len(g.vertices)) > 0
     index = np.cumsum(touched) - 1
-    keep = [v for v, t in zip(g.vertices, touched.tolist()) if t]
+    flags = touched.tolist()
+    keep = [v for v, t in zip(g.vertices, flags) if t]
     core = FeatureGraph(keep, index[g.src], index[g.dst], g.weight)
-    return core, set(g.vertices) - set(keep)
+    return core, [v for v, t in zip(g.vertices, flags) if not t]
 
 
 # --- export helpers ---------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import statistics
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from .cost_model import SizeModel
 from .feature_graph import CallTable, FeatureGraph, collect_calls, split_core, weigh_calls
 from .metrics import QualityReport, batch_scores, score
 from .records import (
+    PRIMITIVE_SIZES,
     ArgumentError,
     PerfRecord,
     TypeCatalog,
@@ -57,33 +58,32 @@ def mode_weights(g: FeatureGraph, attrs: np.ndarray, mode: str) -> np.ndarray:
     return weight
 
 
-@dataclass
 class PipelineInputs:
-    """Parsed inputs, their class graph, built once, its core (the graph
-    without its ``isolated`` vertices, which no stage below sees: only the
-    commands list them), split once, and the perf attributes of the graph's
-    vertices, attached once: an (n, 2) array of (cpu_time, retained) rows,
-    (0, 0) for a class without a perf row and, with ``normalize``, each
-    column divided by its maximum when that is positive. The ``calls``
-    table and the ``perf`` rows are used up here and not kept: only the
-    counts ``call_rows``, ``self_calls`` and ``perf_rows`` are."""
+    """The one ingest report, and the one place a run logs: it warns of the
+    dropped self-calls, then of perf rows with no graph vertex, and keeps
+    only what the commands print or write. That is the class graph; its
+    core, without the ``isolated`` vertices (a sorted list); the (n, 2)
+    perf ``attrs`` of the vertices, (cpu_time, retained) rows, (0, 0)
+    without a perf row and, with ``normalize``, each column divided by its
+    maximum when positive; and the counts ``call_rows``, ``self_calls``,
+    ``perf_rows`` and ``types`` (primitives plus declared layouts)."""
 
-    calls: InitVar[CallTable]
-    perf: InitVar[list[PerfRecord]]
-    catalog: TypeCatalog
-    model: SizeModel = SizeModel()
-    normalize: bool = True
-    call_rows: int = field(init=False)
-    perf_rows: int = field(init=False)
-    self_calls: int = field(init=False)
-    graph: FeatureGraph = field(init=False)
-    core: FeatureGraph = field(init=False)
-    isolated: set[str] = field(init=False)
-    attrs: np.ndarray = field(init=False)
+    call_rows: int
+    perf_rows: int
+    self_calls: int
+    types: int
+    graph: FeatureGraph
+    core: FeatureGraph
+    isolated: list[str]
+    attrs: np.ndarray
 
-    def __post_init__(self, calls: CallTable, perf: list[PerfRecord]):
+    def __init__(self, calls: CallTable, perf: list[PerfRecord], catalog: TypeCatalog,
+                 model: SizeModel = SizeModel(), normalize: bool = True):
         self.call_rows, self.perf_rows, self.self_calls = calls.rows, len(perf), calls.self_calls
-        self.graph = weigh_calls(calls, self.catalog, self.model)
+        self.types = len(PRIMITIVE_SIZES) + len(catalog.layouts)
+        if self.self_calls:
+            log.warning("dropped %d self-call record(s)", self.self_calls)
+        self.graph = weigh_calls(calls, catalog, model)
         self.core, self.isolated = split_core(self.graph)
         index = {v: i for i, v in enumerate(self.graph.vertices)}
         self.attrs = np.zeros((len(index), 2))
@@ -93,7 +93,7 @@ class PipelineInputs:
         if unknown := [r.class_id for r in perf if r.class_id not in index]:
             log.warning("perf record for %r has no call-graph vertex; ignored (%d such records)",
                         unknown[0], len(unknown))
-        if self.normalize:
+        if normalize:
             top = self.attrs.max(axis=0, initial=0.0)
             self.attrs = np.divide(self.attrs, top, out=np.zeros_like(self.attrs),
                                    where=top > 0)

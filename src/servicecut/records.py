@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import re
 from collections.abc import Iterator, Mapping
@@ -25,8 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
-
-log = logging.getLogger(__name__)
 
 _NAME_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$.]*")
 

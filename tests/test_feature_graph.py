@@ -18,6 +18,7 @@ from servicecut.feature_graph import (
     graph_to_json,
     split_core,
     to_affinity,
+    weigh_calls,
     write_affinity_csv,
     write_edge_list,
 )
@@ -84,7 +85,7 @@ def test_lift_discards_intra_class_edges():
     assert g.edges == {}
     assert collect_calls(records).self_calls == 0
     assert g.vertices == ["A"]
-    assert split_core(g)[1] == {"A"}
+    assert split_core(g)[1] == ["A"]
 
 
 def test_lift_preserves_direction():
@@ -245,6 +246,24 @@ def test_attach_perf_unknown_class_ignored(caplog):
     assert inputs.attrs.shape == (3, 2)
     assert not inputs.attrs.any()
     assert "'Zed' has no call-graph vertex" in caplog.text
+
+
+def test_pipeline_inputs_alone_reports_the_ingest(caplog):
+    # self-calls on Z and M, an intra-class call between two methods of C,
+    # and perf rows for two classes the call log never names
+    calls = collect_calls([call("f", "f", "Z", "Z"), call("f", "g", "A", "B", ["int"]),
+                           call("g", "g", "M", "M"), call("f", "g", "C", "C")])
+    perf = [PerfRecord("Ghost", 1, 1), PerfRecord("Phantom", 2, 2)]
+    weigh_calls(calls, CAT)
+    assert caplog.records == []
+    inputs = PipelineInputs(calls, perf, CAT, SizeModel(), False)
+    assert [r.getMessage() for r in caplog.records] == [
+        "dropped 2 self-call record(s)",
+        "perf record for 'Ghost' has no call-graph vertex; ignored (2 such records)",
+    ]
+    assert inputs.isolated == ["C", "M", "Z"]
+    assert (inputs.call_rows, inputs.self_calls, inputs.perf_rows, inputs.types) == (4, 2, 2, 8)
+    assert not any(hasattr(inputs, a) for a in ("catalog", "model", "normalize"))
 
 
 def test_fuse_scales_by_callee_factor():
@@ -453,7 +472,7 @@ def test_affinity_csv_builds_no_dense_matrix(tmp_path):
 def test_split_core_drops_isolated_vertices():
     g = _class_graph()
     core, isolated = split_core(g)
-    assert isolated == {"C"}
+    assert isolated == ["C"]
     assert core.vertices == ["A", "B"]
     assert core.edges == g.edges
     W = to_affinity(core)
@@ -463,7 +482,7 @@ def test_split_core_drops_isolated_vertices():
 def test_split_core_keeps_the_edge_order_and_renumbers():
     g = graph_from_edges(["a", "b", "c", "d"], {("b", "d"): 2.0, ("d", "b"): 1.0})
     core, isolated = split_core(g)
-    assert isolated == {"a", "c"}
+    assert isolated == ["a", "c"]
     assert (core.src.tolist(), core.dst.tolist()) == ([0, 1], [1, 0])
     assert list(core.edges.items()) == [(("b", "d"), 2.0), (("d", "b"), 1.0)]
 

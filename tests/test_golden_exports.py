@@ -12,8 +12,9 @@ Mailer - Payment - Order - Stock, whose Laplacian is an irreducible
 tridiagonal matrix in path order, so its eigenvalues are distinct and
 the candidates do not depend on the eigensolver's choice of basis.
 
-The default ``sweep`` of a synthetic 139-class system is pinned by the
-digests of its files.
+The default ``sweep`` of a synthetic 139-class system, and an ``evaluate``
+of a 1500-class one, which runs the Lanczos solve, are pinned by the digests
+of their files.
 """
 
 import hashlib
@@ -443,6 +444,13 @@ SWEEP_139 = {
     "sweep.csv": "4fd65c25b80b2f9127b8b58a128c022e791916a7584c2093baaa898f8eef158c",
 }
 
+#: synth --n-classes 1500 --n-blocks 15 --intra 0.1 --inter 0.003 --seed 7,
+#: then evaluate --k 15: sha256 of each file
+EVALUATE_1500 = {
+    "partition.json": "3100904c16fc20f571f712f60833a823448742fd22aeda57953c6f140f2dfbde",
+    "report.json": "d15469976a8bb2d9298175614fe9ef440e72e1f53027f04c177354af99c6f450",
+}
+
 
 @pytest.fixture
 def inputs(tmp_path):
@@ -509,4 +517,15 @@ def test_default_sweep_of_139_classes_equals_the_golden_digests(tmp_path):
                  str(system / "perf.csv"), "--out", str(out)]) == 0
     assert json.loads((out / "sweep.json").read_text())["best_k"] == {"static": 7, "fusion": 6}
     for name, digest in SWEEP_139.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_evaluate_of_1500_classes_on_the_lanczos_path_equals_the_golden_digests(tmp_path):
+    # above the dense threshold: a connected 1500-vertex core, one eigsh call
+    system, out = tmp_path / "system", tmp_path / "out"
+    assert main(["synth", "--n-classes", "1500", "--n-blocks", "15", "--intra", "0.1",
+                 "--inter", "0.003", "--seed", "7", "--out", str(system)]) == 0
+    assert main(["evaluate", "--calls", str(system / "calls.csv"), "--perf",
+                 str(system / "perf.csv"), "--k", "15", "--out", str(out)]) == 0
+    for name, digest in EVALUATE_1500.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

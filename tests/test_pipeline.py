@@ -217,7 +217,7 @@ def test_prefixed_class_names_leave_candidates_unchanged(seed, mode):
         p, _ = run_pipeline(inputs, mode, k, seed)
         p2, _ = run_pipeline(renamed, mode, k, seed)
         assert named(renamed.core, p2) == {"x." + v: c for v, c in named(inputs.core, p).items()}
-    assert renamed.isolated == {"x." + v for v in inputs.isolated}
+    assert renamed.isolated == ["x." + v for v in inputs.isolated]
 
 
 # --- sweep ------------------------------------------------------------------
