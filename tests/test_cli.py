@@ -1,8 +1,10 @@
 import ast
+import csv
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -17,6 +19,7 @@ from servicecut import cli, feature_graph, pipeline, spectral
 from servicecut.cli import main
 from servicecut.records import ArgumentError
 from servicecut.synth import SynthSpec
+from test_golden_exports import CI_CATALOG
 
 
 def run(*args):
@@ -41,11 +44,33 @@ def test_synth_and_ingest_check(tmp_path, capsys):
     calls = sysdir / "calls.csv"
     with open(calls, "a") as fh:
         fh.write("log,log,Audit,Audit,,int\n")  # a self-call, and a 13th class
+    inputs = ["--calls", str(calls), "--perf", str(sysdir / "perf.csv")]
     capsys.readouterr()
-    assert run("ingest-check", "--calls", str(calls), "--perf", str(sysdir / "perf.csv")) == 0
-    assert capsys.readouterr().out == (
+    assert run("ingest-check", *inputs) == 0
+    expected = (
         "call records: 60 (1 self-call)\n"
         "perf records: 12\n"
+        "classes:      13\n"
+        "types:        8\n"
+    )
+    assert capsys.readouterr().out == expected
+    # an object, an object holding it, a cyclic object and an opaque type
+    catalog = tmp_path / "types.txt"
+    catalog.write_text(CI_CATALOG)
+    assert run("ingest-check", *inputs, "--type-catalog", str(catalog)) == 0
+    assert capsys.readouterr().out == expected.replace("types:        8", "types:        12")
+    assert run("evaluate", *inputs, "--type-catalog", str(catalog), "--k", "3",
+               "--out", str(tmp_path / "run")) == 0
+    # the call log streams: its data rows 10 times over, under one header, are
+    # 10 times the records and the same classes
+    header, *rows = calls.read_bytes().splitlines(keepends=True)
+    assert len(rows) == 60
+    (tmp_path / "x10.csv").write_bytes(header + b"".join(rows) * 10)
+    capsys.readouterr()
+    assert run("ingest-check", "--calls", str(tmp_path / "x10.csv")) == 0
+    assert capsys.readouterr().out == (
+        "call records: 600 (10 self-call)\n"
+        "perf records: 0\n"
         "classes:      13\n"
         "types:        8\n"
     )
@@ -73,6 +98,11 @@ def test_cluster_and_evaluate(tmp_path):
     assert partition["seed"] == 3
     report = json.loads((out / "report.json").read_text())
     assert -1.0 <= report["MQw"] <= 1.0
+    raw = tmp_path / "raw"
+    assert run("evaluate", "--calls", str(sysdir / "calls.csv"),
+               "--perf", str(sysdir / "perf.csv"), "--mode", "dynamic", "--raw-attrs",
+               "--k", "2", "--out", str(raw)) == 0
+    assert json.loads((raw / "report.json").read_text())["mode"] == "dynamic"
 
 
 def test_disconnected_blocks_above_the_dense_threshold_are_the_candidates(tmp_path,
@@ -107,7 +137,9 @@ def test_evaluate_csv_format(tmp_path):
     assert run("evaluate", "--calls", str(sysdir / "calls.csv"),
                "--k", "2", "--out", str(out), "--format", "csv") == 0
     lines = (out / "report.csv").read_text().splitlines()
-    assert lines[0].startswith("mode,k,")
+    assert lines[0] == "mode,k,coh_w,cop_w,MQw,MQ,cut"
+    assert len(lines) == 2
+    assert not (out / "report.json").exists()
 
 
 def test_sweep_byte_identical_outputs(tmp_path):
@@ -126,12 +158,18 @@ def test_sweep_byte_identical_outputs(tmp_path):
 
 def test_oracle_command(tmp_path, capsys):
     sysdir = synth_system(tmp_path, **{"--n-classes": "8"})
-    capsys.readouterr()  # discard synth output
-    assert run("oracle", "--calls", str(sysdir / "calls.csv"),
-               "--k", "2", "--objective", "cut") == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["objective"] == "cut"
-    assert doc["value"] >= 0
+    with open(sysdir / "calls.csv", newline="") as fh:
+        classes = sorted({c for row in list(csv.reader(fh))[1:] for c in row[2:4]})
+    docs = {}
+    for objective in ("mqw", "cut"):
+        capsys.readouterr()  # discard earlier output
+        assert run("oracle", "--calls", str(sysdir / "calls.csv"),
+                   "--k", "2", "--objective", objective) == 0
+        doc = docs[objective] = json.loads(capsys.readouterr().out)
+        assert doc["objective"] == objective
+        # the candidates and the unassigned classes hold every class once
+        assert sorted(sum(doc["candidates"], doc["unassigned"])) == classes
+    assert docs["cut"]["value"] >= 0
 
 
 def test_isolated_vertices_reported_unassigned(tmp_path, capsys):
@@ -400,6 +438,23 @@ def test_each_command_declares_its_options_in_the_published_order():
     }
 
 
+_WORKFLOW = Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml"
+
+
+def test_the_console_script_step_uses_only_declared_commands_and_options():
+    # the step needs an installed package, so it runs only in CI; here each of
+    # its servicecut lines, after any VAR=value, is read and none is run
+    step = _WORKFLOW.read_text().split("- name: Installed console script\n")[1]
+    lines = [shlex.split(line) for line in re.split(r"\n\s*- name:", step)[0].splitlines()
+             if re.match(r"\s*(\w+=\S*\s+)*servicecut\s", line)]
+    assert lines
+    for words in lines:
+        name, *args = words[words.index("servicecut") + 1:]
+        assert name in cli.cli.commands, words
+        declared = {o for p in cli.cli.commands[name].params for o in p.opts + p.secondary_opts}
+        assert {w for w in args if w.startswith("--")} - declared == set(), words
+
+
 def test_overflowing_weights_are_data_errors_naming_their_sources(tmp_path, capsys):
     calls = tmp_path / "calls.csv"
     calls.write_text("f,g,A,B,,Blob\ng,f,B,A,,\n")
@@ -502,12 +557,16 @@ def test_the_class_graph_is_built_once_per_invocation(tmp_path, monkeypatch, arg
     ["ingest-check"],
 ], ids=["sweep-fusion-dynamic", "evaluate-static", "ingest-check"])
 def test_an_unknown_perf_class_is_logged_once_per_run(tmp_path, caplog, args):
+    # as is a dropped self-call
     sysdir = synth_system(tmp_path)
+    with open(sysdir / "calls.csv", "a") as fh:
+        fh.write("log,log,Audit,Audit,,int\n")
     perf = tmp_path / "perf.csv"
     perf.write_text((sysdir / "perf.csv").read_text() + "Ghost,1,1\n")
     argv = [a.format(out=tmp_path / "o") for a in args]
     assert run(*argv, "--calls", str(sysdir / "calls.csv"), "--perf", str(perf)) == 0
     assert caplog.text.count("'Ghost' has no call-graph vertex") == 1
+    assert caplog.text.count("dropped 1 self-call record(s)") == 1
 
 
 def test_perf_rows_without_a_vertex_are_one_warning_with_their_count(tmp_path, caplog):

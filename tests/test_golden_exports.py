@@ -246,7 +246,7 @@ Stock,0.0,3.5,0.0,0.0\r\n\
 }
 
 
-#: The catalog of the CI console-script step: an object (Money), an object
+#: A catalog of each kind of declaration: an object (Money), an object
 #: holding it and a String array (Order), a cyclic object (Node) and an
 #: opaque type. Sizes: Money 12 + 8 + 4 -> 24, Order 12 + 24 + 16 -> 56,
 #: Node 12 + 4 (its own field, a reference slot) + 56 -> 72, String 24; an
@@ -481,6 +481,14 @@ def test_build_graph_with_the_ci_catalog_equals_the_golden_text(tmp_path):
     assert main(["build-graph", "--calls", str(tmp_path / "calls.csv"), "--type-catalog",
                  str(tmp_path / "types.txt"), "--mode", "static", "--out", str(out)]) == 0
     assert_golden(out, CI_CATALOG_EXPECTED)
+    # the rows 3 times over give each edge exactly 3 times its weight
+    (tmp_path / "x3.csv").write_text(CI_CALLS * 3)
+    x3 = tmp_path / "x3"
+    assert main(["build-graph", "--calls", str(tmp_path / "x3.csv"), "--type-catalog",
+                 str(tmp_path / "types.txt"), "--mode", "static", "--out", str(x3)]) == 0
+    once, thrice = (json.loads((d / "graph.json").read_text())["edges"] for d in (out, x3))
+    assert [(e["src"], e["dst"], 3 * e["weight"]) for e in once] == [
+        (e["src"], e["dst"], e["weight"]) for e in thrice]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
